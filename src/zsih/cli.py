@@ -240,11 +240,12 @@ def run_retrieve(args, parser):
     top = min(args.top, len(gallery))
     with open(args.out, "w", encoding="utf-8") as f:
         f.write("query\trank\tgallery_index\tdistance\n")
-        for qi in range(len(queries)):
-            dist = retrieval._packed_distances(queries.codes[qi], gallery.codes)
-            order = np.argsort(dist, kind="stable")[:top]
-            for rank, gi in enumerate(order, start=1):
-                f.write(f"{qi}\t{rank}\t{gi}\t{dist[gi]}\n")
+        for qi, bits in enumerate(queries.bits()):
+            order = retrieval.hamming_rank(bits, gallery)[:top]
+            dist = retrieval.hamming_distances(queries.codes[qi],
+                                               gallery.codes[order])
+            for rank, (gi, d) in enumerate(zip(order, dist), start=1):
+                f.write(f"{qi}\t{rank}\t{gi}\t{d}\n")
     print(f"ranked top-{top} of {len(gallery)} gallery items for "
           f"{len(queries)} queries -> {args.out}")
     return 0

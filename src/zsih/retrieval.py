@@ -1,20 +1,20 @@
 """Hamming-space retrieval: code binarization, bit-packed linear scan and
 the mAP / precision@K / precision-recall evaluation protocol."""
 
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FormatError, MODALITY_CODES, MODALITY_NAMES
+from .data import FormatError, MODALITY_CODES, MODALITY_NAMES, _read_exact
 
 CODE_MAGIC = b"ZSCB"
 CODE_VERSION = 1
+_CODE_HEADER = struct.Struct("<HQIB")   # version, count, n_bits, modality
 
 # interpolated precision is reported at the standard 11 recall levels
 RECALL_LEVELS = np.linspace(0.0, 1.0, 11)
-
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
 
 
 @dataclass
@@ -69,11 +69,34 @@ def binarize(soft_codes, labels, modality="image"):
     )
 
 
-def _packed_distances(query_row, codes):
-    """Hamming distances of one packed query against all packed codes."""
-    return _POPCOUNT[np.bitwise_xor(codes, query_row[None, :])].sum(
-        axis=1, dtype=np.int64
-    )
+def _words(packed):
+    """Packed rows viewed as the widest unsigned words their byte width
+    divides into."""
+    for dtype in (np.uint64, np.uint32, np.uint16):
+        if packed.shape[-1] % np.dtype(dtype).itemsize == 0:
+            return packed.view(dtype)
+    return packed
+
+
+def hamming_distances(query_row, codes):
+    """Hamming distances of one packed query row to every packed row of
+    ``codes``: uint8 while a row holds at most 255 bits, else uint16."""
+    query_row = np.ascontiguousarray(query_row, dtype=np.uint8)
+    codes = np.ascontiguousarray(codes, dtype=np.uint8)
+    if codes.ndim != 2 or query_row.shape != codes.shape[1:]:
+        raise ValueError(
+            f"packed query {query_row.shape} does not match packed codes "
+            f"{codes.shape}"
+        )
+    query = _words(query_row)
+    gallery = _words(codes)
+    dist = np.zeros(gallery.shape[0],
+                    dtype=np.uint8 if codes.shape[1] * 8 <= 255 else np.uint16)
+    # one word column at a time: XOR against a scalar runs over all N rows in
+    # one inner loop, where broadcasting the query row would loop per row
+    for j, word in enumerate(query):
+        dist += np.bitwise_count(gallery[:, j] ^ word)
+    return dist
 
 
 def hamming_rank(query_bits, gallery):
@@ -85,21 +108,18 @@ def hamming_rank(query_bits, gallery):
             f"query has {query_bits.shape} bits, gallery codes have "
             f"{gallery.n_bits}"
         )
-    dist = _packed_distances(pack_bits(query_bits), gallery.codes)
+    dist = hamming_distances(pack_bits(query_bits), gallery.codes)
+    # numpy radix-sorts 8- and 16-bit keys for kind="stable"
     return np.argsort(dist, kind="stable")
 
 
 def average_precision(ranked_labels, query_label):
     """AP over a fully ranked gallery; relevance is label equality."""
-    hits = 0
-    total = 0.0
-    for rank, label in enumerate(ranked_labels, start=1):
-        if label == query_label:
-            hits += 1
-            total += hits / rank
-    if hits == 0:
+    rel = np.asarray(ranked_labels) == query_label
+    if not rel.any():
         raise ValueError("query has no relevant gallery item")
-    return total / hits
+    ranks = np.arange(1, rel.size + 1, dtype=np.float64)
+    return float(_query_metrics(rel, (), ranks)[0])
 
 
 @dataclass
@@ -112,27 +132,23 @@ class RetrievalReport:
     pr_raw: list = field(default_factory=list)  # (mean recall@n, mean precision@n)
 
 
-def _query_metrics(rel, ks, n_gallery):
-    """AP, precision@K, interpolated P-R and raw P-R rows for one query."""
-    r_total = int(rel.sum())
-    ranks = np.arange(1, n_gallery + 1, dtype=np.float64)
+def _query_metrics(rel, ks, ranks):
+    """AP, precision@K, interpolated P-R and raw P-R rows for one query;
+    ``ranks`` holds 1..N as float64."""
     cum = np.cumsum(rel, dtype=np.float64)
+    r_total = cum[-1]
     prec_at = cum / ranks
     recall_at = cum / r_total
-
-    hits = 0
-    ap = 0.0
-    for rank0 in np.flatnonzero(rel):
-        hits += 1
-        ap += hits / (rank0 + 1.0)
-    ap /= r_total
-
-    p_ks = {k: float(rel[: min(k, n_gallery)].sum()) / k for k in ks}
-    interp = np.maximum.accumulate(prec_at[::-1])[::-1]
-    levels = np.array(
-        [interp[np.searchsorted(recall_at, level)] if level > 0 else interp[0]
-         for level in RECALL_LEVELS]
-    )
+    hit_prec = prec_at[rel]
+    # cumsum adds left to right, as a loop over the hits does; sum() adds
+    # pairwise and would differ from the oracle in the last bits
+    ap = np.cumsum(hit_prec)[-1] / r_total
+    p_ks = {k: float(cum[min(k, rel.size) - 1]) / k for k in ks}
+    # precision only falls between hits, so the interpolated precision at a
+    # hit is the largest precision at it or a later hit; the first rank to
+    # reach a recall level is a hit
+    interp = np.maximum.accumulate(hit_prec[::-1])[::-1]
+    levels = interp[np.searchsorted(recall_at[rel], RECALL_LEVELS)]
     return ap, p_ks, levels, prec_at, recall_at
 
 
@@ -153,20 +169,19 @@ def evaluate(queries, gallery, ks=(1, 10, 100)):
         )
     ks = sorted(set(int(k) for k in ks))
     n = len(gallery)
+    ranks = np.arange(1, n + 1, dtype=np.float64)
     aps = []
     p_sum = {k: 0.0 for k in ks}
     level_sum = np.zeros(RECALL_LEVELS.size)
     raw_prec_sum = np.zeros(n)
     raw_rec_sum = np.zeros(n)
     excluded = 0
-    for qi in range(len(queries)):
-        dist = _packed_distances(queries.codes[qi], gallery.codes)
-        order = np.argsort(dist, kind="stable")
-        rel = gallery.labels[order] == queries.labels[qi]
+    for bits, label in zip(queries.bits(), queries.labels):
+        rel = gallery.labels[hamming_rank(bits, gallery)] == label
         if not rel.any():
             excluded += 1
             continue
-        ap, p_ks, levels, prec_at, recall_at = _query_metrics(rel, ks, n)
+        ap, p_ks, levels, prec_at, recall_at = _query_metrics(rel, ks, ranks)
         aps.append(ap)
         for k in ks:
             p_sum[k] += p_ks[k]
@@ -215,49 +230,54 @@ def write_pr_dump(report, path, include_raw=True):
 # code file format
 
 
+def _record_dtype(n_bytes):
+    """One ZSCB record: a little-endian u32 label, then the packed code."""
+    return np.dtype([("label", "<u4"), ("code", "u1", (n_bytes,))])
+
+
 def save_codes(code_matrix, path):
+    records = np.empty(len(code_matrix),
+                       dtype=_record_dtype(code_matrix.codes.shape[1]))
+    records["label"] = code_matrix.labels
+    records["code"] = code_matrix.codes
     with open(path, "wb") as f:
         f.write(CODE_MAGIC)
-        f.write(struct.pack(
-            "<HQIB", CODE_VERSION, len(code_matrix), code_matrix.n_bits,
+        f.write(_CODE_HEADER.pack(
+            CODE_VERSION, len(code_matrix), code_matrix.n_bits,
             MODALITY_CODES[code_matrix.modality],
         ))
-        for label, row in zip(code_matrix.labels, code_matrix.codes):
-            f.write(struct.pack("<I", int(label)))
-            f.write(row.tobytes())
-        for label in code_matrix.labels:
-            f.write(struct.pack("<I", int(label)))
+        f.write(records.tobytes())
+        f.write(records["label"].tobytes())
 
 
 def load_codes(path):
     with open(path, "rb") as f:
-        magic = _read(f, 4)
+        magic = _read_exact(f, 4, "magic")
         if magic != CODE_MAGIC:
             raise FormatError(f"bad code file magic {magic!r}")
-        version, count, n_bits, mod_code = struct.unpack("<HQIB", _read(f, 15))
+        version, count, n_bits, mod_code = _CODE_HEADER.unpack(
+            _read_exact(f, _CODE_HEADER.size, "header"))
         if version != CODE_VERSION:
             raise FormatError(f"unsupported code file version {version}")
         if mod_code not in MODALITY_NAMES:
             raise FormatError(f"unknown modality code {mod_code}")
-        n_bytes = (n_bits + 7) // 8
-        labels = np.empty(count, dtype=np.uint32)
-        codes = np.empty((count, n_bytes), dtype=np.uint8)
-        for i in range(count):
-            (labels[i],) = struct.unpack("<I", _read(f, 4))
-            codes[i] = np.frombuffer(_read(f, n_bytes), dtype=np.uint8)
-        trailer = np.frombuffer(_read(f, 4 * count), dtype="<u4")
-        if f.read(1):
+        record = _record_dtype((n_bits + 7) // 8)
+        # the records, then the u32 label trailer; sized before reading so
+        # that a corrupt count cannot ask for more memory than the file holds
+        body_size = count * (record.itemsize + 4)
+        remaining = os.fstat(f.fileno()).st_size - f.tell()
+        if remaining < body_size:
+            raise FormatError(
+                f"truncated code file: header claims {count} records "
+                f"({body_size} bytes), {remaining} bytes follow the header")
+        if remaining > body_size:
             raise FormatError("unexpected trailing bytes in code file")
-    if not np.array_equal(trailer, labels):
+        body = _read_exact(f, body_size, "records")
+    records = np.frombuffer(body, dtype=record, count=count)
+    trailer = np.frombuffer(body, dtype="<u4", offset=count * record.itemsize)
+    if not np.array_equal(trailer, records["label"]):
         raise FormatError("label trailer does not match records (corrupt file)")
     return CodeMatrix(
-        codes=codes, labels=labels, n_bits=int(n_bits),
-        modality=MODALITY_NAMES[mod_code],
+        codes=records["code"].copy(), labels=records["label"].astype(np.uint32),
+        n_bits=int(n_bits), modality=MODALITY_NAMES[mod_code],
     )
-
-
-def _read(f, n):
-    data = f.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated code file at offset {f.tell() - len(data)}")
-    return data

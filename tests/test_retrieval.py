@@ -8,13 +8,14 @@ from zsih.retrieval import (
     binarize,
     evaluate,
     format_report,
+    hamming_distances,
     hamming_rank,
     load_codes,
     pack_bits,
     save_codes,
     write_pr_dump,
-    _packed_distances,
 )
+from zsih.data import FormatError
 
 
 def random_code_matrix(rng, n, m, n_classes, modality="image"):
@@ -81,25 +82,41 @@ class TestHammingRank:
         b = rng.integers(0, 2, size=(10_000, m)).astype(np.uint8)
         packed_b = pack_bits(b)
         for i in range(0, 10_000, 250):
-            fast = _packed_distances(pack_bits(a[i]), packed_b[i:i + 250])
+            fast = hamming_distances(pack_bits(a[i]), packed_b[i:i + 250])
             naive = np.array([oracles.naive_hamming(a[i], b[j])
                               for j in range(i, i + 250)])
+            np.testing.assert_array_equal(fast, naive)
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 16, 24, 37, 64, 96, 128, 300])
+    def test_distances_equal_naive_at_every_word_width(self, rng, m):
+        q = rng.integers(0, 2, size=(6, m)).astype(np.uint8)
+        g = rng.integers(0, 2, size=(40, m)).astype(np.uint8)
+        g[:3] = q[:3]        # distance 0
+        g[3:6] = 1 - q[:3]   # distance m
+        packed_g = pack_bits(g)
+        for row in q:
+            fast = hamming_distances(pack_bits(row), packed_g)
+            assert fast.dtype == (np.uint8 if packed_g.shape[1] * 8 <= 255
+                                  else np.uint16)
+            naive = [oracles.naive_hamming(row, b) for b in g]
             np.testing.assert_array_equal(fast, naive)
 
     def test_distance_symmetry_and_identity(self, rng):
         bits = rng.integers(0, 2, size=(50, 24)).astype(np.uint8)
         packed = pack_bits(bits)
         for i in range(0, 50, 7):
-            d_ab = _packed_distances(packed[i], packed)
+            d_ab = hamming_distances(packed[i], packed)
             assert d_ab[i] == 0
             for j in range(0, 50, 11):
-                d_ba = _packed_distances(packed[j], packed)
+                d_ba = hamming_distances(packed[j], packed)
                 assert d_ab[j] == d_ba[i]
 
     def test_length_mismatch(self, rng):
         gallery, _ = random_code_matrix(rng, 5, 16, 2)
         with pytest.raises(ValueError, match="bits"):
             hamming_rank(np.zeros(8, dtype=np.uint8), gallery)
+        with pytest.raises(ValueError, match="does not match"):
+            hamming_distances(np.zeros(1, dtype=np.uint8), gallery.codes)
 
 
 class TestAveragePrecision:
@@ -165,6 +182,25 @@ class TestEvaluate:
             assert report.pr_curve == ref["pr_curve"]
             assert report.pr_raw == ref["pr_raw"]
             assert report.excluded_queries == ref["excluded"]
+
+    @pytest.mark.parametrize("m", [5, 13, 32, 96, 300])
+    def test_equals_naive_oracle_exactly_at_other_code_lengths(self, rng, m):
+        q_bits = rng.integers(0, 2, size=(15, m)).astype(np.uint8)
+        g_bits = rng.integers(0, 2, size=(90, m)).astype(np.uint8)
+        g_bits[::7] = q_bits[0]  # ties at distance 0
+        q_labels = rng.integers(0, 5, size=15).astype(np.uint32)
+        g_labels = rng.integers(0, 4, size=90).astype(np.uint32)
+        queries = CodeMatrix(pack_bits(q_bits), q_labels, m, "sketch")
+        gallery = CodeMatrix(pack_bits(g_bits), g_labels, m, "image")
+        ks = (1, 10, 100)
+        report = evaluate(queries, gallery, ks=ks)
+        ref = oracles.naive_evaluate(q_bits, q_labels, g_bits, g_labels, ks)
+        assert report.map_all == ref["map_all"]
+        np.testing.assert_array_equal(report.per_query_ap, ref["per_query_ap"])
+        assert report.precision_at == ref["precision_at"]
+        assert report.pr_curve == ref["pr_curve"]
+        assert report.pr_raw == ref["pr_raw"]
+        assert report.excluded_queries == ref["excluded"]
 
     def test_gallery_permutation_invariance_for_unique_distances(self, rng):
         m = 24
@@ -280,4 +316,32 @@ class TestCodeFiles:
         raw = path.read_bytes()
         path.write_bytes(raw[:-3])
         with pytest.raises(ValueError, match="truncated"):
+            load_codes(path)
+
+    def test_oversized_count_rejected_before_allocating(self, rng, tmp_path):
+        cm, _ = random_code_matrix(rng, 4, 8, 2)
+        path = tmp_path / "codes.zscb"
+        save_codes(cm, path)
+        raw = bytearray(path.read_bytes())
+        raw[6:14] = (2 ** 40).to_bytes(8, "little")  # the header's u64 count
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="truncated"):
+            load_codes(path)
+
+    def test_truncation_at_every_offset(self, rng, tmp_path):
+        cm, _ = random_code_matrix(rng, 3, 13, 2)
+        path = tmp_path / "codes.zscb"
+        save_codes(cm, path)
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError):
+                load_codes(path)
+
+    def test_trailing_bytes_rejected(self, rng, tmp_path):
+        cm, _ = random_code_matrix(rng, 3, 13, 2)
+        path = tmp_path / "codes.zscb"
+        save_codes(cm, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
             load_codes(path)

@@ -15,6 +15,7 @@ __all__ = [
     "Node",
     "constant",
     "matmul",
+    "affine",
     "add",
     "sub",
     "mul",
@@ -24,14 +25,12 @@ __all__ = [
     "log",
     "square",
     "reduce_sum",
-    "reduce_mean",
-    "softmax",
+    "softmax_rows",
+    "pool_rows",
     "clip",
     "reshape",
-    "vecmat",
-    "kron_vec",
-    "concat_vec",
-    "stack_rows",
+    "kron_rows",
+    "concat_cols",
 ]
 
 
@@ -76,31 +75,6 @@ class Node:
 
     def __repr__(self):
         return f"Node(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Arithmetic sugar; scalars and ndarrays are wrapped as constants.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self):
         """Populate ``grad`` for every node reachable from this scalar.
@@ -305,37 +279,41 @@ def reduce_sum(a, axis=None):
     return Node(out, requires_grad=a.requires_grad, _parents=(a,), _bwd=bwd)
 
 
-def reduce_mean(a, axis=None):
-    a = as_node(a)
-    _check_axis(a, axis)
-    n = a.data.size if axis is None else a.shape[axis]
-    out = a.data.mean(axis=axis)
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, a.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g / n, axis), a.shape).copy(),)
-
-    return Node(out, requires_grad=a.requires_grad, _parents=(a,), _bwd=bwd)
-
-
 def _check_axis(a, axis):
     if axis is not None and not (-a.ndim <= axis < a.ndim):
         raise ValueError(f"axis {axis} invalid for shape {a.shape}")
 
 
-def softmax(a):
-    """Softmax over a 1-D vector (shift-invariant, max-stabilized)."""
+def softmax_rows(a):
+    """Softmax along each row of a matrix (max-stabilized per row)."""
     a = as_node(a)
-    if a.ndim != 1:
-        raise ValueError(f"softmax expects a vector, got shape {a.shape}")
-    e = np.exp(a.data - a.data.max())
-    s = e / e.sum()
+    if a.ndim != 2:
+        raise ValueError(f"softmax_rows expects a matrix, got shape {a.shape}")
+    e = np.exp(a.data - a.data.max(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
 
     def bwd(g):
-        return (s * (g - np.dot(g, s)),)
+        return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
 
     return Node(s, requires_grad=a.requires_grad, _parents=(a,), _bwd=bwd)
+
+
+def pool_rows(w, x):
+    """Weighted sum over the middle axis: [N, L] x [N, L, C] -> [N, C].
+
+    Row n of the result is sum_l w[n, l] * x[n, l, :].
+    """
+    w, x = as_node(w), as_node(x)
+    if w.ndim != 2 or x.ndim != 3 or x.shape[:2] != w.shape:
+        raise ValueError(f"pool_rows shapes incompatible: {w.shape} x {x.shape}")
+
+    def bwd(g):
+        gw = np.einsum("nc,nlc->nl", g, x.data)
+        gx = w.data[:, :, None] * g[:, None, :] if x.requires_grad else None
+        return (gw, gx)
+
+    return Node(np.einsum("nl,nlc->nc", w.data, x.data),
+                requires_grad=_requires(w, x), _parents=(w, x), _bwd=bwd)
 
 
 def reshape(a, shape):
@@ -363,71 +341,64 @@ def matmul(a, b):
     return Node(a.data @ b.data, requires_grad=_requires(a, b), _parents=(a, b), _bwd=bwd)
 
 
-def vecmat(v, w):
-    """Vector-matrix product: [d] x [d, k] -> [k]."""
-    v, w = as_node(v), as_node(w)
-    if v.ndim != 1 or w.ndim != 2 or v.shape[0] != w.shape[0]:
-        raise ValueError(f"vecmat shapes incompatible: {v.shape} x {w.shape}")
+def affine(x, w, b):
+    """x @ w + b over the last axis of x: [..., d] x [d, k] + [k] -> [..., k].
+
+    ``b`` may also be a scalar added to every output.
+    """
+    x, w, b = as_node(x), as_node(w), as_node(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ValueError(f"affine shapes incompatible: {x.shape} x {w.shape}")
+    d, k = w.shape
+    if b.shape not in ((), (k,)):
+        raise ValueError(f"affine bias shape {b.shape} does not match {k} outputs")
+    rows = x.data.reshape(-1, d)
 
     def bwd(g):
-        return (w.data @ g, np.outer(v.data, g))
+        g2 = g.reshape(-1, k)
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        gb = g2.sum() if b.shape == () else g2.sum(axis=0)
+        return (gx, rows.T @ g2, gb)
 
-    return Node(v.data @ w.data, requires_grad=_requires(v, w), _parents=(v, w), _bwd=bwd)
+    out = (rows @ w.data + b.data).reshape(*x.shape[:-1], k)
+    return Node(out, requires_grad=_requires(x, w, b), _parents=(x, w, b), _bwd=bwd)
 
 
-def kron_vec(a, b):
-    """Kronecker product of two vectors: out[i*q + j] = a[i] * b[j]."""
+def kron_rows(a, b):
+    """Row-wise Kronecker product: out[n, i*q + j] = a[n, i] * b[n, j]."""
     a, b = as_node(a), as_node(b)
-    if a.ndim != 1 or b.ndim != 1:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ValueError(
-            f"kron_vec expects vectors, got shapes {a.shape} and {b.shape}"
+            f"kron_rows expects matrices with equal row counts, "
+            f"got shapes {a.shape} and {b.shape}"
         )
-    p, q = a.shape[0], b.shape[0]
-    out = np.outer(a.data, b.data).reshape(p * q)
+    (n, p), q = a.shape, b.shape[1]
+    out = (a.data[:, :, None] * b.data[:, None, :]).reshape(n, p * q)
 
     def bwd(g):
-        gm = g.reshape(p, q)
-        return (gm @ b.data, a.data @ gm)
+        gm = g.reshape(n, p, q)
+        return (np.einsum("npq,nq->np", gm, b.data),
+                np.einsum("np,npq->nq", a.data, gm))
 
     return Node(out, requires_grad=_requires(a, b), _parents=(a, b), _bwd=bwd)
 
 
-def concat_vec(a, b):
-    """Concatenate two vectors; backward splits the gradient."""
+def concat_cols(a, b):
+    """Join two matrices side by side; backward splits the gradient."""
     a, b = as_node(a), as_node(b)
-    if a.ndim != 1 or b.ndim != 1:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ValueError(
-            f"concat_vec expects vectors, got shapes {a.shape} and {b.shape}"
+            f"concat_cols expects matrices with equal row counts, "
+            f"got shapes {a.shape} and {b.shape}"
         )
-    p = a.shape[0]
+    p = a.shape[1]
 
     def bwd(g):
-        return (g[:p], g[p:])
+        return (g[:, :p], g[:, p:])
 
     return Node(
-        np.concatenate([a.data, b.data]),
+        np.concatenate([a.data, b.data], axis=1),
         requires_grad=_requires(a, b),
         _parents=(a, b),
-        _bwd=bwd,
-    )
-
-
-def stack_rows(nodes):
-    """Stack equal-length vectors into a matrix, one node per row."""
-    nodes = [as_node(n) for n in nodes]
-    if not nodes:
-        raise ValueError("stack_rows needs at least one row")
-    d = nodes[0].shape
-    if any(n.ndim != 1 or n.shape != d for n in nodes):
-        raise ValueError("stack_rows requires identically shaped vectors")
-    out = np.stack([n.data for n in nodes])
-
-    def bwd(g):
-        return tuple(g[i] for i in range(len(nodes)))
-
-    return Node(
-        out,
-        requires_grad=any(n.requires_grad for n in nodes),
-        _parents=tuple(nodes),
         _bwd=bwd,
     )

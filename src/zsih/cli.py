@@ -190,13 +190,17 @@ def run_train(args, parser):
         open(args.metrics, "w").close()
     ckpt = pipeline.train(config, dataset, metrics_out=args.metrics, resume=resume)
     pipeline.save_checkpoint(ckpt, args.checkpoint)
+    if ckpt.stop_reason == "diverged":
+        print(f"error: training diverged after iteration {ckpt.iteration}; "
+              f"last good state -> {args.checkpoint}", file=sys.stderr)
+        return 1
     print(f"trained {ckpt.iteration} iterations over {len(dataset.classes)} "
           f"seen classes; checkpoint -> {args.checkpoint}")
     return 0
 
 
 def _encode_items(params, items, modality):
-    feats = [item.feat.astype(np.float64) for item in items]
+    feats = [item.feat for item in items]
     labels = np.array([item.class_id for item in items], dtype=np.uint32)
     if modality == "sketch":
         soft = model.encode_features(feats, params.attn_sk, params.enc_sk)

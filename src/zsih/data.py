@@ -4,6 +4,7 @@ semantic geometry is informative by construction.
 """
 
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -72,30 +73,46 @@ class FeatureStore:
         return [i for i in self.items if i.modality == modality]
 
 
+_FEATURE_HEADER = struct.Struct("<HBIIQ")
+
+
+def _feature_record(length, channels):
+    """One ZSFT record: u64 item id, u32 class id, [L, C] little-endian f32."""
+    return np.dtype([("item_id", "<u8"), ("class_id", "<u4"),
+                     ("feat", "<f4", (length, channels))])
+
+
 def save_features(store, path, modality):
     """Write one modality of a store in the ZSFT binary layout."""
     items = store.modality_items(modality)
+    length, channels = items[0].feat.shape if items else (0, 0)
+    records = np.empty(len(items), dtype=_feature_record(length, channels))
     if items:
-        length, channels = items[0].feat.shape
-    else:
-        length, channels = 0, 0
+        records["item_id"] = [item.item_id for item in items]
+        records["class_id"] = [item.class_id for item in items]
+        records["feat"] = np.stack([item.feat for item in items])
     with open(path, "wb") as f:
         f.write(FEATURE_MAGIC)
-        f.write(struct.pack("<HBIIQ", FEATURE_VERSION, MODALITY_CODES[modality],
-                            length, channels, len(items)))
-        for item in items:
-            f.write(struct.pack("<QI", item.item_id, item.class_id))
-            f.write(np.ascontiguousarray(item.feat, dtype="<f4").tobytes())
+        f.write(_FEATURE_HEADER.pack(FEATURE_VERSION, MODALITY_CODES[modality],
+                                     length, channels, len(items)))
+        f.write(records.tobytes())
 
 
 def _read_exact(f, n, what):
-    data = f.read(n)
+    # never ask for more than the file holds, so that a corrupt size fails
+    # here and not in a huge allocation
+    data = f.read(min(n, bytes_left(f)))
     if len(data) != n:
         raise FormatError(
             f"truncated file while reading {what}: wanted {n} bytes at offset "
             f"{f.tell() - len(data)}, got {len(data)}"
         )
     return data
+
+
+def bytes_left(f):
+    """Bytes between the position of an open file and its end."""
+    return os.fstat(f.fileno()).st_size - f.tell()
 
 
 def load_features(path):
@@ -111,33 +128,35 @@ def load_features(path):
             raise FormatError(
                 f"bad magic {magic!r} at offset 0 (expected {FEATURE_MAGIC!r})"
             )
-        version, mod_code, length, channels, count = struct.unpack(
-            "<HBIIQ", _read_exact(f, 19, "header")
+        version, mod_code, length, channels, count = _FEATURE_HEADER.unpack(
+            _read_exact(f, _FEATURE_HEADER.size, "header")
         )
         if version != FEATURE_VERSION:
             raise FormatError(f"unsupported feature file version {version}")
         if mod_code not in MODALITY_NAMES:
             raise FormatError(f"unknown modality code {mod_code}")
-        modality = MODALITY_NAMES[mod_code]
-        items = []
-        names = {}
-        map_bytes = length * channels * 4
-        for idx in range(count):
-            try:
-                item_id, class_id = struct.unpack(
-                    "<QI", _read_exact(f, 12, f"record {idx} header")
-                )
-                raw = _read_exact(f, map_bytes, f"record {idx} feature map")
-            except FormatError as err:
-                raise FormatError(f"record {idx}: {err}") from None
-            feat = np.frombuffer(raw, dtype="<f4").reshape(length, channels)
-            items.append(FeatureItem(item_id, class_id, modality, feat))
-            names.setdefault(class_id, str(class_id))
-        trailing = f.read(1)
-        if trailing:
+        record = _feature_record(length, channels)
+        # sized before reading, so that a short file names its first
+        # incomplete record
+        body_size = count * record.itemsize
+        remaining = bytes_left(f)
+        if remaining < body_size:
+            idx = remaining // record.itemsize
             raise FormatError(
-                f"unexpected trailing bytes at offset {f.tell() - 1}"
+                f"record {idx}: truncated file: header claims {count} records "
+                f"of {record.itemsize} bytes, {remaining} bytes follow the header"
             )
+        if remaining > body_size:
+            raise FormatError(
+                f"unexpected trailing bytes at offset {f.tell() + body_size}"
+            )
+        records = np.frombuffer(_read_exact(f, body_size, "records"), dtype=record)
+    modality = MODALITY_NAMES[mod_code]
+    class_ids = records["class_id"].tolist()
+    items = [FeatureItem(item_id, class_id, modality, feat)
+             for item_id, class_id, feat
+             in zip(records["item_id"].tolist(), class_ids, records["feat"])]
+    names = {class_id: str(class_id) for class_id in dict.fromkeys(class_ids)}
     return FeatureStore(items=items, class_names=names)
 
 

@@ -2,9 +2,10 @@
 convolution, sigmoid hash encoders, stochastic binary neurons and the
 Gaussian semantic decoder.
 
-All layer functions are pure: output = f(params, inputs, noise).  Batch
-variants accept a matrix where the contract names a vector; reductions
-then run over all rows.
+All layer functions are pure: output = f(params, inputs, noise), and all
+of them act on a whole batch at once: feature maps are [N, L, C], every
+later activation is an [N, d] matrix with one row per item, and the
+log-likelihoods sum over all rows.
 """
 
 import math
@@ -67,48 +68,39 @@ class GaussianDecoder:
         self.b_logvar = _param(b_logvar)    # [d_s]
 
 
-vecmat = ad.vecmat
+def attention_pool(feats, params):
+    """Pool [N, L, C] feature maps into [N, d_f] attended features.
 
-
-def attention_pool(feat_map, params):
-    """Pool an [L, C] feature map into a d_f vector.
-
-    Softmax scores over the L locations mix the rows; the pooled vector
-    is then projected and ReLU-activated.
+    Each map's softmax scores over its L locations mix the rows; the
+    pooled vectors are then projected and ReLU-activated.
     """
-    feat_map = np.asarray(feat_map, dtype=np.float64)
-    if feat_map.ndim != 2 or feat_map.shape[0] == 0:
-        raise ValueError(f"feature map must be [L, C] with L >= 1, got {feat_map.shape}")
-    if feat_map.shape[1] != params.score_weights.shape[0]:
+    feats = np.asarray(feats, dtype=np.float64)
+    if feats.ndim != 3 or feats.shape[1] == 0:
+        raise ValueError(f"feature maps must be [N, L, C] with L >= 1, got {feats.shape}")
+    n, length, channels = feats.shape
+    if channels != params.score_weights.shape[0]:
         raise ValueError(
-            f"feature channels {feat_map.shape[1]} do not match attention "
+            f"feature channels {channels} do not match attention "
             f"parameters {params.score_weights.shape[0]}"
         )
-    feat = ad.constant(feat_map)
-    logits = ad.add(ad.matmul(feat, params.score_weights), params.score_bias)
-    weights = ad.softmax(ad.reshape(logits, (feat_map.shape[0],)))
-    pooled = vecmat(weights, feat)
-    projected = ad.add(vecmat(pooled, params.proj_weights), params.proj_bias)
-    return ad.relu(projected)
-
-
-def attention_weights(feat_map, params):
-    """The softmax mixing weights alone (diagnostics and tests)."""
-    feat_map = np.asarray(feat_map, dtype=np.float64)
-    feat = ad.constant(feat_map)
-    logits = ad.add(ad.matmul(feat, params.score_weights), params.score_bias)
-    return ad.softmax(ad.reshape(logits, (feat_map.shape[0],)))
+    maps = ad.constant(feats)
+    logits = ad.affine(maps, params.score_weights, params.score_bias)
+    weights = ad.softmax_rows(ad.reshape(logits, (n, length)))
+    pooled = ad.pool_rows(weights, maps)
+    return ad.relu(ad.affine(pooled, params.proj_weights, params.proj_bias))
 
 
 def fuse(h_sk, h_im, params):
-    """ReLU-activated Kronecker product of the transformed modality features."""
+    """ReLU of the row-wise Kronecker product of the transformed modality
+    features: [N, d_f] x [N, d_f] -> [N, d_f^2]."""
     d_f = params.w_sk.shape[0]
-    if h_sk.shape != (d_f,) or h_im.shape != (d_f,):
+    if h_sk.ndim != 2 or h_sk.shape[1] != d_f or h_im.shape != h_sk.shape:
         raise ValueError(
-            f"fusion inputs must both have length {d_f}, "
+            f"fusion inputs must both be [N, d_f] with rows of length {d_f}, "
             f"got {h_sk.shape} and {h_im.shape}"
         )
-    return ad.relu(ad.kron_vec(vecmat(h_sk, params.w_sk), vecmat(h_im, params.w_im)))
+    return ad.relu(ad.kron_rows(ad.matmul(h_sk, params.w_sk),
+                                ad.matmul(h_im, params.w_im)))
 
 
 def normalized_adjacency(adj):
@@ -158,12 +150,8 @@ def dense(h, layer):
 
 
 def encode_soft(h, enc):
-    """Sigmoid code probabilities from an attended feature (vector or batch)."""
-    if h.ndim == 1:
-        pre = ad.add(vecmat(h, enc.w), enc.b)
-    else:
-        pre = ad.add(ad.matmul(h, enc.w), enc.b)
-    return ad.sigmoid(pre)
+    """Sigmoid code probabilities [N, M] from attended features [N, d_f]."""
+    return ad.sigmoid(ad.affine(h, enc.w, enc.b))
 
 
 def stochastic_neurons(b, eps):
@@ -210,15 +198,11 @@ def log_p_gaussian(s, b_tilde, dec):
     """Diagonal-Gaussian log-likelihood of semantics given sampled bits.
 
     -1/2 sum_j [ log(2 pi) + logvar_j + (s_j - mu_j)^2 / exp(logvar_j) ],
-    summed over rows when given a batch.
+    summed over the rows of the [N, M] bits and [N, d_s] semantics.
     """
     s = np.asarray(s, dtype=np.float64)
-    if b_tilde.ndim == 1:
-        mu = ad.add(vecmat(b_tilde, dec.w_mu), dec.b_mu)
-        logvar = ad.add(vecmat(b_tilde, dec.w_logvar), dec.b_logvar)
-    else:
-        mu = ad.add(ad.matmul(b_tilde, dec.w_mu), dec.b_mu)
-        logvar = ad.add(ad.matmul(b_tilde, dec.w_logvar), dec.b_logvar)
+    mu = ad.affine(b_tilde, dec.w_mu, dec.b_mu)
+    logvar = ad.affine(b_tilde, dec.w_logvar, dec.b_logvar)
     if s.shape != mu.shape:
         raise ValueError(f"semantic shape {s.shape} does not match decoder output {mu.shape}")
     resid = ad.square(ad.sub(ad.constant(s), mu))

@@ -58,22 +58,22 @@ class FusionParams:
 
 
 def raw_fused(h_sk, h_im, fusion):
-    """The mode-specific fused vector before any re-projection."""
+    """The mode-specific fused rows [N, *] before any re-projection."""
     if fusion.mode == "kronecker":
         return layers.fuse(h_sk, h_im, fusion.kron)
     if fusion.mode == "concat":
-        return ad.concat_vec(h_sk, h_im)
-    t = ad.mul(layers.vecmat(h_sk, fusion.u), layers.vecmat(h_im, fusion.v))
-    d_f = h_sk.shape[0]
-    return ad.reduce_sum(ad.reshape(t, (d_f, MFB_FACTOR)), axis=1)
+        return ad.concat_cols(h_sk, h_im)
+    t = ad.mul(ad.matmul(h_sk, fusion.u), ad.matmul(h_im, fusion.v))
+    n, d_f = h_sk.shape
+    return ad.reduce_sum(ad.reshape(t, (n, d_f, MFB_FACTOR)), axis=2)
 
 
 def fuse_modalities(h_sk, h_im, fusion):
-    """Fused feature of final dimension d_f^2 for any fusion mode."""
+    """Fused features [N, d_f^2] for any fusion mode."""
     raw = raw_fused(h_sk, h_im, fusion)
     if fusion.mode == "kronecker":
         return raw
-    return ad.relu(layers.vecmat(raw, fusion.w_proj))
+    return ad.relu(ad.matmul(raw, fusion.w_proj))
 
 
 class ModelParams:
@@ -247,18 +247,9 @@ def forward_multimodal(batch, params, adj, eps, code_offset=None):
     encoder outputs.  ``code_offset`` replaces sampling with the additive
     straight-through surrogate b + offset (gradient checking only).
     """
-    n = len(batch)
-    h_sk_rows = [layers.attention_pool(batch.sketch_feats[i], params.attn_sk)
-                 for i in range(n)]
-    h_im_rows = [layers.attention_pool(batch.image_feats[i], params.attn_im)
-                 for i in range(n)]
-    h_sk = ad.stack_rows(h_sk_rows)
-    h_im = ad.stack_rows(h_im_rows)
-
-    fused = ad.stack_rows(
-        [fuse_modalities(h_sk_rows[i], h_im_rows[i], params.fusion)
-         for i in range(n)]
-    )
+    h_sk = layers.attention_pool(batch.sketch_feats, params.attn_sk)
+    h_im = layers.attention_pool(batch.image_feats, params.attn_im)
+    fused = fuse_modalities(h_sk, h_im, params.fusion)
 
     if params.use_gcn:
         hidden = layers.graph_conv(fused, adj, params.gcn1)
@@ -278,9 +269,10 @@ def forward_multimodal(batch, params, adj, eps, code_offset=None):
 
 
 def encode_features(feat_maps, attn, enc):
-    """Soft codes for a stack of [L, C] feature maps through one modality
-    encoder; no semantics and no multi-modal trunk involved."""
-    rows = [layers.attention_pool(fm, attn) for fm in feat_maps]
-    if not rows:
+    """Soft codes [N, M] for N [L, C] feature maps through one modality
+    encoder: the training forward's attention pooling and hash encoder,
+    with no semantics and no multi-modal trunk involved."""
+    if len(feat_maps) == 0:
         return np.zeros((0, enc.w.shape[1]))
-    return layers.encode_soft(ad.stack_rows(rows), enc).data
+    feats = np.asarray(feat_maps, dtype=np.float64)
+    return layers.encode_soft(layers.attention_pool(feats, attn), enc).data

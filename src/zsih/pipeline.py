@@ -3,12 +3,13 @@ semantic adjacency, the optimization loop and binary checkpoints."""
 
 import io
 import logging
+import math
 import struct
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import FormatError
+from .data import FormatError, _read_exact
 from .model import (  # noqa: F401  (re-exported pipeline surface)
     ModelParams,
     TripletBatch,
@@ -240,6 +241,9 @@ class Checkpoint:
     opt_v: dict
     iteration: int
     rng_state: dict    # PCG64 bit-generator state
+    # why training ended: "max_iters", "converged" or "diverged"; kept in
+    # memory only (the file format does not store it), so None after a load
+    stop_reason: str | None = None
 
     def build_params(self):
         return params_from_arrays(self.config, self.params)
@@ -254,7 +258,7 @@ class Checkpoint:
         )
 
 
-def _snapshot(config, params, opt_state, iteration, rng):
+def _snapshot(config, params, opt_state, iteration, rng, stop_reason):
     return Checkpoint(
         config=config,
         params={k: n.data.copy() for k, n in params.named().items()},
@@ -263,6 +267,7 @@ def _snapshot(config, params, opt_state, iteration, rng):
         opt_v={k: v.copy() for k, v in opt_state.v.items()},
         iteration=iteration,
         rng_state=rng.bit_generator.state,
+        stop_reason=stop_reason,
     )
 
 
@@ -272,7 +277,8 @@ def train(config, dataset, metrics_out=None, resume=None):
     Stops at ``max_iters`` or once the trailing-window mean loss stops
     improving (window bookkeeping is per session, so a resumed run warms
     its window from scratch).  A non-finite loss or gradient aborts with
-    the last good state.
+    the last good state.  The checkpoint's ``stop_reason`` says which of
+    the three ended the run.
     """
     config.validate()
     length, channels = dataset.feat_shape
@@ -304,6 +310,7 @@ def train(config, dataset, metrics_out=None, resume=None):
 
     history = []
     iteration = start
+    stop_reason = "max_iters"
     try:
         for step in range(start + 1, config.max_iters + 1):
             batch = sample_batch(dataset, config.N_B, rng)
@@ -316,6 +323,7 @@ def train(config, dataset, metrics_out=None, resume=None):
                 )
             except FloatingPointError as err:
                 logger.error("aborting at iteration %d: %s", step, err)
+                stop_reason = "diverged"
                 break
             iteration = step
             if metrics_out is not None:
@@ -329,12 +337,13 @@ def train(config, dataset, metrics_out=None, resume=None):
                 cur = float(np.mean(history[-CONVERGENCE_WINDOW:]))
                 if prev - cur < CONVERGENCE_RTOL * abs(prev):
                     logger.info("converged at iteration %d", step)
+                    stop_reason = "converged"
                     break
     finally:
         if close_metrics:
             metrics_out.close()
 
-    return _snapshot(config, params, opt_state, iteration, rng)
+    return _snapshot(config, params, opt_state, iteration, rng, stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +359,10 @@ def _pack_array(arr):
 
 
 def _read_array(f):
-    (ndim,) = struct.unpack("<B", _read(f, 1))
-    shape = tuple(struct.unpack("<I", _read(f, 4))[0] for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_read(f, count * 8), dtype="<f8").reshape(shape)
-    return data.astype(np.float64)
-
-
-def _read(f, n):
-    data = f.read(n)
-    if len(data) != n:
-        raise FormatError(
-            f"truncated checkpoint at offset {f.tell() - len(data)}"
-        )
-    return data
+    (ndim,) = struct.unpack("<B", _read_exact(f, 1, "array rank"))
+    shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "array shape"))
+    raw = _read_exact(f, math.prod(shape) * 8, f"array of shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 def checkpoint_bytes(ckpt):
@@ -399,29 +398,29 @@ def save_checkpoint(ckpt, path):
 
 def load_checkpoint(path):
     with open(path, "rb") as f:
-        magic = _read(f, 4)
+        magic = _read_exact(f, 4, "magic")
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<H", _read(f, 2))
+        (version,) = struct.unpack("<H", _read_exact(f, 2, "version"))
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", _read(f, 4))
-        config = parse_config(_read(f, cfg_len).decode("utf-8"))
-        (n_params,) = struct.unpack("<I", _read(f, 4))
+        (cfg_len,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
+        config = parse_config(_read_exact(f, cfg_len, "config").decode("utf-8"))
+        (n_params,) = struct.unpack("<I", _read_exact(f, 4, "parameter count"))
         params = {}
         for _ in range(n_params):
-            (name_len,) = struct.unpack("<H", _read(f, 2))
-            name = _read(f, name_len).decode("utf-8")
+            (name_len,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
+            name = _read_exact(f, name_len, "parameter name").decode("utf-8")
             params[name] = _read_array(f)
-        (opt_step,) = struct.unpack("<Q", _read(f, 8))
+        (opt_step,) = struct.unpack("<Q", _read_exact(f, 8, "optimizer step"))
         opt_m, opt_v = {}, {}
         for name in params:
             opt_m[name] = _read_array(f)
             opt_v[name] = _read_array(f)
-        (iteration,) = struct.unpack("<Q", _read(f, 8))
-        has_uint32, uinteger = struct.unpack("<BI", _read(f, 5))
-        state = int.from_bytes(_read(f, 16), "little")
-        inc = int.from_bytes(_read(f, 16), "little")
+        (iteration,) = struct.unpack("<Q", _read_exact(f, 8, "iteration"))
+        has_uint32, uinteger = struct.unpack("<BI", _read_exact(f, 5, "rng flags"))
+        state = int.from_bytes(_read_exact(f, 16, "rng state"), "little")
+        inc = int.from_bytes(_read_exact(f, 16, "rng increment"), "little")
         if f.read(1):
             raise FormatError("unexpected trailing bytes in checkpoint")
     rng_state = {

@@ -1,13 +1,12 @@
 """Hamming-space retrieval: code binarization, bit-packed linear scan and
 the mAP / precision@K / precision-recall evaluation protocol."""
 
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FormatError, MODALITY_CODES, MODALITY_NAMES, _read_exact
+from .data import FormatError, MODALITY_CODES, MODALITY_NAMES, _read_exact, bytes_left
 
 CODE_MAGIC = b"ZSCB"
 CODE_VERSION = 1
@@ -265,7 +264,7 @@ def load_codes(path):
         # the records, then the u32 label trailer; sized before reading so
         # that a corrupt count cannot ask for more memory than the file holds
         body_size = count * (record.itemsize + 4)
-        remaining = os.fstat(f.fileno()).st_size - f.tell()
+        remaining = bytes_left(f)
         if remaining < body_size:
             raise FormatError(
                 f"truncated code file: header claims {count} records "

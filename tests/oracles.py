@@ -1,7 +1,9 @@
-"""Independent reference implementations used to check the fast retrieval
-path.  Distances are computed on unpacked bits, rankings by explicit keyed
-sort, and the metric accumulations mirror the production order so agreement
-can be asserted exactly."""
+"""Independent reference implementations used to check the fast paths.
+
+The model forward is plain numpy that runs one item at a time.  For
+retrieval, distances are computed on unpacked bits, rankings by explicit
+keyed sort, and the metric accumulations mirror the production order so
+agreement can be asserted exactly."""
 
 import numpy as np
 
@@ -85,3 +87,51 @@ def naive_evaluate(query_bits, query_labels, gallery_bits, gallery_labels, ks):
                            (raw_prec_sum / n_eval).tolist())),
         "excluded": excluded,
     }
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _attend(feat, w, tag):
+    """One [L, C] map: softmax over locations, pooled, projected, ReLU."""
+    logits = feat @ w[f"{tag}.score_weights"][:, 0] + w[f"{tag}.score_bias"]
+    weights = np.exp(logits - logits.max())
+    weights /= weights.sum()
+    pooled = weights @ feat
+    return np.maximum(0.0, pooled @ w[f"{tag}.proj_weights"] + w[f"{tag}.proj_bias"])
+
+
+def _fuse(h_sk, h_im, w, mode):
+    """One item's fused d_f^2 vector."""
+    if mode == "kronecker":
+        return np.maximum(0.0, np.kron(h_sk @ w["fusion.w_sk"], h_im @ w["fusion.w_im"]))
+    if mode == "concat":
+        raw = np.concatenate([h_sk, h_im])
+    else:
+        t = (h_sk @ w["fusion.u"]) * (h_im @ w["fusion.v"])
+        raw = t.reshape(h_sk.size, -1).sum(axis=1)
+    return np.maximum(0.0, raw @ w["fusion.w_proj"])
+
+
+def naive_forward(sketch_feats, image_feats, w, mode, adj, eps):
+    """The multi-modal forward, item by item: returns (b, b_tilde, f, g).
+
+    ``w`` maps parameter names to arrays; ``adj`` is None for the dense
+    (no graph convolution) ablation.
+    """
+    h_sk = np.stack([_attend(f, w, "attn_sk") for f in sketch_feats])
+    h_im = np.stack([_attend(f, w, "attn_im") for f in image_feats])
+    fused = np.stack([_fuse(s, i, w, mode) for s, i in zip(h_sk, h_im)])
+    if adj is None:
+        prop = np.eye(len(fused))
+    else:
+        deg = adj.sum(axis=1)
+        prop = adj / np.sqrt(np.outer(deg, deg))
+    hidden = np.maximum(0.0, prop @ fused @ w["gcn1.w_theta"])
+    b = _sigmoid(prop @ hidden @ w["gcn2.w_theta"])
+    b_tilde = (b >= eps).astype(np.float64)
+    f = _sigmoid(h_im @ w["enc_im.w"] + w["enc_im.b"])
+    g = _sigmoid(h_sk @ w["enc_sk.w"] + w["enc_sk.b"])
+    return b, b_tilde, f, g
+

@@ -46,17 +46,22 @@ def _op_cases(rng):
     p = Node(rng.normal(size=(3, 4)), requires_grad=True)
     q = Node(rng.normal(size=(4, 2)), requires_grad=True)
     v = Node(rng.normal(size=4), requires_grad=True)
-    u = Node(rng.normal(size=3), requires_grad=True)
+    a = Node(rng.normal(size=(3, 2)), requires_grad=True)
+    w2 = Node(rng.normal(size=(2, 3)), requires_grad=True)
+    b3 = Node(rng.normal(size=3), requires_grad=True)
+    x = Node(rng.normal(size=(3, 4, 2)), requires_grad=True)
     w = Node(rng.uniform(0.2, 3.0, size=5), requires_grad=True)
     s = Node(rng.normal(), requires_grad=True)
     row = Node(rng.normal(size=4), requires_grad=True)
     sq = lambda x: ad.reduce_sum(ad.square(x))
     return [
         (lambda: sq(ad.matmul(p, q)), [p, q]),
-        (lambda: sq(ad.vecmat(v, q)), [v, q]),
-        (lambda: sq(ad.kron_vec(u, v)), [u, v]),
-        (lambda: sq(ad.concat_vec(u, v)), [u, v]),
-        (lambda: sq(ad.stack_rows([v, row])), [v, row]),
+        (lambda: sq(ad.affine(x, w2, b3)), [x, w2, b3]),
+        (lambda: sq(ad.affine(p, q, s)), [p, q, s]),
+        (lambda: sq(ad.softmax_rows(p)), [p]),
+        (lambda: sq(ad.pool_rows(p, x)), [p, x]),
+        (lambda: sq(ad.kron_rows(p, a)), [p, a]),
+        (lambda: sq(ad.concat_cols(p, a)), [p, a]),
         (lambda: sq(ad.add(p, row)), [p, row]),
         (lambda: sq(ad.sub(p, s)), [p, s]),
         (lambda: sq(ad.mul(p, row)), [p, row]),
@@ -67,8 +72,7 @@ def _op_cases(rng):
         (lambda: sq(ad.square(v)), [v]),
         (lambda: ad.square(ad.reduce_sum(p)), [p]),
         (lambda: sq(ad.reduce_sum(p, axis=0)), [p]),
-        (lambda: sq(ad.reduce_mean(p, axis=1)), [p]),
-        (lambda: sq(ad.softmax(v)), [v]),
+        (lambda: sq(ad.reduce_sum(x, axis=2)), [x]),
         (lambda: sq(ad.clip(v, -0.5, 0.5)), [v]),
         (lambda: sq(ad.reshape(p, (2, 6))), [p]),
     ]
@@ -78,32 +82,32 @@ def _layer_cases(rng):
     attn = layers.AttentionPool(
         rng.normal(size=(4, 1)), rng.normal(),
         rng.normal(size=(4, 3)), rng.normal(size=3))
-    feat = rng.normal(size=(3, 4))
+    feats = rng.normal(size=(2, 3, 4))
     fusion = layers.KroneckerFusion(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
-    h_sk = ad.constant(rng.normal(size=3))
-    h_im = ad.constant(rng.normal(size=3))
+    h_sk = ad.constant(rng.normal(size=(2, 3)))
+    h_im = ad.constant(rng.normal(size=(2, 3)))
     gcn = layers.GraphConvLayer(rng.normal(size=(3, 2)), "sigmoid")
     hidden = Node(rng.normal(size=(4, 3)), requires_grad=True)
     sem = rng.normal(size=(4, 2))
     adj = pipeline.build_adjacency(sem, 0.8)
     enc = layers.HashEncoder(rng.normal(size=(4, 3)), rng.normal(size=3))
-    h_enc = Node(rng.normal(size=4), requires_grad=True)
-    b_probs = Node(rng.uniform(0.15, 0.85, size=6), requires_grad=True)
-    bits = rng.integers(0, 2, size=6).astype(float)
+    h_enc = Node(rng.normal(size=(2, 4)), requires_grad=True)
+    b_probs = Node(rng.uniform(0.15, 0.85, size=(2, 3)), requires_grad=True)
+    bits = rng.integers(0, 2, size=(2, 3)).astype(float)
     dec = layers.GaussianDecoder(
         rng.normal(size=(5, 3)), rng.normal(size=3),
         rng.normal(size=(5, 3)) * 0.3, rng.normal(size=3) * 0.3)
-    dec_bits = Node(rng.integers(0, 2, size=5).astype(float), requires_grad=True)
-    s_vec = rng.normal(size=3)
+    dec_bits = Node(rng.integers(0, 2, size=(2, 5)).astype(float), requires_grad=True)
+    s_rows = rng.normal(size=(2, 3))
     sq = lambda x: ad.reduce_sum(ad.square(x))
     return [
-        (lambda: sq(layers.attention_pool(feat, attn)),
+        (lambda: sq(layers.attention_pool(feats, attn)),
          [attn.score_weights, attn.score_bias, attn.proj_weights, attn.proj_bias]),
         (lambda: sq(layers.fuse(h_sk, h_im, fusion)), [fusion.w_sk, fusion.w_im]),
         (lambda: sq(layers.graph_conv(hidden, adj, gcn)), [hidden, gcn.w_theta]),
         (lambda: sq(layers.encode_soft(h_enc, enc)), [h_enc, enc.w, enc.b]),
         (lambda: layers.log_q(b_probs, bits), [b_probs]),
-        (lambda: layers.log_p_gaussian(s_vec, dec_bits, dec),
+        (lambda: layers.log_p_gaussian(s_rows, dec_bits, dec),
          [dec.w_mu, dec.b_mu, dec.w_logvar, dec.b_logvar, dec_bits]),
     ]
 
@@ -115,9 +119,9 @@ def _check_stochastic_path(rng):
     dec = layers.GaussianDecoder(
         rng.normal(size=(3, 2)), rng.normal(size=2),
         rng.normal(size=(3, 2)) * 0.2, np.zeros(2))
-    h = rng.normal(size=4)
-    s = rng.normal(size=2)
-    eps = rng.random(3)
+    h = rng.normal(size=(2, 4))
+    s = rng.normal(size=(2, 2))
+    eps = rng.random((2, 3))
     b0 = layers.encode_soft(ad.constant(h), enc)
     sampled = layers.stochastic_neurons(b0, eps)
     offset = sampled.data - b0.data

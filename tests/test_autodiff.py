@@ -30,6 +30,39 @@ class TestMatmul:
             ad.matmul(ad.constant(np.ones(3)), ad.constant(np.ones((3, 2))))
 
 
+class TestAffine:
+    def test_equals_matmul_plus_bias(self, rng):
+        x = rng.normal(size=(4, 3))
+        w = rng.normal(size=(3, 2))
+        b = rng.normal(size=2)
+        out = ad.affine(ad.constant(x), ad.constant(w), ad.constant(b))
+        np.testing.assert_array_equal(out.data, x @ w + b)
+
+    def test_last_axis_of_a_stack(self, rng):
+        x = rng.normal(size=(2, 5, 3))
+        w = rng.normal(size=(3, 1))
+        out = ad.affine(ad.constant(x), ad.constant(w), ad.constant(0.5))
+        assert out.shape == (2, 5, 1)
+        np.testing.assert_allclose(out.data, x @ w + 0.5, rtol=1e-14)
+
+    def test_gradients_match_fd(self, rng):
+        x = Node(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Node(rng.normal(size=(4, 2)), requires_grad=True)
+        b = Node(rng.normal(size=2), requires_grad=True)
+        s = Node(rng.normal(), requires_grad=True)
+        check_node_grads(lambda: ad.reduce_sum(ad.square(ad.affine(x, w, b))), [x, w, b])
+        check_node_grads(lambda: ad.reduce_sum(ad.square(ad.affine(x, w, s))), [x, w, s])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="affine shapes"):
+            ad.affine(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 2))), 0.0)
+        with pytest.raises(ValueError, match="affine shapes"):
+            ad.affine(ad.constant(np.ones(3)), ad.constant(np.ones((3, 2))), 0.0)
+        with pytest.raises(ValueError, match="bias shape"):
+            ad.affine(ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 2))),
+                      ad.constant(np.ones(3)))
+
+
 class TestElementwise:
     def test_relu_values(self):
         out = ad.relu(ad.constant([-1.5, 2.0, 0.0]))
@@ -100,9 +133,6 @@ class TestReduce:
     def test_sum_value(self):
         assert ad.reduce_sum(ad.constant([1.0, 2.0, 3.0])).item() == 6.0
 
-    def test_mean_of_constant(self):
-        assert ad.reduce_mean(ad.constant(np.full((3, 4), 2.5))).item() == 2.5
-
     def test_sum_gradient_is_ones(self):
         x = Node(np.arange(6.0).reshape(2, 3), requires_grad=True)
         ad.reduce_sum(x).backward()
@@ -110,12 +140,10 @@ class TestReduce:
 
     def test_axis_reduction_gradients(self, rng):
         x = Node(rng.normal(size=(3, 4)), requires_grad=True)
-        check_node_grads(
-            lambda: ad.reduce_sum(ad.square(ad.reduce_mean(x, axis=1))), [x]
-        )
-        check_node_grads(
-            lambda: ad.reduce_sum(ad.square(ad.reduce_sum(x, axis=0))), [x]
-        )
+        for axis in (0, 1):
+            check_node_grads(
+                lambda: ad.reduce_sum(ad.square(ad.reduce_sum(x, axis=axis))), [x]
+            )
 
     def test_invalid_axis(self):
         with pytest.raises(ValueError, match="axis"):
@@ -123,34 +151,79 @@ class TestReduce:
 
 
 class TestKronVec:
+    """The Kronecker product of two vectors, taken row by row of two
+    matrices (``kron_rows``)."""
+
     def test_hand_case(self):
-        out = ad.kron_vec(ad.constant([1.0, 0.0]), ad.constant([2.0, 3.0]))
-        assert out.data.tolist() == [2.0, 3.0, 0.0, 0.0]
+        out = ad.kron_rows(ad.constant([[1.0, 0.0], [0.0, 1.0]]),
+                           ad.constant([[2.0, 3.0], [4.0, 5.0]]))
+        assert out.data.tolist() == [[2.0, 3.0, 0.0, 0.0], [0.0, 0.0, 4.0, 5.0]]
 
     def test_full_scale_length(self, rng):
-        a = ad.constant(rng.normal(size=256))
-        b = ad.constant(rng.normal(size=256))
-        assert ad.kron_vec(a, b).shape == (65536,)
+        a = ad.constant(rng.normal(size=(2, 256)))
+        b = ad.constant(rng.normal(size=(2, 256)))
+        assert ad.kron_rows(a, b).shape == (2, 65536)
+
+    def test_rows_equal_vector_kronecker(self, rng):
+        a = rng.normal(size=(4, 3))
+        b = rng.normal(size=(4, 5))
+        out = ad.kron_rows(ad.constant(a), ad.constant(b))
+        for i in range(4):
+            np.testing.assert_array_equal(out.data[i], np.kron(a[i], b[i]))
 
     def test_gradients_match_fd(self, rng):
-        a = Node(rng.normal(size=3), requires_grad=True)
-        b = Node(rng.normal(size=4), requires_grad=True)
-        check_node_grads(lambda: ad.reduce_sum(ad.square(ad.kron_vec(a, b))), [a, b])
+        a = Node(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Node(rng.normal(size=(2, 4)), requires_grad=True)
+        check_node_grads(lambda: ad.reduce_sum(ad.square(ad.kron_rows(a, b))), [a, b])
 
     def test_rejects_matrices(self):
-        with pytest.raises(ValueError, match="vectors"):
-            ad.kron_vec(ad.constant(np.ones((2, 2))), ad.constant(np.ones(2)))
+        # each row must be a vector: stacks of matrices are not flattened
+        with pytest.raises(ValueError, match="equal row counts"):
+            ad.kron_rows(ad.constant(np.ones((2, 2, 2))), ad.constant(np.ones((2, 2))))
+
+    def test_rejects_vectors_and_row_mismatch(self):
+        with pytest.raises(ValueError, match="equal row counts"):
+            ad.kron_rows(ad.constant(np.ones(2)), ad.constant(np.ones(2)))
+        with pytest.raises(ValueError, match="equal row counts"):
+            ad.kron_rows(ad.constant(np.ones((2, 2))), ad.constant(np.ones((3, 2))))
 
 
 class TestStructureOps:
     def test_softmax_normalizes(self, rng):
-        s = ad.softmax(ad.constant(rng.normal(size=6)))
-        assert abs(s.data.sum() - 1.0) < 1e-12
+        s = ad.softmax_rows(ad.constant(rng.normal(size=(3, 6)) * 50.0))
+        np.testing.assert_allclose(s.data.sum(axis=1), np.ones(3), rtol=0, atol=1e-12)
+
+    def test_softmax_rows_are_independent(self, rng):
+        x = rng.normal(size=(3, 5))
+        s = ad.softmax_rows(ad.constant(x))
+        for i in range(3):
+            e = np.exp(x[i] - x[i].max())
+            np.testing.assert_allclose(s.data[i], e / e.sum(), rtol=1e-14)
 
     def test_softmax_gradients(self, rng):
-        x = Node(rng.normal(size=5), requires_grad=True)
-        w = ad.constant(rng.normal(size=5))
-        check_node_grads(lambda: ad.reduce_sum(ad.mul(ad.softmax(x), w)), [x])
+        x = Node(rng.normal(size=(3, 5)), requires_grad=True)
+        w = ad.constant(rng.normal(size=(3, 5)))
+        check_node_grads(lambda: ad.reduce_sum(ad.mul(ad.softmax_rows(x), w)), [x])
+
+    def test_softmax_rejects_vectors(self):
+        with pytest.raises(ValueError, match="matrix"):
+            ad.softmax_rows(ad.constant(np.ones(3)))
+
+    def test_pool_rows_matches_per_row_weighted_sum(self, rng):
+        w = rng.normal(size=(4, 3))
+        x = rng.normal(size=(4, 3, 5))
+        out = ad.pool_rows(ad.constant(w), ad.constant(x))
+        for i in range(4):
+            np.testing.assert_allclose(out.data[i], w[i] @ x[i], rtol=1e-13)
+
+    def test_pool_rows_gradients(self, rng):
+        w = Node(rng.normal(size=(2, 3)), requires_grad=True)
+        x = Node(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        check_node_grads(lambda: ad.reduce_sum(ad.square(ad.pool_rows(w, x))), [w, x])
+
+    def test_pool_rows_shape_mismatch(self):
+        with pytest.raises(ValueError, match="pool_rows"):
+            ad.pool_rows(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 4, 5))))
 
     def test_clip_gradient_mask(self):
         x = Node([0.2, -0.5, 1.5], requires_grad=True)
@@ -164,32 +237,15 @@ class TestStructureOps:
         )
 
     def test_concat_gradients(self, rng):
-        a = Node(rng.normal(size=3), requires_grad=True)
-        b = Node(rng.normal(size=2), requires_grad=True)
+        a = Node(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Node(rng.normal(size=(2, 2)), requires_grad=True)
         check_node_grads(
-            lambda: ad.reduce_sum(ad.square(ad.concat_vec(a, b))), [a, b]
+            lambda: ad.reduce_sum(ad.square(ad.concat_cols(a, b))), [a, b]
         )
 
-    def test_vecmat_matches_matmul(self, rng):
-        v = rng.normal(size=4)
-        w = rng.normal(size=(4, 3))
-        out = ad.vecmat(ad.constant(v), ad.constant(w))
-        np.testing.assert_allclose(out.data, v @ w, rtol=1e-14)
-
-    def test_vecmat_gradients(self, rng):
-        v = Node(rng.normal(size=4), requires_grad=True)
-        w = Node(rng.normal(size=(4, 3)), requires_grad=True)
-        check_node_grads(lambda: ad.reduce_sum(ad.square(ad.vecmat(v, w))), [v, w])
-
-    def test_stack_rows_gradients(self, rng):
-        rows = [Node(rng.normal(size=4), requires_grad=True) for _ in range(3)]
-        check_node_grads(
-            lambda: ad.reduce_sum(ad.square(ad.stack_rows(rows))), rows
-        )
-
-    def test_stack_rejects_mixed_shapes(self):
-        with pytest.raises(ValueError, match="identically shaped"):
-            ad.stack_rows([ad.constant(np.ones(2)), ad.constant(np.ones(3))])
+    def test_concat_rejects_row_mismatch(self):
+        with pytest.raises(ValueError, match="equal row counts"):
+            ad.concat_cols(ad.constant(np.ones((2, 2))), ad.constant(np.ones((3, 2))))
 
 
 class TestBackward:
@@ -210,13 +266,11 @@ class TestBackward:
     def test_composite_chain_matches_fd(self, rng):
         w1 = Node(rng.normal(size=(3, 3)), requires_grad=True)
         w2 = Node(rng.normal(size=(2, 2)), requires_grad=True)
-        a = ad.constant(rng.normal(size=3))
-        b = ad.constant(rng.normal(size=2))
+        a = ad.constant(rng.normal(size=(2, 3)))
+        b = ad.constant(rng.normal(size=(2, 2)))
 
         def loss():
-            fa = ad.reshape(ad.matmul(ad.reshape(a, (1, 3)), w1), (3,))
-            fb = ad.reshape(ad.matmul(ad.reshape(b, (1, 2)), w2), (2,))
-            fused = ad.kron_vec(fa, fb)
+            fused = ad.kron_rows(ad.matmul(a, w1), ad.matmul(b, w2))
             return ad.reduce_sum(ad.sigmoid(ad.relu(fused)))
 
         check_node_grads(loss, [w1, w2])

@@ -113,6 +113,23 @@ class TestTrain:
         code = train_workspace(workspace, extra=["--set", "bogus=1"])
         assert code == 1
 
+    def test_diverged_run_saves_last_good_state_and_exits_1(
+            self, workspace, monkeypatch, capsys):
+        calls = []
+        real_step = pipeline.train_step
+
+        def failing_step(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("non-finite loss")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_step", failing_step)
+        assert train_workspace(workspace) == 1
+        assert "diverged after iteration 2" in capsys.readouterr().err
+        assert pipeline.load_checkpoint(workspace["checkpoint"]).iteration == 2
+        assert len(workspace["metrics"].read_text().splitlines()) == 2
+
     def test_resume_appends_metrics(self, workspace):
         assert train_workspace(workspace) == 0
         assert train_workspace(

@@ -69,6 +69,26 @@ class TestFeatureFiles:
         with pytest.raises(FormatError, match="record 3"):
             load_features(path)
 
+    def test_truncation_at_every_offset(self, rng, tmp_path):
+        store = random_store(rng, n_classes=2, per_class=1, length=1, channels=2)
+        path = tmp_path / "feats.zsft"
+        save_features(store, path, "image")
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError):
+                load_features(path)
+
+    def test_oversized_count_rejected_before_allocating(self, rng, tmp_path):
+        store = random_store(rng, n_classes=1, per_class=1)
+        path = tmp_path / "feats.zsft"
+        save_features(store, path, "image")
+        raw = bytearray(path.read_bytes())
+        raw[15:23] = (2 ** 40).to_bytes(8, "little")  # the u64 record count
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="claims 1099511627776 records"):
+            load_features(path)
+
     def test_trailing_bytes_rejected(self, rng, tmp_path):
         store = random_store(rng, n_classes=1, per_class=1)
         path = tmp_path / "feats.zsft"

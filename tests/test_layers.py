@@ -18,46 +18,57 @@ def make_attention(rng, channels, d_f):
     )
 
 
+def attention_weights(feats, params):
+    """The row softmax of the attention logits: one weight per location."""
+    n, length, channels = feats.shape
+    logits = (feats.reshape(n * length, channels) @ params.score_weights.data
+              + params.score_bias.data)
+    return ad.softmax_rows(ad.constant(logits.reshape(n, length)))
+
+
 class TestAttentionPool:
     def test_single_location_weight_is_one(self, rng):
         params = make_attention(rng, 5, 3)
-        weights = layers.attention_weights(rng.normal(size=(1, 5)), params)
-        assert weights.data.tolist() == [1.0]
+        weights = attention_weights(rng.normal(size=(3, 1, 5)), params)
+        assert weights.data.tolist() == [[1.0]] * 3
 
     def test_identical_rows_give_uniform_weights(self, rng):
         params = make_attention(rng, 4, 2)
-        feat = np.tile(rng.normal(size=(1, 4)), (6, 1))
-        weights = layers.attention_weights(feat, params)
-        np.testing.assert_allclose(weights.data, np.full(6, 1 / 6), rtol=1e-12)
+        feats = np.tile(rng.normal(size=(2, 1, 4)), (1, 6, 1))
+        weights = attention_weights(feats, params)
+        np.testing.assert_allclose(weights.data, np.full((2, 6), 1 / 6), rtol=1e-12)
 
     def test_weights_form_a_simplex(self, rng):
         params = make_attention(rng, 4, 2)
-        weights = layers.attention_weights(rng.normal(size=(7, 4)), params)
+        weights = attention_weights(rng.normal(size=(3, 7, 4)), params)
         assert np.all(weights.data >= 0)
-        assert abs(weights.data.sum() - 1.0) < 1e-12
+        np.testing.assert_allclose(weights.data.sum(axis=1), np.ones(3),
+                                   rtol=0, atol=1e-12)
 
     def test_full_scale_output_dim(self, rng):
         params = make_attention(rng, 256, 256)
-        out = layers.attention_pool(rng.normal(size=(9, 256)), params)
-        assert out.shape == (256,)
+        out = layers.attention_pool(rng.normal(size=(2, 9, 256)), params)
+        assert out.shape == (2, 256)
 
     def test_empty_input_rejected(self, rng):
         params = make_attention(rng, 4, 2)
         with pytest.raises(ValueError, match="L >= 1"):
-            layers.attention_pool(np.zeros((0, 4)), params)
+            layers.attention_pool(np.zeros((2, 0, 4)), params)
+        with pytest.raises(ValueError, match=r"\[N, L, C\]"):
+            layers.attention_pool(np.zeros((3, 4)), params)
 
     def test_channel_mismatch_rejected(self, rng):
         params = make_attention(rng, 4, 2)
         with pytest.raises(ValueError, match="channels"):
-            layers.attention_pool(np.zeros((3, 5)), params)
+            layers.attention_pool(np.zeros((2, 3, 5)), params)
 
     def test_gradients_match_fd(self, rng):
         params = make_attention(rng, 4, 3)
-        feat = rng.normal(size=(5, 4))
+        feats = rng.normal(size=(3, 5, 4))
         nodes = [params.score_weights, params.score_bias,
                  params.proj_weights, params.proj_bias]
         check_node_grads(
-            lambda: ad.reduce_sum(ad.square(layers.attention_pool(feat, params))),
+            lambda: ad.reduce_sum(ad.square(layers.attention_pool(feats, params))),
             nodes,
         )
 
@@ -65,45 +76,51 @@ class TestAttentionPool:
 class TestKroneckerFusion:
     def test_zero_sketch_annihilates(self, rng):
         params = layers.KroneckerFusion(rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
-        out = layers.fuse(ad.constant(np.zeros(4)), ad.constant(rng.normal(size=4)), params)
-        np.testing.assert_array_equal(out.data, np.zeros(16))
+        out = layers.fuse(ad.constant(np.zeros((2, 4))),
+                          ad.constant(rng.normal(size=(2, 4))), params)
+        np.testing.assert_array_equal(out.data, np.zeros((2, 16)))
 
     def test_identity_weights_hand_case(self):
         params = layers.KroneckerFusion(np.eye(2), np.eye(2))
-        out = layers.fuse(ad.constant([1.0, 0.0]), ad.constant([0.0, 2.0]), params)
-        assert out.data.tolist() == [0.0, 2.0, 0.0, 0.0]
+        out = layers.fuse(ad.constant([[1.0, 0.0], [0.0, 1.0]]),
+                          ad.constant([[0.0, 2.0], [3.0, 0.0]]), params)
+        assert out.data.tolist() == [[0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 0.0]]
 
     def test_full_scale_output_dim(self, rng):
         params = layers.KroneckerFusion(
             rng.normal(size=(256, 256)), rng.normal(size=(256, 256))
         )
         out = layers.fuse(
-            ad.constant(rng.normal(size=256)), ad.constant(rng.normal(size=256)), params
+            ad.constant(rng.normal(size=(2, 256))),
+            ad.constant(rng.normal(size=(2, 256))), params
         )
-        assert out.shape == (65536,)
+        assert out.shape == (2, 65536)
 
     def test_output_nonnegative(self, rng):
         params = layers.KroneckerFusion(rng.normal(size=(5, 5)), rng.normal(size=(5, 5)))
         out = layers.fuse(
-            ad.constant(rng.normal(size=5)), ad.constant(rng.normal(size=5)), params
+            ad.constant(rng.normal(size=(3, 5))),
+            ad.constant(rng.normal(size=(3, 5))), params
         )
         assert np.all(out.data >= 0)
 
     def test_length_mismatch_rejected(self, rng):
         params = layers.KroneckerFusion(np.eye(3), np.eye(3))
         with pytest.raises(ValueError, match="length 3"):
-            layers.fuse(ad.constant(np.ones(2)), ad.constant(np.ones(3)), params)
+            layers.fuse(ad.constant(np.ones((1, 2))), ad.constant(np.ones((1, 3))), params)
+        with pytest.raises(ValueError, match="length 3"):
+            layers.fuse(ad.constant(np.ones((1, 3))), ad.constant(np.ones((2, 3))), params)
 
     def test_pre_activation_bilinear(self, rng):
         params = layers.KroneckerFusion(rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
 
         def pre(h_sk, h_im):
-            return ad.kron_vec(
-                layers.vecmat(ad.constant(h_sk), params.w_sk),
-                layers.vecmat(ad.constant(h_im), params.w_im),
+            return ad.kron_rows(
+                ad.matmul(ad.constant(h_sk), params.w_sk),
+                ad.matmul(ad.constant(h_im), params.w_im),
             ).data
 
-        a, b, c = rng.normal(size=(3, 4))
+        a, b, c = rng.normal(size=(3, 2, 4))
         alpha, beta = 0.7, -1.3
         lhs = pre(alpha * a + beta * b, c)
         rhs = alpha * pre(a, c) + beta * pre(b, c)
@@ -114,8 +131,8 @@ class TestKroneckerFusion:
 
     def test_gradients_match_fd(self, rng):
         params = layers.KroneckerFusion(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
-        h_sk = ad.constant(rng.normal(size=3))
-        h_im = ad.constant(rng.normal(size=3))
+        h_sk = ad.constant(rng.normal(size=(2, 3)))
+        h_im = ad.constant(rng.normal(size=(2, 3)))
         check_node_grads(
             lambda: ad.reduce_sum(ad.square(layers.fuse(h_sk, h_im, params))),
             [params.w_sk, params.w_im],
@@ -188,25 +205,26 @@ class TestGraphConv:
 class TestHashEncoder:
     def test_zero_weights_give_half(self):
         enc = layers.HashEncoder(np.zeros((3, 4)), np.zeros(4))
-        out = layers.encode_soft(ad.constant(np.ones(3)), enc)
-        assert out.data.tolist() == [0.5] * 4
+        out = layers.encode_soft(ad.constant(np.ones((1, 3))), enc)
+        assert out.data.tolist() == [[0.5] * 4]
 
     def test_outputs_inside_unit_interval(self, rng):
         enc = layers.HashEncoder(rng.normal(size=(3, 4)), rng.normal(size=4))
-        out = layers.encode_soft(ad.constant(rng.normal(size=3) * 5), enc)
+        out = layers.encode_soft(ad.constant(rng.normal(size=(2, 3)) * 5), enc)
         assert np.all((out.data > 0) & (out.data < 1))
 
     def test_batch_path_matches_vector_path(self, rng):
+        # every row of a batch equals the same row encoded on its own
         enc = layers.HashEncoder(rng.normal(size=(3, 4)), rng.normal(size=4))
         h = rng.normal(size=(5, 3))
         batched = layers.encode_soft(ad.constant(h), enc)
         for i in range(5):
-            single = layers.encode_soft(ad.constant(h[i]), enc)
-            np.testing.assert_allclose(batched.data[i], single.data, rtol=1e-14)
+            single = layers.encode_soft(ad.constant(h[i:i + 1]), enc)
+            np.testing.assert_allclose(batched.data[i:i + 1], single.data, rtol=1e-14)
 
     def test_gradients_match_fd(self, rng):
         enc = layers.HashEncoder(rng.normal(size=(4, 3)), rng.normal(size=3))
-        h = Node(rng.normal(size=4), requires_grad=True)
+        h = Node(rng.normal(size=(2, 4)), requires_grad=True)
         check_node_grads(
             lambda: ad.reduce_sum(ad.square(layers.encode_soft(h, enc))),
             [h, enc.w, enc.b],
@@ -298,12 +316,12 @@ class TestLogQ:
 class TestLogPGaussian:
     def test_perfect_reconstruction_unit_variance(self, rng):
         d_s = 5
-        s = rng.normal(size=d_s)
+        s = rng.normal(size=(1, d_s))
         dec = layers.GaussianDecoder(
-            w_mu=np.zeros((3, d_s)), b_mu=s.copy(),
+            w_mu=np.zeros((3, d_s)), b_mu=s[0].copy(),
             w_logvar=np.zeros((3, d_s)), b_logvar=np.zeros(d_s),
         )
-        out = layers.log_p_gaussian(s, ad.constant(np.ones(3)), dec)
+        out = layers.log_p_gaussian(s, ad.constant(np.ones((1, 3))), dec)
         assert abs(out.item() + 0.5 * d_s * math.log(2 * math.pi)) < 1e-12
 
     def test_scalar_miniature(self):
@@ -311,7 +329,7 @@ class TestLogPGaussian:
             w_mu=np.zeros((2, 1)), b_mu=np.array([1.0]),
             w_logvar=np.zeros((2, 1)), b_logvar=np.array([0.0]),
         )
-        out = layers.log_p_gaussian(np.array([0.0]), ad.constant(np.ones(2)), dec)
+        out = layers.log_p_gaussian(np.array([[0.0]]), ad.constant(np.ones((1, 2))), dec)
         expected = -0.5 * (math.log(2 * math.pi) + 1.0)
         assert abs(out.item() - expected) < 1e-12
         assert abs(out.item() + 1.41894) < 1e-5
@@ -321,8 +339,8 @@ class TestLogPGaussian:
             w_mu=np.zeros((2, 1)), b_mu=np.array([0.0]),
             w_logvar=np.zeros((2, 1)), b_logvar=np.array([0.0]),
         )
-        bits = ad.constant(np.ones(2))
-        values = [layers.log_p_gaussian(np.array([mu_gap]), bits, dec).item()
+        bits = ad.constant(np.ones((1, 2)))
+        values = [layers.log_p_gaussian(np.array([[mu_gap]]), bits, dec).item()
                   for mu_gap in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -332,15 +350,15 @@ class TestLogPGaussian:
             w_logvar=rng.normal(size=(2, 3)), b_logvar=np.zeros(3),
         )
         with pytest.raises(ValueError, match="semantic shape"):
-            layers.log_p_gaussian(np.zeros(2), ad.constant(np.ones(2)), dec)
+            layers.log_p_gaussian(np.zeros((1, 2)), ad.constant(np.ones((1, 2))), dec)
 
     def test_gradients_match_fd(self, rng):
         dec = layers.GaussianDecoder(
             w_mu=rng.normal(size=(4, 3)), b_mu=rng.normal(size=3),
             w_logvar=rng.normal(size=(4, 3)) * 0.3, b_logvar=rng.normal(size=3) * 0.3,
         )
-        s = rng.normal(size=3)
-        bits = Node(rng.integers(0, 2, size=4).astype(float), requires_grad=True)
+        s = rng.normal(size=(2, 3))
+        bits = Node(rng.integers(0, 2, size=(2, 4)).astype(float), requires_grad=True)
         check_node_grads(
             lambda: layers.log_p_gaussian(s, bits, dec),
             [dec.w_mu, dec.b_mu, dec.w_logvar, dec.b_logvar, bits],
@@ -356,9 +374,9 @@ class TestStraightThroughPath:
             w_mu=rng.normal(size=(4, 3)), b_mu=rng.normal(size=3),
             w_logvar=rng.normal(size=(4, 3)) * 0.2, b_logvar=np.zeros(3),
         )
-        h = rng.normal(size=5)
-        s = rng.normal(size=3)
-        eps = rng.random(4)
+        h = rng.normal(size=(1, 5))
+        s = rng.normal(size=(1, 3))
+        eps = rng.random((1, 4))
 
         b0 = layers.encode_soft(ad.constant(h), enc)
         bits = layers.stochastic_neurons(b0, eps)

@@ -52,15 +52,15 @@ class TestBatchLoss:
     def test_single_item_miniature_composes_layer_oracles(self, rng):
         # one item, M=1: total term values equal the hand-summed scalars
         b_val = 0.73
-        bit = np.array([1.0])
-        s = np.array([0.4, -1.1])
+        bit = np.array([[1.0]])
+        s = np.array([[0.4, -1.1]])
         dec = layers.GaussianDecoder(
             w_mu=rng.normal(size=(1, 2)), b_mu=rng.normal(size=2),
             w_logvar=rng.normal(size=(1, 2)) * 0.2, b_logvar=np.zeros(2),
         )
-        f_val = np.array([0.61])
-        g_val = np.array([0.28])
-        b = ad.constant([b_val])
+        f_val = np.array([[0.61]])
+        g_val = np.array([[0.28]])
+        b = ad.constant([[b_val]])
         bits_node = ad.constant(bit)
         entropy, decode, code_reg = objective.loss_terms(
             b, bits_node, bit, ad.constant(f_val), ad.constant(g_val), s, dec, 1
@@ -68,7 +68,7 @@ class TestBatchLoss:
         assert abs(entropy.item() - math.log(b_val)) < 1e-12
         expected_decode = -layers.log_p_gaussian(s, ad.constant(bit), dec).item()
         assert abs(decode.item() - expected_decode) < 1e-12
-        expected_reg = ((f_val[0] - 1.0) ** 2 + (g_val[0] - 1.0) ** 2) / 2.0
+        expected_reg = ((f_val[0, 0] - 1.0) ** 2 + (g_val[0, 0] - 1.0) ** 2) / 2.0
         assert abs(code_reg.item() - expected_reg) < 1e-12
 
     def test_total_orders_with_code_entropy(self, rng):

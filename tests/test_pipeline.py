@@ -1,12 +1,14 @@
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import tiny_config, tiny_setup
 from zsih import model, objective, pipeline
-from zsih.data import synth_dataset
+from zsih.data import FormatError, synth_dataset
 from zsih.pipeline import (
     Checkpoint,
     PairedDataset,
@@ -173,10 +175,23 @@ class TestForwardMultimodal:
         for a, b in zip(out_gcn, out_fc):
             assert np.max(np.abs(a.data - b.data)) <= 1e-12
 
+    @pytest.mark.parametrize("use_gcn", [True, False])
+    @pytest.mark.parametrize("mode", model.FUSION_MODES)
+    def test_matches_per_item_numpy_oracle(self, mode, use_gcn):
+        _, _, params, batch, adj, eps, _ = tiny_setup(
+            fusion_mode=mode, use_gcn=use_gcn, N_B=6, length=3)
+        arrays = {k: n.data for k, n in params.named().items()}
+        ref = oracles.naive_forward(batch.sketch_feats, batch.image_feats, arrays,
+                                    mode, adj if use_gcn else None, eps)
+        out = model.forward_multimodal(batch, params, adj, eps)
+        for got, want in zip(out, ref):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+
     def test_fusion_raw_dimensions(self, rng):
-        d_f = 3
-        h_sk = model.ad.constant(rng.normal(size=d_f))
-        h_im = model.ad.constant(rng.normal(size=d_f))
+        n, d_f = 2, 3
+        h_sk = model.ad.constant(rng.normal(size=(n, d_f)))
+        h_im = model.ad.constant(rng.normal(size=(n, d_f)))
         kron = model.FusionParams(
             "kronecker", w_sk=rng.normal(size=(d_f, d_f)),
             w_im=rng.normal(size=(d_f, d_f)))
@@ -186,11 +201,11 @@ class TestForwardMultimodal:
             "mfb", u=rng.normal(size=(d_f, d_f * model.MFB_FACTOR)),
             v=rng.normal(size=(d_f, d_f * model.MFB_FACTOR)),
             w_proj=rng.normal(size=(d_f, d_f * d_f)))
-        assert model.raw_fused(h_sk, h_im, kron).shape == (d_f * d_f,)
-        assert model.raw_fused(h_sk, h_im, concat).shape == (2 * d_f,)
-        assert model.raw_fused(h_sk, h_im, mfb).shape == (d_f,)
+        assert model.raw_fused(h_sk, h_im, kron).shape == (n, d_f * d_f)
+        assert model.raw_fused(h_sk, h_im, concat).shape == (n, 2 * d_f)
+        assert model.raw_fused(h_sk, h_im, mfb).shape == (n, d_f)
         for fusion in (kron, concat, mfb):
-            assert model.fuse_modalities(h_sk, h_im, fusion).shape == (d_f * d_f,)
+            assert model.fuse_modalities(h_sk, h_im, fusion).shape == (n, d_f * d_f)
 
     def test_code_probabilities_in_unit_interval(self):
         _, _, params, batch, adj, eps, _ = tiny_setup()
@@ -222,6 +237,27 @@ class TestForwardMultimodal:
         for k in arrays:
             np.testing.assert_array_equal(
                 p_gcn.named()[k].data, p_fc.named()[k].data)
+
+
+class TestEncodeFeatures:
+    def _setup(self):
+        _, _, params, _, _, _, _ = tiny_setup(length=3)
+        rng = np.random.default_rng(5)
+        maps = [rng.normal(size=(3, 6)).astype(np.float32) for _ in range(9)]
+        return params, maps
+
+    def test_batch_rows_equal_single_encodes(self):
+        params, maps = self._setup()
+        batched = model.encode_features(maps, params.attn_sk, params.enc_sk)
+        assert batched.shape == (9, params.code_bits)
+        for i, fm in enumerate(maps):
+            single = model.encode_features([fm], params.attn_sk, params.enc_sk)
+            np.testing.assert_allclose(batched[i:i + 1], single, rtol=0, atol=1e-12)
+
+    def test_empty_input_gives_empty_codes(self):
+        params, _ = self._setup()
+        out = model.encode_features([], params.attn_sk, params.enc_sk)
+        assert out.shape == (0, params.code_bits)
 
 
 class TestTrain:
@@ -296,6 +332,35 @@ class TestTrain:
         assert m_split.getvalue() == m_full.getvalue()
         assert checkpoint_bytes(resumed) == checkpoint_bytes(full)
 
+    def test_stop_reason_max_iters(self):
+        config, dataset, _, _, _, _, _ = tiny_setup(max_iters=3)
+        assert train(config, dataset).stop_reason == "max_iters"
+
+    def test_stop_reason_converged(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "CONVERGENCE_WINDOW", 2)
+        monkeypatch.setattr(pipeline, "CONVERGENCE_RTOL", 1e6)
+        config, dataset, _, _, _, _, _ = tiny_setup(max_iters=50)
+        ckpt = train(config, dataset)
+        assert (ckpt.stop_reason, ckpt.iteration) == ("converged", 4)
+
+    def test_diverged_step_keeps_last_good_state(self, monkeypatch):
+        config, dataset, _, _, _, _, _ = tiny_setup(max_iters=3)
+        good = train(config, dataset)
+        calls = []
+        real_step = pipeline.train_step
+
+        def failing_step(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:
+                raise FloatingPointError("non-finite loss")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_step", failing_step)
+        ckpt = train(tiny_config(max_iters=10), dataset)
+        assert (ckpt.stop_reason, ckpt.iteration) == ("diverged", 3)
+        for name in good.params:
+            np.testing.assert_array_equal(ckpt.params[name], good.params[name])
+
     def test_resume_config_mismatch_rejected(self):
         config, dataset, _, _, _, _, _ = tiny_setup(max_iters=2)
         ckpt = train(config, dataset)
@@ -311,6 +376,7 @@ class TestTrain:
         ckpt.config = tiny_config(max_iters=10)
         resumed = train(ckpt.config, dataset, resume=ckpt)
         assert resumed.iteration == 5
+        assert resumed.stop_reason == "diverged"
         np.testing.assert_array_equal(resumed.params["dec.b_logvar"],
                                       np.full_like(resumed.params["dec.b_logvar"], -800.0))
 
@@ -356,4 +422,41 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 7])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_loaded_checkpoint_has_no_stop_reason(self, tmp_path):
+        path = tmp_path / "model.zsih"
+        save_checkpoint(self._make(), path)
+        assert load_checkpoint(path).stop_reason is None
+
+    def test_truncation_at_every_offset(self, tmp_path):
+        config = tiny_config(M=1, d_f=1, gcn_hidden=1, max_iters=0)
+        ckpt = Checkpoint(
+            config=config, params={"w": np.ones((2, 1)), "s": np.array(0.5)},
+            opt_step=0, opt_m={"w": np.zeros((2, 1)), "s": np.array(0.0)},
+            opt_v={"w": np.zeros((2, 1)), "s": np.array(0.0)}, iteration=0,
+            rng_state=np.random.default_rng(0).bit_generator.state)
+        raw = checkpoint_bytes(ckpt)
+        path = tmp_path / "model.zsih"
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
+        path.write_bytes(raw)
+        assert checkpoint_bytes(load_checkpoint(path)) == raw
+
+    def test_oversized_dims_rejected_before_allocating(self, tmp_path):
+        raw = checkpoint_bytes(self._make())
+        # the first array follows magic, version, config and its name
+        cfg_len = struct.unpack_from("<I", raw, 6)[0]
+        pos = 10 + cfg_len + 4
+        name_len = struct.unpack_from("<H", raw, pos)[0]
+        pos += 2 + name_len
+        ndim = raw[pos]
+        assert ndim == 2
+        bad = bytearray(raw)
+        struct.pack_into("<II", bad, pos + 1, 2 ** 20, 2 ** 20)
+        path = tmp_path / "model.zsih"
+        path.write_bytes(bytes(bad))
+        with pytest.raises(FormatError, match=r"array of shape \(1048576, 1048576\)"):
             load_checkpoint(path)

@@ -5,8 +5,8 @@ holding the forward value, the parent nodes and a closure computing the
 gradient messages for those parents.  ``Node.backward`` walks the graph
 once in reverse topological order and accumulates into ``.grad``.
 
-Broadcasting is deliberately restricted to two auditable cases:
-scalar-with-array and row-with-matrix.
+Elementwise ops take operands of equal shape or a scalar with an array;
+no other broadcast is allowed.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "Node",
     "constant",
+    "parameter",
     "matmul",
     "affine",
     "add",
@@ -135,6 +136,14 @@ def constant(data):
     return Node(data, requires_grad=False)
 
 
+def parameter(data, grad):
+    """A trainable leaf over caller-owned float64 ``data`` and ``grad``
+    arrays of one shape; backward accumulates into ``grad`` in place."""
+    node = Node(data, requires_grad=True)
+    node._grad = grad
+    return node
+
+
 def as_node(x):
     return x if isinstance(x, Node) else constant(x)
 
@@ -148,27 +157,14 @@ def _requires(*nodes):
 
 
 def _check_broadcast(a_shape, b_shape):
-    """Allow equal shapes, scalar-with-array and row-with-matrix only."""
-    if a_shape == b_shape:
-        return
-    if a_shape == () or b_shape == ():
-        return
-    # row vector against matrix: (d,) or (1, d) with (n, d)
-    for row, mat in ((a_shape, b_shape), (b_shape, a_shape)):
-        if len(mat) == 2 and row in ((mat[1],), (1, mat[1])):
-            return
-    raise ValueError(f"unsupported broadcast between shapes {a_shape} and {b_shape}")
+    """Allow equal shapes and scalar-with-array only."""
+    if a_shape != b_shape and () not in (a_shape, b_shape):
+        raise ValueError(f"unsupported broadcast between shapes {a_shape} and {b_shape}")
 
 
 def _reduce_to(g, shape):
-    """Sum the broadcast axes of ``g`` back down to ``shape``."""
-    if g.shape == shape:
-        return g
-    if shape == ():
-        return g.sum()
-    if len(shape) == 1:
-        return g.sum(axis=0)
-    return g.sum(axis=0, keepdims=True)
+    """Sum a scalar operand's broadcast gradient back down to ``shape``."""
+    return g if g.shape == shape else g.sum()
 
 
 def _binary(a, b, out, da, db):
@@ -342,23 +338,19 @@ def matmul(a, b):
 
 
 def affine(x, w, b):
-    """x @ w + b over the last axis of x: [..., d] x [d, k] + [k] -> [..., k].
-
-    ``b`` may also be a scalar added to every output.
-    """
+    """x @ w + b over the last axis of x: [..., d] x [d, k] + [k] -> [..., k]."""
     x, w, b = as_node(x), as_node(w), as_node(b)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ValueError(f"affine shapes incompatible: {x.shape} x {w.shape}")
     d, k = w.shape
-    if b.shape not in ((), (k,)):
+    if b.shape != (k,):
         raise ValueError(f"affine bias shape {b.shape} does not match {k} outputs")
     rows = x.data.reshape(-1, d)
 
     def bwd(g):
         g2 = g.reshape(-1, k)
         gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        gb = g2.sum() if b.shape == () else g2.sum(axis=0)
-        return (gx, rows.T @ g2, gb)
+        return (gx, rows.T @ g2, g2.sum(axis=0))
 
     out = (rows @ w.data + b.data).reshape(*x.shape[:-1], k)
     return Node(out, requires_grad=_requires(x, w, b), _parents=(x, w, b), _bwd=bwd)

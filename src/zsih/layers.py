@@ -2,8 +2,9 @@
 convolution, sigmoid hash encoders, stochastic binary neurons and the
 Gaussian semantic decoder.
 
-All layer functions are pure: output = f(params, inputs, noise), and all
-of them act on a whole batch at once: feature maps are [N, L, C], every
+All layer functions are pure: output = f(params, inputs, noise), where
+``params`` is one group of weights read by attribute (``params.w_theta``).
+All of them act on a whole batch at once: feature maps are [N, L, C], every
 later activation is an [N, d] matrix with one row per item, and the
 log-likelihoods sum over all rows.
 """
@@ -20,52 +21,6 @@ from .autodiff import Node
 PROB_EPS = 1e-7
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _param(arr):
-    # always copy: parameters are mutated in place by the optimizer and
-    # must never alias caller-owned storage
-    return Node(np.array(arr, dtype=np.float64), requires_grad=True)
-
-
-class AttentionPool:
-    """Score-per-location softmax pooling followed by a ReLU projection."""
-
-    def __init__(self, score_weights, score_bias, proj_weights, proj_bias):
-        self.score_weights = _param(score_weights)  # [C, 1]
-        self.score_bias = _param(score_bias)        # scalar
-        self.proj_weights = _param(proj_weights)    # [C, d_f]
-        self.proj_bias = _param(proj_bias)          # [d_f]
-
-
-class KroneckerFusion:
-    def __init__(self, w_sk, w_im):
-        self.w_sk = _param(w_sk)  # [d_f, d_f]
-        self.w_im = _param(w_im)  # [d_f, d_f]
-
-
-class GraphConvLayer:
-    def __init__(self, w_theta, activation):
-        if activation not in ("relu", "sigmoid"):
-            raise ValueError(f"unknown activation {activation!r}")
-        self.w_theta = _param(w_theta)  # [d_in, d_out]
-        self.activation = activation
-
-
-class HashEncoder:
-    def __init__(self, w, b):
-        self.w = _param(w)  # [d_f, M]
-        self.b = _param(b)  # [M]
-
-
-class GaussianDecoder:
-    """Linear mean and log-variance heads over the sampled code bits."""
-
-    def __init__(self, w_mu, b_mu, w_logvar, b_logvar):
-        self.w_mu = _param(w_mu)            # [M, d_s]
-        self.b_mu = _param(b_mu)            # [d_s]
-        self.w_logvar = _param(w_logvar)    # [M, d_s]
-        self.b_logvar = _param(b_logvar)    # [d_s]
 
 
 def attention_pool(feats, params):
@@ -126,8 +81,9 @@ def normalized_adjacency(adj):
     return adj * d_isqrt[:, None] * d_isqrt[None, :]
 
 
-def graph_conv(h, adj, layer):
-    """One propagation step: act(D^{-1/2} A D^{-1/2} H W).
+def graph_conv(h, adj, layer, act):
+    """One propagation step: act(D^{-1/2} A D^{-1/2} H W), W = layer.w_theta,
+    with ``act`` ad.relu or ad.sigmoid.
 
     ``adj`` is a plain array treated as a constant; no gradient flows
     through it.
@@ -139,14 +95,12 @@ def graph_conv(h, adj, layer):
         raise ValueError(
             f"adjacency size {a_norm.shape[0]} does not match batch {h.shape[0]}"
         )
-    pre = ad.matmul(ad.matmul(ad.constant(a_norm), h), layer.w_theta)
-    return ad.relu(pre) if layer.activation == "relu" else ad.sigmoid(pre)
+    return act(ad.matmul(ad.matmul(ad.constant(a_norm), h), layer.w_theta))
 
 
-def dense(h, layer):
+def dense(h, layer, act):
     """The same transform as graph_conv without any graph coupling."""
-    pre = ad.matmul(h, layer.w_theta)
-    return ad.relu(pre) if layer.activation == "relu" else ad.sigmoid(pre)
+    return act(ad.matmul(h, layer.w_theta))
 
 
 def encode_soft(h, enc):

@@ -1,8 +1,11 @@
-"""Model assembly: the full trainable parameter set, multi-modal forward
-pass and single-modality encoding used for out-of-sample data.
+"""Model assembly: the parameter table and the flat buffer that holds
+every trainable weight, the multi-modal forward pass and single-modality
+encoding used for out-of-sample data.
 """
 
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,214 +32,153 @@ class TripletBatch:
         return self.labels.shape[0]
 
 
-class FusionParams:
-    """Weights for one of the fusion variants.
+def param_shapes(config, feat_channels, d_s):
+    """Every weight's name and shape, in draw order and file order.
 
-    Every mode projects to a final d_f^2 feature so the trunk downstream
-    is identical; only the raw fused representation differs.
+    This is the one place that knows which weights each fusion mode has;
+    every mode ends in a d_f^2 feature, so the trunk downstream is the
+    same.  The attention score bias is one value per score column, (1,).
+    """
+    c, d_f, m, hidden = feat_channels, config.d_f, config.M, config.gcn_hidden
+    shapes = {}
+    for tag in ("attn_sk", "attn_im"):
+        shapes.update({f"{tag}.score_weights": (c, 1), f"{tag}.score_bias": (1,),
+                       f"{tag}.proj_weights": (c, d_f), f"{tag}.proj_bias": (d_f,)})
+    if config.fusion_mode == "kronecker":
+        shapes.update({"fusion.w_sk": (d_f, d_f), "fusion.w_im": (d_f, d_f)})
+    elif config.fusion_mode == "concat":
+        shapes["fusion.w_proj"] = (2 * d_f, d_f * d_f)
+    else:
+        k = d_f * MFB_FACTOR
+        shapes.update({"fusion.u": (d_f, k), "fusion.v": (d_f, k),
+                       "fusion.w_proj": (d_f, d_f * d_f)})
+    shapes.update({
+        "gcn1.w_theta": (d_f * d_f, hidden), "gcn2.w_theta": (hidden, m),
+        "enc_im.w": (d_f, m), "enc_im.b": (m,),   # f(.) for images
+        "enc_sk.w": (d_f, m), "enc_sk.b": (m,),   # g(.) for sketches
+        "dec.w_mu": (m, d_s), "dec.b_mu": (d_s,),
+        "dec.w_logvar": (m, d_s), "dec.b_logvar": (d_s,),
+    })
+    return shapes
+
+
+def check_shapes(shapes, arrays, what):
+    """Raise ValueError naming the first weight in ``arrays`` that is
+    missing, mis-shaped or extra against the table ``shapes``."""
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise ValueError(f"{what} lacks weight {name!r}")
+        if np.shape(arrays[name]) != shape:
+            raise ValueError(f"{what} weight {name!r} has shape "
+                             f"{np.shape(arrays[name])}, expected {shape}")
+    extra = [name for name in arrays if name not in shapes]
+    if extra:
+        raise ValueError(f"{what} has unexpected weight {extra[0]!r}")
+
+
+class ModelParams:
+    """All trainable weights in one flat float64 buffer, plus the
+    architecture switches they imply.
+
+    ``theta`` holds the weights back to back in table order and ``grad``
+    their gradients.  Each weight is a trainable Node whose data and grad
+    are views into those two buffers; ``nodes`` lists them by name, and
+    each is also reachable as ``params.<group>.<weight>``.
     """
 
-    def __init__(self, mode, **weights):
-        if mode not in FUSION_MODES:
-            raise ValueError(f"unknown fusion mode {mode!r}")
-        self.mode = mode
-        if mode == "kronecker":
-            self.kron = layers.KroneckerFusion(weights["w_sk"], weights["w_im"])
-        elif mode == "concat":
-            self.w_proj = layers._param(weights["w_proj"])  # [2 d_f, d_f^2]
+    def __init__(self, config, shapes, arrays):
+        check_shapes(shapes, arrays, "params")
+        self.shapes = shapes
+        self.fusion_mode = config.fusion_mode
+        self.use_gcn = bool(config.use_gcn)
+        self.theta = self.flatten(arrays)
+        self.grad = np.zeros_like(self.theta)
+        grads = self.split(self.grad)
+        self.nodes = {name: ad.parameter(data, grads[name])
+                      for name, data in self.split(self.theta).items()}
+        groups = {}
+        for name, node in self.nodes.items():
+            group, weight = name.split(".")
+            groups.setdefault(group, {})[weight] = node
+        for group, weights in groups.items():
+            setattr(self, group, SimpleNamespace(**weights))
+
+    def flatten(self, arrays):
+        """A new flat float64 buffer holding ``arrays`` in table order."""
+        return np.concatenate([np.ravel(arrays[name]) for name in self.shapes],
+                              dtype=np.float64)
+
+    def split(self, flat):
+        """Views of a flat buffer as the table's weights, by name."""
+        views, start = {}, 0
+        for name, shape in self.shapes.items():
+            stop = start + math.prod(shape)
+            views[name] = flat[start:stop].reshape(shape)
+            start = stop
+        return views
+
+    def name_at(self, index):
+        """The name of the weight that holds flat element ``index``."""
+        ends = np.cumsum([math.prod(shape) for shape in self.shapes.values()])
+        return list(self.shapes)[int(np.searchsorted(ends, index, side="right"))]
+
+    @property
+    def feat_channels(self):
+        return self.shapes["attn_sk.score_weights"][0]
+
+    @property
+    def code_bits(self):
+        return self.shapes["gcn2.w_theta"][1]
+
+
+def init_params(config, feat_channels, d_s, rng):
+    """Fresh weights, drawn in table order so that a seed pins every one:
+    each matrix uniform in +-sqrt(6/(fan_in+fan_out)) with its fans taken
+    from its shape, every other weight zero."""
+    shapes = param_shapes(config, feat_channels, d_s)
+    arrays = {}
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+            arrays[name] = rng.uniform(-bound, bound, size=shape)
         else:
-            self.u = layers._param(weights["u"])            # [d_f, d_f * MFB_FACTOR]
-            self.v = layers._param(weights["v"])            # [d_f, d_f * MFB_FACTOR]
-            self.w_proj = layers._param(weights["w_proj"])  # [d_f, d_f^2]
-
-    def named(self):
-        if self.mode == "kronecker":
-            return {"fusion.w_sk": self.kron.w_sk, "fusion.w_im": self.kron.w_im}
-        if self.mode == "concat":
-            return {"fusion.w_proj": self.w_proj}
-        return {"fusion.u": self.u, "fusion.v": self.v, "fusion.w_proj": self.w_proj}
+            arrays[name] = np.zeros(shape)
+    return ModelParams(config, shapes, arrays)
 
 
-def raw_fused(h_sk, h_im, fusion):
+def params_from_arrays(config, arrays):
+    """Rebuild a ModelParams from named weight arrays (checkpoint load).
+
+    The feature channels and the semantic dimension, which the config
+    does not fix, are read off the weights that carry them.
+    """
+
+    def dim(name, axis):
+        shape = np.shape(arrays.get(name))
+        return shape[axis] if len(shape) == 2 else 0
+
+    shapes = param_shapes(config, dim("attn_sk.score_weights", 0), dim("dec.w_mu", 1))
+    return ModelParams(config, shapes, arrays)
+
+
+def raw_fused(h_sk, h_im, params):
     """The mode-specific fused rows [N, *] before any re-projection."""
-    if fusion.mode == "kronecker":
-        return layers.fuse(h_sk, h_im, fusion.kron)
-    if fusion.mode == "concat":
+    fusion = params.fusion
+    if params.fusion_mode == "kronecker":
+        return layers.fuse(h_sk, h_im, fusion)
+    if params.fusion_mode == "concat":
         return ad.concat_cols(h_sk, h_im)
     t = ad.mul(ad.matmul(h_sk, fusion.u), ad.matmul(h_im, fusion.v))
     n, d_f = h_sk.shape
     return ad.reduce_sum(ad.reshape(t, (n, d_f, MFB_FACTOR)), axis=2)
 
 
-def fuse_modalities(h_sk, h_im, fusion):
+def fuse_modalities(h_sk, h_im, params):
     """Fused features [N, d_f^2] for any fusion mode."""
-    raw = raw_fused(h_sk, h_im, fusion)
-    if fusion.mode == "kronecker":
+    raw = raw_fused(h_sk, h_im, params)
+    if params.fusion_mode == "kronecker":
         return raw
-    return ad.relu(ad.matmul(raw, fusion.w_proj))
-
-
-class ModelParams:
-    """All trainable weights plus the architecture switches they imply."""
-
-    def __init__(self, attn_sk, attn_im, fusion, gcn1, gcn2, enc_im, enc_sk,
-                 dec, use_gcn=True):
-        self.attn_sk = attn_sk
-        self.attn_im = attn_im
-        self.fusion = fusion
-        self.gcn1 = gcn1
-        self.gcn2 = gcn2
-        self.enc_im = enc_im  # f(.) for images
-        self.enc_sk = enc_sk  # g(.) for sketches
-        self.dec = dec
-        self.use_gcn = bool(use_gcn)
-
-    def named(self):
-        """Ordered name -> Node mapping; the order fixes serialization."""
-        out = {}
-        for tag, attn in (("attn_sk", self.attn_sk), ("attn_im", self.attn_im)):
-            out[f"{tag}.score_weights"] = attn.score_weights
-            out[f"{tag}.score_bias"] = attn.score_bias
-            out[f"{tag}.proj_weights"] = attn.proj_weights
-            out[f"{tag}.proj_bias"] = attn.proj_bias
-        out.update(self.fusion.named())
-        out["gcn1.w_theta"] = self.gcn1.w_theta
-        out["gcn2.w_theta"] = self.gcn2.w_theta
-        out["enc_im.w"] = self.enc_im.w
-        out["enc_im.b"] = self.enc_im.b
-        out["enc_sk.w"] = self.enc_sk.w
-        out["enc_sk.b"] = self.enc_sk.b
-        out["dec.w_mu"] = self.dec.w_mu
-        out["dec.b_mu"] = self.dec.b_mu
-        out["dec.w_logvar"] = self.dec.w_logvar
-        out["dec.b_logvar"] = self.dec.b_logvar
-        return out
-
-    def zero_grads(self):
-        for node in self.named().values():
-            node.zero_grad()
-
-    @property
-    def feat_channels(self):
-        return self.attn_sk.score_weights.shape[0]
-
-    @property
-    def d_f(self):
-        return self.attn_sk.proj_weights.shape[1]
-
-    @property
-    def code_bits(self):
-        return self.gcn2.w_theta.shape[1]
-
-    @property
-    def semantic_dim(self):
-        return self.dec.w_mu.shape[1]
-
-
-def _glorot(rng, fan_in, fan_out, shape):
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def init_params(config, feat_channels, d_s, rng):
-    """Fresh weights: uniform +-sqrt(6/(fan_in+fan_out)), zero biases.
-
-    Draw order is fixed by construction so a seed pins every weight.
-    """
-    c = feat_channels
-    d_f = config.d_f
-    m = config.M
-
-    def attention():
-        return layers.AttentionPool(
-            score_weights=_glorot(rng, c, 1, (c, 1)),
-            score_bias=0.0,
-            proj_weights=_glorot(rng, c, d_f, (c, d_f)),
-            proj_bias=np.zeros(d_f),
-        )
-
-    attn_sk = attention()
-    attn_im = attention()
-
-    if config.fusion_mode == "kronecker":
-        fusion = FusionParams(
-            "kronecker",
-            w_sk=_glorot(rng, d_f, d_f, (d_f, d_f)),
-            w_im=_glorot(rng, d_f, d_f, (d_f, d_f)),
-        )
-    elif config.fusion_mode == "concat":
-        fusion = FusionParams(
-            "concat",
-            w_proj=_glorot(rng, 2 * d_f, d_f * d_f, (2 * d_f, d_f * d_f)),
-        )
-    else:
-        k = d_f * MFB_FACTOR
-        fusion = FusionParams(
-            "mfb",
-            u=_glorot(rng, d_f, k, (d_f, k)),
-            v=_glorot(rng, d_f, k, (d_f, k)),
-            w_proj=_glorot(rng, d_f, d_f * d_f, (d_f, d_f * d_f)),
-        )
-
-    fused_dim = d_f * d_f
-    gcn1 = layers.GraphConvLayer(
-        _glorot(rng, fused_dim, config.gcn_hidden, (fused_dim, config.gcn_hidden)),
-        "relu",
-    )
-    gcn2 = layers.GraphConvLayer(
-        _glorot(rng, config.gcn_hidden, m, (config.gcn_hidden, m)), "sigmoid"
-    )
-    enc_im = layers.HashEncoder(_glorot(rng, d_f, m, (d_f, m)), np.zeros(m))
-    enc_sk = layers.HashEncoder(_glorot(rng, d_f, m, (d_f, m)), np.zeros(m))
-    dec = layers.GaussianDecoder(
-        w_mu=_glorot(rng, m, d_s, (m, d_s)),
-        b_mu=np.zeros(d_s),
-        w_logvar=_glorot(rng, m, d_s, (m, d_s)),
-        b_logvar=np.zeros(d_s),
-    )
-    return ModelParams(attn_sk, attn_im, fusion, gcn1, gcn2, enc_im, enc_sk,
-                       dec, use_gcn=config.use_gcn)
-
-
-def params_from_arrays(config, arrays):
-    """Rebuild a ModelParams from named weight arrays (checkpoint load)."""
-
-    def attention(tag):
-        return layers.AttentionPool(
-            arrays[f"{tag}.score_weights"],
-            arrays[f"{tag}.score_bias"],
-            arrays[f"{tag}.proj_weights"],
-            arrays[f"{tag}.proj_bias"],
-        )
-
-    if config.fusion_mode == "kronecker":
-        fusion = FusionParams(
-            "kronecker", w_sk=arrays["fusion.w_sk"], w_im=arrays["fusion.w_im"]
-        )
-    elif config.fusion_mode == "concat":
-        fusion = FusionParams("concat", w_proj=arrays["fusion.w_proj"])
-    else:
-        fusion = FusionParams(
-            "mfb",
-            u=arrays["fusion.u"],
-            v=arrays["fusion.v"],
-            w_proj=arrays["fusion.w_proj"],
-        )
-
-    return ModelParams(
-        attention("attn_sk"),
-        attention("attn_im"),
-        fusion,
-        layers.GraphConvLayer(arrays["gcn1.w_theta"], "relu"),
-        layers.GraphConvLayer(arrays["gcn2.w_theta"], "sigmoid"),
-        layers.HashEncoder(arrays["enc_im.w"], arrays["enc_im.b"]),
-        layers.HashEncoder(arrays["enc_sk.w"], arrays["enc_sk.b"]),
-        layers.GaussianDecoder(
-            arrays["dec.w_mu"], arrays["dec.b_mu"],
-            arrays["dec.w_logvar"], arrays["dec.b_logvar"],
-        ),
-        use_gcn=config.use_gcn,
-    )
+    return ad.relu(ad.matmul(raw, params.fusion.w_proj))
 
 
 def forward_multimodal(batch, params, adj, eps, code_offset=None):
@@ -249,14 +191,14 @@ def forward_multimodal(batch, params, adj, eps, code_offset=None):
     """
     h_sk = layers.attention_pool(batch.sketch_feats, params.attn_sk)
     h_im = layers.attention_pool(batch.image_feats, params.attn_im)
-    fused = fuse_modalities(h_sk, h_im, params.fusion)
+    fused = fuse_modalities(h_sk, h_im, params)
 
     if params.use_gcn:
-        hidden = layers.graph_conv(fused, adj, params.gcn1)
-        b = layers.graph_conv(hidden, adj, params.gcn2)
+        hidden = layers.graph_conv(fused, adj, params.gcn1, ad.relu)
+        b = layers.graph_conv(hidden, adj, params.gcn2, ad.sigmoid)
     else:
-        hidden = layers.dense(fused, params.gcn1)
-        b = layers.dense(hidden, params.gcn2)
+        hidden = layers.dense(fused, params.gcn1, ad.relu)
+        b = layers.dense(hidden, params.gcn2, ad.sigmoid)
 
     if code_offset is None:
         b_tilde = layers.stochastic_neurons(b, eps)

@@ -25,9 +25,11 @@ class LossBreakdown:
 
 @dataclass
 class AdamState:
+    """Adam's step count and its two moments, flat like ``params.theta``."""
+
     step: int
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     lr: float
     beta1: float
     beta2: float
@@ -35,11 +37,8 @@ class AdamState:
 
     @classmethod
     def init(cls, params, lr=1e-3, beta1=0.9, beta2=0.999, eps_hat=1e-8):
-        named = params.named()
         return cls(
-            step=0,
-            m={k: np.zeros_like(n.data) for k, n in named.items()},
-            v={k: np.zeros_like(n.data) for k, n in named.items()},
+            step=0, m=np.zeros_like(params.theta), v=np.zeros_like(params.theta),
             lr=lr, beta1=beta1, beta2=beta2, eps_hat=eps_hat,
         )
 
@@ -115,31 +114,31 @@ def batch_loss(batch, params, adj, eps_draws, code_offset=None, frozen_bits=None
 
 
 def estimate_gradients(loss, params):
-    """Backward pass over the recorded graph; returns name -> gradient.
+    """Backward pass over the recorded graph; returns a copy of the flat
+    gradient, laid out like ``params.theta``.
 
     Deterministic given (params, batch, eps): the graph is fixed once the
     draws are fixed.
     """
-    params.zero_grads()
+    params.grad[...] = 0.0
     loss.backward()
-    return {name: node.grad.copy() for name, node in params.named().items()}
+    return params.grad.copy()
 
 
-def adam_step(params, grads, state):
-    """Standard Adam update with bias correction; mutates params in place."""
-    for name in grads:
-        if not np.all(np.isfinite(grads[name])):
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+def adam_step(params, grad, state):
+    """Standard Adam update with bias correction over the flat buffers;
+    mutates ``params.theta``, and so every weight, in place."""
+    if not np.all(np.isfinite(grad)):
+        bad = np.flatnonzero(~np.isfinite(grad))[0]
+        raise FloatingPointError(
+            f"non-finite gradient for parameter {params.name_at(bad)!r}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for name, node in params.named().items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        node.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps_hat)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (grad * grad)
+    params.theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps_hat)

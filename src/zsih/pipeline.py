@@ -13,6 +13,7 @@ from .data import FormatError, _read_exact
 from .model import (  # noqa: F401  (re-exported pipeline surface)
     ModelParams,
     TripletBatch,
+    check_shapes,
     forward_multimodal,
     init_params,
     params_from_arrays,
@@ -225,10 +226,10 @@ def train_step(batch, params, opt_state, adj, eps, grad_clip=0.0):
             f"decode={breakdown.decode_term!r}, "
             f"code_reg={breakdown.code_reg_term!r})"
         )
-    grads = estimate_gradients(loss, params)
+    grad = estimate_gradients(loss, params)
     if grad_clip > 0.0:
-        grads = {k: np.clip(g, -grad_clip, grad_clip) for k, g in grads.items()}
-    adam_step(params, grads, opt_state)
+        np.clip(grad, -grad_clip, grad_clip, out=grad)
+    adam_step(params, grad, opt_state)
     return breakdown
 
 
@@ -246,14 +247,21 @@ class Checkpoint:
     stop_reason: str | None = None
 
     def build_params(self):
-        return params_from_arrays(self.config, self.params)
+        """The model's weights, once ``params``, ``opt_m`` and ``opt_v``
+        are all checked against the parameter table of the config."""
+        try:
+            params = params_from_arrays(self.config, self.params)
+            check_shapes(params.shapes, self.opt_m, "opt_m")
+            check_shapes(params.shapes, self.opt_v, "opt_v")
+        except ValueError as err:
+            raise FormatError(f"checkpoint does not match its config: {err}") from None
+        return params
 
-    def build_opt_state(self):
+    def build_opt_state(self, params):
         cfg = self.config
         return AdamState(
             step=self.opt_step,
-            m={k: v.copy() for k, v in self.opt_m.items()},
-            v={k: v.copy() for k, v in self.opt_v.items()},
+            m=params.flatten(self.opt_m), v=params.flatten(self.opt_v),
             lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps_hat=cfg.eps_hat,
         )
 
@@ -261,10 +269,10 @@ class Checkpoint:
 def _snapshot(config, params, opt_state, iteration, rng, stop_reason):
     return Checkpoint(
         config=config,
-        params={k: n.data.copy() for k, n in params.named().items()},
+        params=params.split(params.theta.copy()),
         opt_step=opt_state.step,
-        opt_m={k: v.copy() for k, v in opt_state.m.items()},
-        opt_v={k: v.copy() for k, v in opt_state.v.items()},
+        opt_m=params.split(opt_state.m.copy()),
+        opt_v=params.split(opt_state.v.copy()),
         iteration=iteration,
         rng_state=rng.bit_generator.state,
         stop_reason=stop_reason,
@@ -290,7 +298,7 @@ def train(config, dataset, metrics_out=None, resume=None):
         if replace(resume.config, max_iters=0) != replace(config, max_iters=0):
             raise ValueError("resume checkpoint config does not match")
         params = resume.build_params()
-        opt_state = resume.build_opt_state()
+        opt_state = resume.build_opt_state(params)
         rng = np.random.Generator(np.random.PCG64())
         rng.bit_generator.state = resume.rng_state
         start = resume.iteration
@@ -351,7 +359,7 @@ def train(config, dataset, metrics_out=None, resume=None):
 
 
 def _pack_array(arr):
-    arr = np.ascontiguousarray(arr, dtype="<f8")
+    arr = np.asarray(arr, dtype="<f8")
     parts = [struct.pack("<B", arr.ndim)]
     parts.extend(struct.pack("<I", d) for d in arr.shape)
     parts.append(arr.tobytes())

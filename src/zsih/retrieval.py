@@ -213,16 +213,15 @@ def format_report(report):
     return "\n".join(lines) + "\n"
 
 
-def write_pr_dump(report, path, include_raw=True):
+def write_pr_dump(report, path):
     """Tab-separated P-R points: interpolated 11-level curve plus the raw
-    per-rank averages when requested."""
+    per-rank averages."""
     with open(path, "w", encoding="utf-8") as f:
         f.write("kind\trecall\tprecision\n")
         for recall, precision in report.pr_curve:
             f.write(f"interp\t{recall!r}\t{precision!r}\n")
-        if include_raw:
-            for recall, precision in report.pr_raw:
-                f.write(f"raw\t{recall!r}\t{precision!r}\n")
+        for recall, precision in report.pr_raw:
+            f.write(f"raw\t{recall!r}\t{precision!r}\n")
 
 
 # ---------------------------------------------------------------------------

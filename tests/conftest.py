@@ -1,9 +1,12 @@
 """Shared test helpers: finite-difference oracles and tiny model builders."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from zsih import model, pipeline
+from zsih.autodiff import Node
 from zsih.data import synth_dataset
 
 FD_STEP = 1e-5
@@ -45,6 +48,14 @@ def check_node_grads(make_loss, nodes, rtol=FD_RTOL, atol=FD_ATOL):
     for n, ag in zip(nodes, ad_grads):
         fd = fd_grad(lambda: make_loss().item(), n)
         assert_grad_close(ag, fd, rtol=rtol, atol=atol)
+
+
+def param_group(**arrays):
+    """One layer's weights as the layers read them: a trainable Node per
+    attribute, each holding a float64 copy of its array."""
+    return SimpleNamespace(**{
+        name: Node(np.array(arr, dtype=np.float64), requires_grad=True)
+        for name, arr in arrays.items()})
 
 
 def tiny_config(**overrides):

@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the fast paths.
 
-The model forward is plain numpy that runs one item at a time.  For
-retrieval, distances are computed on unpacked bits, rankings by explicit
-keyed sort, and the metric accumulations mirror the production order so
+The model forward is plain numpy that runs one item at a time, and the
+weight initialization draws one weight at a time.  For retrieval,
+distances are computed on unpacked bits, rankings by explicit keyed
+sort, and the metric accumulations mirror the production order so
 agreement can be asserted exactly."""
 
 import numpy as np
@@ -135,3 +136,39 @@ def naive_forward(sketch_feats, image_feats, w, mode, adj, eps):
     g = _sigmoid(h_sk @ w["enc_sk.w"] + w["enc_sk.b"])
     return b, b_tilde, f, g
 
+
+
+def _glorot(rng, fan_in, fan_out):
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+
+def naive_init(mode, channels, d_f, hidden, m, d_s, rng):
+    """Fresh weights drawn one at a time in the model's fixed order:
+    returns name -> array.  Matrices are Glorot-uniform, the rest zero."""
+    w = {}
+    for tag in ("attn_sk", "attn_im"):
+        w[f"{tag}.score_weights"] = _glorot(rng, channels, 1)
+        w[f"{tag}.score_bias"] = np.zeros(1)
+        w[f"{tag}.proj_weights"] = _glorot(rng, channels, d_f)
+        w[f"{tag}.proj_bias"] = np.zeros(d_f)
+    if mode == "kronecker":
+        w["fusion.w_sk"] = _glorot(rng, d_f, d_f)
+        w["fusion.w_im"] = _glorot(rng, d_f, d_f)
+    elif mode == "concat":
+        w["fusion.w_proj"] = _glorot(rng, 2 * d_f, d_f * d_f)
+    else:
+        w["fusion.u"] = _glorot(rng, d_f, 4 * d_f)
+        w["fusion.v"] = _glorot(rng, d_f, 4 * d_f)
+        w["fusion.w_proj"] = _glorot(rng, d_f, d_f * d_f)
+    w["gcn1.w_theta"] = _glorot(rng, d_f * d_f, hidden)
+    w["gcn2.w_theta"] = _glorot(rng, hidden, m)
+    w["enc_im.w"] = _glorot(rng, d_f, m)
+    w["enc_im.b"] = np.zeros(m)
+    w["enc_sk.w"] = _glorot(rng, d_f, m)
+    w["enc_sk.b"] = np.zeros(m)
+    w["dec.w_mu"] = _glorot(rng, m, d_s)
+    w["dec.b_mu"] = np.zeros(d_s)
+    w["dec.w_logvar"] = _glorot(rng, m, d_s)
+    w["dec.b_logvar"] = np.zeros(d_s)
+    return w

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import assert_grad_close, fd_grad, tiny_setup
+from conftest import assert_grad_close, fd_grad, param_group, tiny_setup
 from zsih import autodiff as ad
 from zsih import cli, data, layers, model, objective, pipeline, retrieval
 from zsih.autodiff import Node
@@ -52,19 +52,21 @@ def _op_cases(rng):
     x = Node(rng.normal(size=(3, 4, 2)), requires_grad=True)
     w = Node(rng.uniform(0.2, 3.0, size=5), requires_grad=True)
     s = Node(rng.normal(), requires_grad=True)
-    row = Node(rng.normal(size=4), requires_grad=True)
+    p2 = Node(rng.normal(size=(3, 4)), requires_grad=True)
+    q1 = Node(rng.normal(size=(4, 1)), requires_grad=True)
+    b1 = Node(rng.normal(size=1), requires_grad=True)
     sq = lambda x: ad.reduce_sum(ad.square(x))
     return [
         (lambda: sq(ad.matmul(p, q)), [p, q]),
         (lambda: sq(ad.affine(x, w2, b3)), [x, w2, b3]),
-        (lambda: sq(ad.affine(p, q, s)), [p, q, s]),
+        (lambda: sq(ad.affine(p, q1, b1)), [p, q1, b1]),
         (lambda: sq(ad.softmax_rows(p)), [p]),
         (lambda: sq(ad.pool_rows(p, x)), [p, x]),
         (lambda: sq(ad.kron_rows(p, a)), [p, a]),
         (lambda: sq(ad.concat_cols(p, a)), [p, a]),
-        (lambda: sq(ad.add(p, row)), [p, row]),
+        (lambda: sq(ad.add(p, p2)), [p, p2]),
         (lambda: sq(ad.sub(p, s)), [p, s]),
-        (lambda: sq(ad.mul(p, row)), [p, row]),
+        (lambda: sq(ad.mul(p, p2)), [p, p2]),
         (lambda: sq(ad.relu(p)), [p]),
         (lambda: sq(ad.sigmoid(p)), [p]),
         (lambda: sq(ad.exp(ad.mul(p, 0.5))), [p]),
@@ -79,24 +81,24 @@ def _op_cases(rng):
 
 
 def _layer_cases(rng):
-    attn = layers.AttentionPool(
-        rng.normal(size=(4, 1)), rng.normal(),
-        rng.normal(size=(4, 3)), rng.normal(size=3))
+    attn = param_group(
+        score_weights=rng.normal(size=(4, 1)), score_bias=rng.normal(size=1),
+        proj_weights=rng.normal(size=(4, 3)), proj_bias=rng.normal(size=3))
     feats = rng.normal(size=(2, 3, 4))
-    fusion = layers.KroneckerFusion(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
+    fusion = param_group(w_sk=rng.normal(size=(3, 3)), w_im=rng.normal(size=(3, 3)))
     h_sk = ad.constant(rng.normal(size=(2, 3)))
     h_im = ad.constant(rng.normal(size=(2, 3)))
-    gcn = layers.GraphConvLayer(rng.normal(size=(3, 2)), "sigmoid")
+    gcn = param_group(w_theta=rng.normal(size=(3, 2)))
     hidden = Node(rng.normal(size=(4, 3)), requires_grad=True)
     sem = rng.normal(size=(4, 2))
     adj = pipeline.build_adjacency(sem, 0.8)
-    enc = layers.HashEncoder(rng.normal(size=(4, 3)), rng.normal(size=3))
+    enc = param_group(w=rng.normal(size=(4, 3)), b=rng.normal(size=3))
     h_enc = Node(rng.normal(size=(2, 4)), requires_grad=True)
     b_probs = Node(rng.uniform(0.15, 0.85, size=(2, 3)), requires_grad=True)
     bits = rng.integers(0, 2, size=(2, 3)).astype(float)
-    dec = layers.GaussianDecoder(
-        rng.normal(size=(5, 3)), rng.normal(size=3),
-        rng.normal(size=(5, 3)) * 0.3, rng.normal(size=3) * 0.3)
+    dec = param_group(
+        w_mu=rng.normal(size=(5, 3)), b_mu=rng.normal(size=3),
+        w_logvar=rng.normal(size=(5, 3)) * 0.3, b_logvar=rng.normal(size=3) * 0.3)
     dec_bits = Node(rng.integers(0, 2, size=(2, 5)).astype(float), requires_grad=True)
     s_rows = rng.normal(size=(2, 3))
     sq = lambda x: ad.reduce_sum(ad.square(x))
@@ -104,7 +106,7 @@ def _layer_cases(rng):
         (lambda: sq(layers.attention_pool(feats, attn)),
          [attn.score_weights, attn.score_bias, attn.proj_weights, attn.proj_bias]),
         (lambda: sq(layers.fuse(h_sk, h_im, fusion)), [fusion.w_sk, fusion.w_im]),
-        (lambda: sq(layers.graph_conv(hidden, adj, gcn)), [hidden, gcn.w_theta]),
+        (lambda: sq(layers.graph_conv(hidden, adj, gcn, ad.sigmoid)), [hidden, gcn.w_theta]),
         (lambda: sq(layers.encode_soft(h_enc, enc)), [h_enc, enc.w, enc.b]),
         (lambda: layers.log_q(b_probs, bits), [b_probs]),
         (lambda: layers.log_p_gaussian(s_rows, dec_bits, dec),
@@ -115,10 +117,10 @@ def _layer_cases(rng):
 def _check_stochastic_path(rng):
     """Production straight-through gradients against finite differences of
     the frozen-offset surrogate."""
-    enc = layers.HashEncoder(rng.normal(size=(4, 3)), rng.normal(size=3))
-    dec = layers.GaussianDecoder(
-        rng.normal(size=(3, 2)), rng.normal(size=2),
-        rng.normal(size=(3, 2)) * 0.2, np.zeros(2))
+    enc = param_group(w=rng.normal(size=(4, 3)), b=rng.normal(size=3))
+    dec = param_group(
+        w_mu=rng.normal(size=(3, 2)), b_mu=rng.normal(size=2),
+        w_logvar=rng.normal(size=(3, 2)) * 0.2, b_logvar=np.zeros(2))
     h = rng.normal(size=(2, 4))
     s = rng.normal(size=(2, 2))
     eps = rng.random((2, 3))
@@ -146,14 +148,14 @@ def _check_full_objective(seed):
     bits = b_tilde.data.copy()
     offset = bits - b.data
     loss, _ = objective.batch_loss(batch, params, adj, eps)
-    ad_grads = objective.estimate_gradients(loss, params)
+    ad_grads = params.split(objective.estimate_gradients(loss, params))
 
     def surrogate():
         value, _ = objective.batch_loss(batch, params, adj, eps,
                                         code_offset=offset, frozen_bits=bits)
         return value.item()
 
-    for name, node in params.named().items():
+    for name, node in params.nodes.items():
         assert_grad_close(ad_grads[name], fd_grad(surrogate, node))
 
 
@@ -181,11 +183,11 @@ def test_criterion_2_gcn_equals_fc_under_identity():
             n = int(rng.integers(2, 9))
             d_in = int(rng.integers(1, 7))
             d_out = int(rng.integers(1, 7))
-            activation = "relu" if rng.integers(2) else "sigmoid"
-            layer = layers.GraphConvLayer(rng.normal(size=(d_in, d_out)), activation)
+            act = ad.relu if rng.integers(2) else ad.sigmoid
+            layer = param_group(w_theta=rng.normal(size=(d_in, d_out)))
             h = ad.constant(rng.normal(size=(n, d_in)) * 3.0)
-            gcn = layers.graph_conv(h, np.eye(n), layer)
-            fc = layers.dense(h, layer)
+            gcn = layers.graph_conv(h, np.eye(n), layer, act)
+            fc = layers.dense(h, layer, act)
             assert np.max(np.abs(gcn.data - fc.data)) <= 1e-12
 
 

@@ -41,7 +41,7 @@ class TestAffine:
     def test_last_axis_of_a_stack(self, rng):
         x = rng.normal(size=(2, 5, 3))
         w = rng.normal(size=(3, 1))
-        out = ad.affine(ad.constant(x), ad.constant(w), ad.constant(0.5))
+        out = ad.affine(ad.constant(x), ad.constant(w), ad.constant([0.5]))
         assert out.shape == (2, 5, 1)
         np.testing.assert_allclose(out.data, x @ w + 0.5, rtol=1e-14)
 
@@ -49,9 +49,10 @@ class TestAffine:
         x = Node(rng.normal(size=(2, 3, 4)), requires_grad=True)
         w = Node(rng.normal(size=(4, 2)), requires_grad=True)
         b = Node(rng.normal(size=2), requires_grad=True)
-        s = Node(rng.normal(), requires_grad=True)
+        w1 = Node(rng.normal(size=(4, 1)), requires_grad=True)
+        b1 = Node(rng.normal(size=1), requires_grad=True)
         check_node_grads(lambda: ad.reduce_sum(ad.square(ad.affine(x, w, b))), [x, w, b])
-        check_node_grads(lambda: ad.reduce_sum(ad.square(ad.affine(x, w, s))), [x, w, s])
+        check_node_grads(lambda: ad.reduce_sum(ad.square(ad.affine(x, w1, b1))), [x, w1, b1])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="affine shapes"):
@@ -61,6 +62,9 @@ class TestAffine:
         with pytest.raises(ValueError, match="bias shape"):
             ad.affine(ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 2))),
                       ad.constant(np.ones(3)))
+        with pytest.raises(ValueError, match="bias shape"):
+            ad.affine(ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 1))),
+                      ad.constant(0.5))
 
 
 class TestElementwise:
@@ -109,16 +113,20 @@ class TestBroadcasting:
         s = Node(0.7, requires_grad=True)
         check_node_grads(lambda: ad.reduce_sum(ad.square(ad.add(a, s))), [a, s])
 
-    def test_row_with_matrix(self, rng):
+    def test_row_with_matrix_rejected(self, rng):
         a = Node(rng.normal(size=(4, 3)), requires_grad=True)
         row = Node(rng.normal(size=3), requires_grad=True)
-        check_node_grads(lambda: ad.reduce_sum(ad.square(ad.mul(a, row))), [a, row])
+        for op in (ad.add, ad.sub, ad.mul):
+            with pytest.raises(ValueError, match="broadcast"):
+                op(a, row)
+            with pytest.raises(ValueError, match="broadcast"):
+                op(row, a)
 
-    def test_row_gradient_sums_over_batch(self):
+    def test_keepdims_row_with_matrix_rejected(self):
         a = ad.constant(np.ones((5, 2)))
-        row = Node(np.zeros(2), requires_grad=True)
-        ad.reduce_sum(ad.add(a, row)).backward()
-        np.testing.assert_array_equal(row.grad, [5.0, 5.0])
+        row = Node(np.zeros((1, 2)), requires_grad=True)
+        with pytest.raises(ValueError, match="broadcast"):
+            ad.add(a, row)
 
     def test_rejected_broadcast(self):
         with pytest.raises(ValueError, match="broadcast"):

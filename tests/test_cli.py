@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,19 @@ class TestTrain:
         assert pipeline.load_checkpoint(workspace["checkpoint"]).iteration == 2
         assert len(workspace["metrics"].read_text().splitlines()) == 2
 
+    def test_resume_with_mis_shaped_moment_is_runtime_error(self, workspace, capsys):
+        assert train_workspace(workspace) == 0
+        ckpt = pipeline.load_checkpoint(workspace["checkpoint"])
+        ckpt.opt_m["enc_im.w"] = ckpt.opt_m["enc_im.w"][:, :-1]
+        pipeline.save_checkpoint(ckpt, workspace["checkpoint"])
+        code = train_workspace(
+            workspace,
+            extra=["--set", "max_iters=8", "--resume", workspace["checkpoint"]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "opt_m weight 'enc_im.w' has shape (3, 7)" in err
+        assert "Traceback" not in err
+
     def test_resume_appends_metrics(self, workspace):
         assert train_workspace(workspace) == 0
         assert train_workspace(
@@ -174,6 +189,34 @@ class TestEncode:
                        "--modality", "image", "--out", workspace["dir"] / "x.zscb")
         assert code == 1
         assert "modality" in capsys.readouterr().err
+
+
+    def _encode_edited(self, workspace, edit):
+        assert train_workspace(workspace) == 0
+        ckpt = pipeline.load_checkpoint(workspace["checkpoint"])
+        edit(ckpt)
+        pipeline.save_checkpoint(ckpt, workspace["checkpoint"])
+        return run_cli("encode", "--checkpoint", workspace["checkpoint"],
+                       "--features", workspace["sketches"],
+                       "--modality", "sketch", "--out", workspace["dir"] / "x.zscb")
+
+    def test_checkpoint_of_another_fusion_mode_is_runtime_error(self, workspace, capsys):
+        def to_concat(ckpt):
+            ckpt.config = replace(ckpt.config, fusion_mode="concat")
+
+        assert self._encode_edited(workspace, to_concat) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "lacks weight 'fusion.w_proj'" in err
+        assert "Traceback" not in err
+
+    def test_mis_shaped_weight_is_runtime_error(self, workspace, capsys):
+        def widen(ckpt):
+            ckpt.params["enc_sk.w"] = np.zeros((3, 9))
+
+        assert self._encode_edited(workspace, widen) == 1
+        err = capsys.readouterr().err
+        assert "params weight 'enc_sk.w' has shape (3, 9), expected (3, 8)" in err
+        assert not (workspace["dir"] / "x.zscb").exists()
 
 
 class TestRetrieveAndEval:

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_grad_close, check_node_grads, fd_grad
+from conftest import assert_grad_close, check_node_grads, fd_grad, param_group
 from zsih import autodiff as ad
-from zsih import layers
+from zsih import layers, pipeline
 from zsih.autodiff import Node
 
 
 def make_attention(rng, channels, d_f):
-    return layers.AttentionPool(
+    return param_group(
         score_weights=rng.normal(size=(channels, 1)),
-        score_bias=rng.normal(),
+        score_bias=rng.normal(size=1),
         proj_weights=rng.normal(size=(channels, d_f)),
         proj_bias=rng.normal(size=d_f),
     )
@@ -75,21 +75,19 @@ class TestAttentionPool:
 
 class TestKroneckerFusion:
     def test_zero_sketch_annihilates(self, rng):
-        params = layers.KroneckerFusion(rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
+        params = param_group(w_sk=rng.normal(size=(4, 4)), w_im=rng.normal(size=(4, 4)))
         out = layers.fuse(ad.constant(np.zeros((2, 4))),
                           ad.constant(rng.normal(size=(2, 4))), params)
         np.testing.assert_array_equal(out.data, np.zeros((2, 16)))
 
     def test_identity_weights_hand_case(self):
-        params = layers.KroneckerFusion(np.eye(2), np.eye(2))
+        params = param_group(w_sk=np.eye(2), w_im=np.eye(2))
         out = layers.fuse(ad.constant([[1.0, 0.0], [0.0, 1.0]]),
                           ad.constant([[0.0, 2.0], [3.0, 0.0]]), params)
         assert out.data.tolist() == [[0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 0.0]]
 
     def test_full_scale_output_dim(self, rng):
-        params = layers.KroneckerFusion(
-            rng.normal(size=(256, 256)), rng.normal(size=(256, 256))
-        )
+        params = param_group(w_sk=rng.normal(size=(256, 256)), w_im=rng.normal(size=(256, 256)))
         out = layers.fuse(
             ad.constant(rng.normal(size=(2, 256))),
             ad.constant(rng.normal(size=(2, 256))), params
@@ -97,7 +95,7 @@ class TestKroneckerFusion:
         assert out.shape == (2, 65536)
 
     def test_output_nonnegative(self, rng):
-        params = layers.KroneckerFusion(rng.normal(size=(5, 5)), rng.normal(size=(5, 5)))
+        params = param_group(w_sk=rng.normal(size=(5, 5)), w_im=rng.normal(size=(5, 5)))
         out = layers.fuse(
             ad.constant(rng.normal(size=(3, 5))),
             ad.constant(rng.normal(size=(3, 5))), params
@@ -105,14 +103,14 @@ class TestKroneckerFusion:
         assert np.all(out.data >= 0)
 
     def test_length_mismatch_rejected(self, rng):
-        params = layers.KroneckerFusion(np.eye(3), np.eye(3))
+        params = param_group(w_sk=np.eye(3), w_im=np.eye(3))
         with pytest.raises(ValueError, match="length 3"):
             layers.fuse(ad.constant(np.ones((1, 2))), ad.constant(np.ones((1, 3))), params)
         with pytest.raises(ValueError, match="length 3"):
             layers.fuse(ad.constant(np.ones((1, 3))), ad.constant(np.ones((2, 3))), params)
 
     def test_pre_activation_bilinear(self, rng):
-        params = layers.KroneckerFusion(rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
+        params = param_group(w_sk=rng.normal(size=(4, 4)), w_im=rng.normal(size=(4, 4)))
 
         def pre(h_sk, h_im):
             return ad.kron_rows(
@@ -130,7 +128,7 @@ class TestKroneckerFusion:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
     def test_gradients_match_fd(self, rng):
-        params = layers.KroneckerFusion(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
+        params = param_group(w_sk=rng.normal(size=(3, 3)), w_im=rng.normal(size=(3, 3)))
         h_sk = ad.constant(rng.normal(size=(2, 3)))
         h_im = ad.constant(rng.normal(size=(2, 3)))
         check_node_grads(
@@ -141,81 +139,85 @@ class TestKroneckerFusion:
 
 class TestGraphConv:
     def test_identity_adjacency_equals_dense(self, rng):
-        layer = layers.GraphConvLayer(rng.normal(size=(5, 4)), "relu")
+        layer = param_group(w_theta=rng.normal(size=(5, 4)))
         h = Node(rng.normal(size=(6, 5)), requires_grad=True)
-        gcn = layers.graph_conv(h, np.eye(6), layer)
-        fc = layers.dense(h, layer)
+        gcn = layers.graph_conv(h, np.eye(6), layer, ad.relu)
+        fc = layers.dense(h, layer, ad.relu)
         assert np.max(np.abs(gcn.data - fc.data)) <= 1e-12
 
     def test_full_scale_layer_dims(self, rng):
-        relu_layer = layers.GraphConvLayer(rng.normal(size=(32, 1024)) * 0.1, "relu")
-        sig_layer = layers.GraphConvLayer(rng.normal(size=(1024, 64)) * 0.01, "sigmoid")
+        relu_layer = param_group(w_theta=rng.normal(size=(32, 1024)) * 0.1)
+        sig_layer = param_group(w_theta=rng.normal(size=(1024, 64)) * 0.01)
         h = ad.constant(rng.normal(size=(3, 32)))
         adj = np.eye(3)
-        hidden = layers.graph_conv(h, adj, relu_layer)
+        hidden = layers.graph_conv(h, adj, relu_layer, ad.relu)
         assert hidden.shape == (3, 1024)
-        out = layers.graph_conv(hidden, adj, sig_layer)
+        out = layers.graph_conv(hidden, adj, sig_layer, ad.sigmoid)
         assert out.shape == (3, 64)
         assert np.all((out.data > 0) & (out.data < 1))
 
     def test_all_ones_adjacency_averages_rows(self, rng):
-        layer = layers.GraphConvLayer(rng.normal(size=(4, 3)), "relu")
+        layer = param_group(w_theta=rng.normal(size=(4, 3)))
         h = rng.normal(size=(3, 4))
-        out = layers.graph_conv(ad.constant(h), np.ones((3, 3)), layer)
+        out = layers.graph_conv(ad.constant(h), np.ones((3, 3)), layer, ad.relu)
         mean_row = h.mean(axis=0)
         expected = np.maximum(0.0, mean_row @ layer.w_theta.data)
         for row in out.data:
             np.testing.assert_allclose(row, expected, rtol=1e-12)
 
     def test_asymmetric_adjacency_rejected(self, rng):
-        layer = layers.GraphConvLayer(rng.normal(size=(2, 2)), "relu")
+        layer = param_group(w_theta=rng.normal(size=(2, 2)))
         adj = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            layers.graph_conv(ad.constant(np.ones((2, 2))), adj, layer)
+            layers.graph_conv(ad.constant(np.ones((2, 2))), adj, layer, ad.relu)
 
     def test_bad_diagonal_rejected(self, rng):
-        layer = layers.GraphConvLayer(rng.normal(size=(2, 2)), "relu")
+        layer = param_group(w_theta=rng.normal(size=(2, 2)))
         adj = np.array([[0.9, 0.5], [0.5, 1.0]])
         with pytest.raises(ValueError, match="diagonal"):
-            layers.graph_conv(ad.constant(np.ones((2, 2))), adj, layer)
+            layers.graph_conv(ad.constant(np.ones((2, 2))), adj, layer, ad.relu)
 
     def test_out_of_range_entries_rejected(self, rng):
-        layer = layers.GraphConvLayer(rng.normal(size=(2, 2)), "relu")
+        layer = param_group(w_theta=rng.normal(size=(2, 2)))
         adj = np.array([[1.0, 1.5], [1.5, 1.0]])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            layers.graph_conv(ad.constant(np.ones((2, 2))), adj, layer)
+            layers.graph_conv(ad.constant(np.ones((2, 2))), adj, layer, ad.relu)
 
-    def test_unknown_activation_rejected(self):
-        with pytest.raises(ValueError, match="activation"):
-            layers.GraphConvLayer(np.eye(2), "tanh")
+    def test_activation_applies_to_propagated_rows(self, rng):
+        layer = param_group(w_theta=rng.normal(size=(3, 2)))
+        h = rng.normal(size=(4, 3))
+        adj = pipeline.build_adjacency(rng.normal(size=(4, 2)), 0.8)
+        pre = layers.normalized_adjacency(adj) @ h @ layer.w_theta.data
+        out = layers.graph_conv(ad.constant(h), adj, layer, ad.sigmoid)
+        np.testing.assert_allclose(out.data, 1.0 / (1.0 + np.exp(-pre)), rtol=1e-12)
 
     def test_gradients_match_fd(self, rng):
-        layer = layers.GraphConvLayer(rng.normal(size=(3, 2)), "sigmoid")
+        layer = param_group(w_theta=rng.normal(size=(3, 2)))
         h = Node(rng.normal(size=(4, 3)), requires_grad=True)
         sem = rng.normal(size=(4, 2))
         sq = ((sem[:, None, :] - sem[None, :, :]) ** 2).sum(axis=2)
         adj = np.exp(-sq)
         np.fill_diagonal(adj, 1.0)
         check_node_grads(
-            lambda: ad.reduce_sum(ad.square(layers.graph_conv(h, adj, layer))),
+            lambda: ad.reduce_sum(ad.square(layers.graph_conv(h, adj, layer, ad.sigmoid))),
             [h, layer.w_theta],
         )
 
 
 class TestHashEncoder:
     def test_zero_weights_give_half(self):
-        enc = layers.HashEncoder(np.zeros((3, 4)), np.zeros(4))
+        enc = param_group(w=np.zeros((3, 4)), b=np.zeros(4))
         out = layers.encode_soft(ad.constant(np.ones((1, 3))), enc)
         assert out.data.tolist() == [[0.5] * 4]
 
     def test_outputs_inside_unit_interval(self, rng):
-        enc = layers.HashEncoder(rng.normal(size=(3, 4)), rng.normal(size=4))
+        enc = param_group(w=rng.normal(size=(3, 4)), b=rng.normal(size=4))
         out = layers.encode_soft(ad.constant(rng.normal(size=(2, 3)) * 5), enc)
         assert np.all((out.data > 0) & (out.data < 1))
 
     def test_batch_path_matches_vector_path(self, rng):
         # every row of a batch equals the same row encoded on its own
-        enc = layers.HashEncoder(rng.normal(size=(3, 4)), rng.normal(size=4))
+        enc = param_group(w=rng.normal(size=(3, 4)), b=rng.normal(size=4))
         h = rng.normal(size=(5, 3))
         batched = layers.encode_soft(ad.constant(h), enc)
         for i in range(5):
@@ -223,7 +225,7 @@ class TestHashEncoder:
             np.testing.assert_allclose(batched.data[i:i + 1], single.data, rtol=1e-14)
 
     def test_gradients_match_fd(self, rng):
-        enc = layers.HashEncoder(rng.normal(size=(4, 3)), rng.normal(size=3))
+        enc = param_group(w=rng.normal(size=(4, 3)), b=rng.normal(size=3))
         h = Node(rng.normal(size=(2, 4)), requires_grad=True)
         check_node_grads(
             lambda: ad.reduce_sum(ad.square(layers.encode_soft(h, enc))),
@@ -317,7 +319,7 @@ class TestLogPGaussian:
     def test_perfect_reconstruction_unit_variance(self, rng):
         d_s = 5
         s = rng.normal(size=(1, d_s))
-        dec = layers.GaussianDecoder(
+        dec = param_group(
             w_mu=np.zeros((3, d_s)), b_mu=s[0].copy(),
             w_logvar=np.zeros((3, d_s)), b_logvar=np.zeros(d_s),
         )
@@ -325,7 +327,7 @@ class TestLogPGaussian:
         assert abs(out.item() + 0.5 * d_s * math.log(2 * math.pi)) < 1e-12
 
     def test_scalar_miniature(self):
-        dec = layers.GaussianDecoder(
+        dec = param_group(
             w_mu=np.zeros((2, 1)), b_mu=np.array([1.0]),
             w_logvar=np.zeros((2, 1)), b_logvar=np.array([0.0]),
         )
@@ -335,7 +337,7 @@ class TestLogPGaussian:
         assert abs(out.item() + 1.41894) < 1e-5
 
     def test_monotone_in_residual(self):
-        dec = layers.GaussianDecoder(
+        dec = param_group(
             w_mu=np.zeros((2, 1)), b_mu=np.array([0.0]),
             w_logvar=np.zeros((2, 1)), b_logvar=np.array([0.0]),
         )
@@ -345,7 +347,7 @@ class TestLogPGaussian:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_shape_mismatch_rejected(self, rng):
-        dec = layers.GaussianDecoder(
+        dec = param_group(
             w_mu=rng.normal(size=(2, 3)), b_mu=np.zeros(3),
             w_logvar=rng.normal(size=(2, 3)), b_logvar=np.zeros(3),
         )
@@ -353,7 +355,7 @@ class TestLogPGaussian:
             layers.log_p_gaussian(np.zeros((1, 2)), ad.constant(np.ones((1, 2))), dec)
 
     def test_gradients_match_fd(self, rng):
-        dec = layers.GaussianDecoder(
+        dec = param_group(
             w_mu=rng.normal(size=(4, 3)), b_mu=rng.normal(size=3),
             w_logvar=rng.normal(size=(4, 3)) * 0.3, b_logvar=rng.normal(size=3) * 0.3,
         )
@@ -369,8 +371,8 @@ class TestStraightThroughPath:
     def test_ste_gradient_equals_linearized_fd(self, rng):
         """The production backward through the sampler must match finite
         differences of the frozen-offset surrogate b + (bits - b0)."""
-        enc = layers.HashEncoder(rng.normal(size=(5, 4)), rng.normal(size=4))
-        dec = layers.GaussianDecoder(
+        enc = param_group(w=rng.normal(size=(5, 4)), b=rng.normal(size=4))
+        dec = param_group(
             w_mu=rng.normal(size=(4, 3)), b_mu=rng.normal(size=3),
             w_logvar=rng.normal(size=(4, 3)) * 0.2, b_logvar=np.zeros(3),
         )

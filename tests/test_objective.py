@@ -1,12 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import assert_grad_close, fd_grad, tiny_setup
+from conftest import assert_grad_close, fd_grad, param_group, tiny_setup
 from zsih import autodiff as ad
-from zsih import layers, objective, pipeline
-from zsih.autodiff import Node
+from zsih import layers, model, objective, pipeline
 from zsih.model import forward_multimodal
 from zsih.objective import AdamState, adam_step, batch_loss, estimate_gradients
 
@@ -42,8 +42,8 @@ class TestBatchLoss:
         b = ad.constant(rng.uniform(0.3, 0.7, size=(2, m)))
         bits = rng.integers(0, 2, size=(2, m)).astype(float)
         bits_node = ad.constant(bits)
-        dec = layers.GaussianDecoder(np.zeros((m, 2)), np.zeros(2),
-                                     np.zeros((m, 2)), np.zeros(2))
+        dec = param_group(w_mu=np.zeros((m, 2)), b_mu=np.zeros(2),
+                          w_logvar=np.zeros((m, 2)), b_logvar=np.zeros(2))
         _, _, code_reg = objective.loss_terms(
             b, bits_node, bits, bits_node, bits_node, np.zeros((2, 2)), dec, m
         )
@@ -54,7 +54,7 @@ class TestBatchLoss:
         b_val = 0.73
         bit = np.array([[1.0]])
         s = np.array([[0.4, -1.1]])
-        dec = layers.GaussianDecoder(
+        dec = param_group(
             w_mu=rng.normal(size=(1, 2)), b_mu=rng.normal(size=2),
             w_logvar=rng.normal(size=(1, 2)) * 0.2, b_logvar=np.zeros(2),
         )
@@ -77,8 +77,8 @@ class TestBatchLoss:
         m = 6
         b = ad.constant(np.full((2, m), 0.7))
         # constant decoder: the decode term cannot distinguish the states
-        dec = layers.GaussianDecoder(np.zeros((m, 2)), np.zeros(2),
-                                     np.zeros((m, 2)), np.zeros(2))
+        dec = param_group(w_mu=np.zeros((m, 2)), b_mu=np.zeros(2),
+                          w_logvar=np.zeros((m, 2)), b_logvar=np.zeros(2))
         sem = np.zeros((2, 2))
         totals = {}
         for tag, bit in (("likely", 1.0), ("unlikely", 0.0)):
@@ -113,14 +113,15 @@ class TestEstimateGradients:
         g1 = estimate_gradients(loss1, params)
         loss2, _ = batch_loss(batch, params, adj, eps)
         g2 = estimate_gradients(loss2, params)
-        for name in g1:
-            np.testing.assert_array_equal(g1[name], g2[name])
+        assert g1.shape == params.theta.shape
+        np.testing.assert_array_equal(g1, g2)
 
     def test_constant_loss_gives_zero_gradients(self):
         _, _, params, _, _, _, _ = tiny_setup()
         loss = ad.reduce_sum(ad.square(ad.constant([1.0, 2.0])))
-        grads = estimate_gradients(loss, params)
-        assert all(np.all(g == 0.0) for g in grads.values())
+        grad = estimate_gradients(loss, params)
+        assert grad.shape == params.theta.shape
+        assert np.all(grad == 0.0)
 
     def test_full_objective_matches_fd(self):
         """Autodiff against central differences of the straight-through
@@ -131,14 +132,14 @@ class TestEstimateGradients:
         offset = bits - b.data
 
         loss, _ = batch_loss(batch, params, adj, eps)
-        ad_grads = estimate_gradients(loss, params)
+        ad_grads = params.split(estimate_gradients(loss, params))
 
         def surrogate():
             value, _ = batch_loss(batch, params, adj, eps,
                                   code_offset=offset, frozen_bits=bits)
             return value.item()
 
-        for name, node in params.named().items():
+        for name, node in params.nodes.items():
             assert_grad_close(ad_grads[name], fd_grad(surrogate, node))
 
 
@@ -150,51 +151,92 @@ class TestAdam:
 
     def test_zero_gradient_leaves_params_unchanged(self, rng):
         params, state = self._params_and_state(rng)
-        before = {k: n.data.copy() for k, n in params.named().items()}
-        grads = {k: np.zeros_like(n.data) for k, n in params.named().items()}
-        adam_step(params, grads, state)
-        for k, n in params.named().items():
-            np.testing.assert_array_equal(n.data, before[k])
+        before = params.theta.copy()
+        adam_step(params, np.zeros_like(params.theta), state)
+        np.testing.assert_array_equal(params.theta, before)
         assert state.step == 1
 
     def test_first_step_is_normalized_gradient_direction(self, rng):
         params, state = self._params_and_state(rng)
-        named = params.named()
-        grads = {k: rng.normal(size=n.data.shape) for k, n in named.items()}
-        before = {k: n.data.copy() for k, n in named.items()}
-        adam_step(params, grads, state)
-        for k, n in named.items():
-            g = grads[k]
-            expected = before[k] - state.lr * g / (np.abs(g) + state.eps_hat)
-            np.testing.assert_allclose(n.data, expected, rtol=1e-9, atol=1e-12)
+        g = rng.normal(size=params.theta.shape)
+        before = params.theta.copy()
+        adam_step(params, g, state)
+        expected = before - state.lr * g / (np.abs(g) + state.eps_hat)
+        np.testing.assert_allclose(params.theta, expected, rtol=1e-9, atol=1e-12)
+        # every weight is a view into theta, so it moved with it
+        for name, view in params.split(expected).items():
+            np.testing.assert_allclose(params.nodes[name].data, view,
+                                       rtol=1e-9, atol=1e-12)
 
     def test_quadratic_bowl_descends_monotonically(self):
-        theta = Node(np.full(6, 2.0), requires_grad=True)
-
-        class Holder:
-            def named(self):
-                return {"theta": theta}
-
-            def zero_grads(self):
-                theta.zero_grad()
-
-        holder = Holder()
+        holder = SimpleNamespace(theta=np.full(6, 2.0), grad=np.zeros(6))
+        theta = ad.parameter(holder.theta, holder.grad)
         state = AdamState.init(holder, lr=0.01)
         losses = []
         for _ in range(100):
             loss = ad.mul(ad.reduce_sum(ad.square(theta)), 0.5)
             losses.append(loss.item())
-            grads = estimate_gradients(loss, holder)
-            adam_step(holder, grads, state)
+            grad = estimate_gradients(loss, holder)
+            adam_step(holder, grad, state)
         losses.append(0.5 * float(np.sum(theta.data ** 2)))
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
     def test_non_finite_gradient_aborts(self, rng):
         params, state = self._params_and_state(rng)
-        grads = {k: np.zeros_like(n.data) for k, n in params.named().items()}
-        grads["gcn1.w_theta"][0, 0] = np.nan
+        grad = np.zeros_like(params.theta)
+        params.split(grad)["gcn1.w_theta"][0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="gcn1.w_theta"):
-            adam_step(params, grads, state)
+            adam_step(params, grad, state)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_names_its_weight_at_both_ends(self, rng, value):
+        params, state = self._params_and_state(rng)
+        before = params.theta.copy()
+        for name in params.shapes:
+            for end in (0, -1):
+                grad = np.zeros_like(params.theta)
+                params.split(grad)[name].reshape(-1)[end] = value
+                with pytest.raises(FloatingPointError, match=f"'{name}'"):
+                    adam_step(params, grad, state)
+        assert state.step == 0
+        np.testing.assert_array_equal(params.theta, before)
+
+    @pytest.mark.parametrize("grad_clip", [0.0, 0.01])
+    @pytest.mark.parametrize("mode", ["kronecker", "mfb"])
+    def test_flat_update_equals_per_name_reference(self, mode, grad_clip):
+        """train_step's one update over the flat buffers gives the same
+        bits as Adam run weight by weight on per-name arrays."""
+        config, dataset, params, _, _, _, rng = tiny_setup(fusion_mode=mode)
+        ref_params = model.params_from_arrays(config, params.split(params.theta))
+        state = AdamState.init(params, lr=0.05)
+        ref = {name: node.data for name, node in ref_params.nodes.items()}
+        ref_m = {name: np.zeros(shape) for name, shape in params.shapes.items()}
+        ref_v = {name: np.zeros(shape) for name, shape in params.shapes.items()}
+        b1, b2, lr, eps_hat = state.beta1, state.beta2, state.lr, state.eps_hat
+        clipped = False
+        for t in range(1, 7):
+            batch = pipeline.sample_batch(dataset, config.N_B, rng)
+            adj = pipeline.build_adjacency(batch.semantics, config.t)
+            eps = rng.random((config.N_B, config.M))
+            loss, _ = batch_loss(batch, ref_params, adj, eps)
+            grads = ref_params.split(estimate_gradients(loss, ref_params))
+            for name, g in grads.items():
+                if grad_clip > 0.0:
+                    clipped |= bool(np.any(np.abs(g) > grad_clip))
+                    g = np.clip(g, -grad_clip, grad_clip)
+                m, v = ref_m[name], ref_v[name]
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                ref[name] -= lr * (m / (1.0 - b1 ** t)) / (
+                    np.sqrt(v / (1.0 - b2 ** t)) + eps_hat)
+            pipeline.train_step(batch, params, state, adj, eps, grad_clip=grad_clip)
+            for name, node in params.nodes.items():
+                np.testing.assert_array_equal(node.data, ref[name])
+                np.testing.assert_array_equal(params.split(state.m)[name], ref_m[name])
+                np.testing.assert_array_equal(params.split(state.v)[name], ref_v[name])
+        assert clipped == (grad_clip > 0.0)
 
 
 class TestToyDescent:

@@ -165,7 +165,7 @@ class TestSampleBatch:
 class TestForwardMultimodal:
     def test_gcn_off_equals_identity_adjacency(self):
         config, _, params, batch, _, eps, _ = tiny_setup()
-        arrays = {k: n.data.copy() for k, n in params.named().items()}
+        arrays = params.split(params.theta)
         p_gcn = model.params_from_arrays(config, arrays)
         p_fc = model.params_from_arrays(config, arrays)
         p_fc.use_gcn = False
@@ -180,7 +180,7 @@ class TestForwardMultimodal:
     def test_matches_per_item_numpy_oracle(self, mode, use_gcn):
         _, _, params, batch, adj, eps, _ = tiny_setup(
             fusion_mode=mode, use_gcn=use_gcn, N_B=6, length=3)
-        arrays = {k: n.data for k, n in params.named().items()}
+        arrays = params.split(params.theta)
         ref = oracles.naive_forward(batch.sketch_feats, batch.image_feats, arrays,
                                     mode, adj if use_gcn else None, eps)
         out = model.forward_multimodal(batch, params, adj, eps)
@@ -192,20 +192,11 @@ class TestForwardMultimodal:
         n, d_f = 2, 3
         h_sk = model.ad.constant(rng.normal(size=(n, d_f)))
         h_im = model.ad.constant(rng.normal(size=(n, d_f)))
-        kron = model.FusionParams(
-            "kronecker", w_sk=rng.normal(size=(d_f, d_f)),
-            w_im=rng.normal(size=(d_f, d_f)))
-        concat = model.FusionParams(
-            "concat", w_proj=rng.normal(size=(2 * d_f, d_f * d_f)))
-        mfb = model.FusionParams(
-            "mfb", u=rng.normal(size=(d_f, d_f * model.MFB_FACTOR)),
-            v=rng.normal(size=(d_f, d_f * model.MFB_FACTOR)),
-            w_proj=rng.normal(size=(d_f, d_f * d_f)))
-        assert model.raw_fused(h_sk, h_im, kron).shape == (n, d_f * d_f)
-        assert model.raw_fused(h_sk, h_im, concat).shape == (n, 2 * d_f)
-        assert model.raw_fused(h_sk, h_im, mfb).shape == (n, d_f)
-        for fusion in (kron, concat, mfb):
-            assert model.fuse_modalities(h_sk, h_im, fusion).shape == (n, d_f * d_f)
+        raw_width = {"kronecker": d_f * d_f, "concat": 2 * d_f, "mfb": d_f}
+        for mode, width in raw_width.items():
+            params = model.init_params(tiny_config(d_f=d_f, fusion_mode=mode), 6, 3, rng)
+            assert model.raw_fused(h_sk, h_im, params).shape == (n, width)
+            assert model.fuse_modalities(h_sk, h_im, params).shape == (n, d_f * d_f)
 
     def test_code_probabilities_in_unit_interval(self):
         _, _, params, batch, adj, eps, _ = tiny_setup()
@@ -217,7 +208,7 @@ class TestForwardMultimodal:
 
     def test_ablation_trajectories_identical(self):
         config, dataset, params, _, _, _, _ = tiny_setup()
-        arrays = {k: n.data.copy() for k, n in params.named().items()}
+        arrays = params.split(params.theta)
         p_gcn = model.params_from_arrays(config, arrays)
         p_fc = model.params_from_arrays(config, arrays)
         p_fc.use_gcn = False
@@ -234,9 +225,53 @@ class TestForwardMultimodal:
             r1 = train_step(b1, p_gcn, s_gcn, eye, eps1)
             r2 = train_step(b2, p_fc, s_fc, eye, eps2)
             assert r1.total == r2.total
-        for k in arrays:
-            np.testing.assert_array_equal(
-                p_gcn.named()[k].data, p_fc.named()[k].data)
+        np.testing.assert_array_equal(p_gcn.theta, p_fc.theta)
+
+
+class TestParamTable:
+    @pytest.mark.parametrize("mode", model.FUSION_MODES)
+    def test_init_matches_one_weight_at_a_time_oracle(self, mode):
+        config = tiny_config(fusion_mode=mode, d_f=3, gcn_hidden=5, M=4)
+        params = model.init_params(config, 6, 3, np.random.default_rng(9))
+        ref = oracles.naive_init(mode, 6, 3, 5, 4, 3, np.random.default_rng(9))
+        assert list(params.nodes) == list(ref)
+        assert params.shapes == model.param_shapes(config, 6, 3)
+        for name, arr in ref.items():
+            assert params.nodes[name].shape == arr.shape
+            np.testing.assert_array_equal(params.nodes[name].data, arr)
+        np.testing.assert_array_equal(
+            params.theta, np.concatenate([a.ravel() for a in ref.values()]))
+
+    def test_weights_are_views_into_the_flat_buffers(self):
+        _, _, params, _, _, _, _ = tiny_setup()
+        for name, node in params.nodes.items():
+            assert np.shares_memory(node.data, params.theta)
+            assert np.shares_memory(node.grad, params.grad)
+        assert params.attn_sk.score_bias is params.nodes["attn_sk.score_bias"]
+        params.theta[...] = 1.5
+        assert np.all(params.dec.w_mu.data == 1.5)
+
+    def test_arrays_are_copied_not_aliased(self):
+        config, _, params, _, _, _, _ = tiny_setup()
+        arrays = {k: v.copy() for k, v in params.split(params.theta).items()}
+        rebuilt = model.params_from_arrays(config, arrays)
+        rebuilt.theta += 1.0
+        np.testing.assert_array_equal(arrays["enc_sk.w"], params.enc_sk.w.data)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a: a.pop("fusion.w_sk"), "lacks weight 'fusion.w_sk'"),
+        (lambda a: a.update({"extra.w": np.zeros(2)}), "unexpected weight 'extra.w'"),
+        (lambda a: a.update({"enc_sk.w": np.zeros((3, 3))}),
+         r"'enc_sk.w' has shape \(3, 3\), expected \(3, 4\)"),
+        (lambda a: a.update({"attn_im.score_bias": np.zeros(())}),
+         r"'attn_im.score_bias' has shape \(\), expected \(1,\)"),
+    ])
+    def test_mismatched_arrays_rejected(self, edit, message):
+        config, _, params, _, _, _, _ = tiny_setup()
+        arrays = dict(params.split(params.theta))
+        edit(arrays)
+        with pytest.raises(ValueError, match=message):
+            model.params_from_arrays(config, arrays)
 
 
 class TestEncodeFeatures:
@@ -268,7 +303,7 @@ class TestTrain:
         rng = np.random.default_rng(config.seed)
         fresh = model.init_params(config, dataset.feat_shape[1],
                                   dataset.semantic_dim, rng)
-        for name, node in fresh.named().items():
+        for name, node in fresh.nodes.items():
             np.testing.assert_array_equal(ckpt.params[name], node.data)
 
     def test_toy_loss_decreases(self):
@@ -460,3 +495,47 @@ class TestCheckpoint:
         path.write_bytes(bytes(bad))
         with pytest.raises(FormatError, match=r"array of shape \(1048576, 1048576\)"):
             load_checkpoint(path)
+
+    def test_weight_shapes_survive_a_round_trip(self, tmp_path):
+        ckpt = self._make()
+        path = tmp_path / "model.zsih"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        for field in ("params", "opt_m", "opt_v"):
+            before = {k: v.shape for k, v in getattr(ckpt, field).items()}
+            after = {k: v.shape for k, v in getattr(loaded, field).items()}
+            assert after == before
+        assert loaded.params["attn_sk.score_bias"].shape == (1,)
+        assert loaded.build_params().shapes == before
+
+    def test_zero_dim_array_keeps_its_shape(self, tmp_path):
+        ckpt = self._make()
+        ckpt.params = {"s": np.array(0.25)}
+        ckpt.opt_m, ckpt.opt_v = {"s": np.array(0.0)}, {"s": np.array(1.0)}
+        path = tmp_path / "model.zsih"
+        save_checkpoint(ckpt, path)
+        assert load_checkpoint(path).params["s"].shape == ()
+
+    @pytest.mark.parametrize("field, name, shape", [
+        ("params", "enc_sk.w", (3, 3)),
+        ("opt_m", "dec.b_mu", (2,)),
+        ("opt_v", "gcn1.w_theta", (9, 4)),
+    ])
+    def test_build_params_rejects_mis_shaped_arrays(self, field, name, shape):
+        ckpt = self._make()
+        getattr(ckpt, field)[name] = np.zeros(shape)
+        with pytest.raises(FormatError, match=f"{field} weight '{name}' has shape"):
+            ckpt.build_params()
+
+    def test_build_params_rejects_another_fusion_mode(self):
+        ckpt = self._make()
+        ckpt.config = tiny_config(max_iters=4, fusion_mode="concat")
+        with pytest.raises(FormatError, match="params lacks weight 'fusion.w_proj'"):
+            ckpt.build_params()
+
+    def test_resume_rejects_missing_moment(self):
+        config, dataset, _, _, _, _, _ = tiny_setup(max_iters=2)
+        ckpt = train(config, dataset)
+        del ckpt.opt_v["enc_im.b"]
+        with pytest.raises(FormatError, match="opt_v lacks weight 'enc_im.b'"):
+            train(tiny_config(max_iters=4), dataset, resume=ckpt)

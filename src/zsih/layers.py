@@ -81,6 +81,11 @@ def normalized_adjacency(adj):
     return adj * d_isqrt[:, None] * d_isqrt[None, :]
 
 
+def _check_activation(act):
+    if act is not ad.relu and act is not ad.sigmoid:
+        raise ValueError(f"unknown activation {act!r}; expected ad.relu or ad.sigmoid")
+
+
 def graph_conv(h, adj, layer, act):
     """One propagation step: act(D^{-1/2} A D^{-1/2} H W), W = layer.w_theta,
     with ``act`` ad.relu or ad.sigmoid.
@@ -88,6 +93,7 @@ def graph_conv(h, adj, layer, act):
     ``adj`` is a plain array treated as a constant; no gradient flows
     through it.
     """
+    _check_activation(act)
     if h.ndim != 2:
         raise ValueError(f"graph_conv input must be [N, d_in], got {h.shape}")
     a_norm = normalized_adjacency(adj)
@@ -100,6 +106,7 @@ def graph_conv(h, adj, layer, act):
 
 def dense(h, layer, act):
     """The same transform as graph_conv without any graph coupling."""
+    _check_activation(act)
     return act(ad.matmul(h, layer.w_theta))
 
 

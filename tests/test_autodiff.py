@@ -113,7 +113,8 @@ class TestBroadcasting:
         s = Node(0.7, requires_grad=True)
         check_node_grads(lambda: ad.reduce_sum(ad.square(ad.add(a, s))), [a, s])
 
-    def test_row_with_matrix_rejected(self, rng):
+    def test_row_with_matrix(self, rng):
+        # a row is never broadcast over a matrix by the elementwise ops
         a = Node(rng.normal(size=(4, 3)), requires_grad=True)
         row = Node(rng.normal(size=3), requires_grad=True)
         for op in (ad.add, ad.sub, ad.mul):
@@ -121,6 +122,13 @@ class TestBroadcasting:
                 op(a, row)
             with pytest.raises(ValueError, match="broadcast"):
                 op(row, a)
+
+    def test_row_gradient_sums_over_batch(self):
+        # the one supported row-over-matrix add is affine's bias
+        a = ad.constant(np.ones((5, 2)))
+        row = Node(np.zeros(2), requires_grad=True)
+        ad.reduce_sum(ad.affine(a, ad.constant(np.eye(2)), row)).backward()
+        np.testing.assert_array_equal(row.grad, [5.0, 5.0])
 
     def test_keepdims_row_with_matrix_rejected(self):
         a = ad.constant(np.ones((5, 2)))

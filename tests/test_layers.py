@@ -183,6 +183,14 @@ class TestGraphConv:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             layers.graph_conv(ad.constant(np.ones((2, 2))), adj, layer, ad.relu)
 
+    def test_unknown_activation_rejected(self, rng):
+        layer = param_group(w_theta=rng.normal(size=(2, 2)))
+        h = ad.constant(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="activation"):
+            layers.graph_conv(h, np.eye(2), layer, np.tanh)
+        with pytest.raises(ValueError, match="activation"):
+            layers.dense(h, layer, "relu")
+
     def test_activation_applies_to_propagated_rows(self, rng):
         layer = param_group(w_theta=rng.normal(size=(3, 2)))
         h = rng.normal(size=(4, 3))

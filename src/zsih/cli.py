@@ -49,6 +49,17 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    # the config and training inputs that train and ablate share
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--config")
+    training.add_argument("--set", action="append", metavar="KEY=VALUE")
+    training.add_argument("--seed", type=int)
+    training.add_argument("--sketches", required=True)
+    training.add_argument("--images", required=True)
+    training.add_argument("--semantics", required=True)
+    training.add_argument("--synonyms")
+    training.add_argument("--split", required=True)
+
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--per-class", type=int, default=20)
@@ -67,15 +78,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train", help="train on the seen classes")
-    p.add_argument("--config")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--sketches", required=True)
-    p.add_argument("--images", required=True)
-    p.add_argument("--semantics", required=True)
-    p.add_argument("--synonyms")
-    p.add_argument("--split", required=True)
+    p = sub.add_parser("train", parents=[training], help="train on the seen classes")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--metrics", required=True)
     p.add_argument("--resume")
@@ -99,15 +102,8 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--pr-dump")
 
-    p = sub.add_parser("ablate", help="sweep fusion/GCN/bandwidth settings")
-    p.add_argument("--config")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--sketches", required=True)
-    p.add_argument("--images", required=True)
-    p.add_argument("--semantics", required=True)
-    p.add_argument("--synonyms")
-    p.add_argument("--split", required=True)
+    p = sub.add_parser("ablate", parents=[training],
+                       help="sweep fusion/GCN/bandwidth settings")
     p.add_argument("--out", required=True)
     return parser
 
@@ -155,17 +151,13 @@ def run_split(args, parser):
     return 0
 
 
-def _load_training_inputs(args):
+def _training_inputs(args):
+    """The seen-class training view, and the stores and split behind it."""
     sketch_store = data.load_features(args.sketches)
     image_store = data.load_features(args.images)
-    class_names = dict(sketch_store.class_names)
-    class_names.update(image_store.class_names)
+    class_names = {**sketch_store.class_names, **image_store.class_names}
     semantics = data.load_semantics(args.semantics, class_names, args.synonyms)
     split = data.load_split(args.split)
-    return sketch_store, image_store, semantics, split
-
-
-def _seen_dataset(sketch_store, image_store, semantics, split):
     present = set(sketch_store.classes("sketch")) & set(image_store.classes("image"))
     train_classes = sorted(present & split.seen)
     if not train_classes:
@@ -176,18 +168,15 @@ def _seen_dataset(sketch_store, image_store, semantics, split):
             f"zero-shot contract violated: unseen classes {sorted(leaked)} "
             "selected for training"
         )
-    return pipeline.PairedDataset.from_stores(
-        sketch_store, image_store, semantics, classes=train_classes
-    )
+    dataset = pipeline.PairedDataset.from_stores(
+        sketch_store, image_store, semantics, classes=train_classes)
+    return dataset, sketch_store, image_store, split
 
 
 def run_train(args, parser):
     config = _load_config(args)
-    sketch_store, image_store, semantics, split = _load_training_inputs(args)
-    dataset = _seen_dataset(sketch_store, image_store, semantics, split)
+    dataset = _training_inputs(args)[0]
     resume = pipeline.load_checkpoint(args.resume) if args.resume else None
-    if resume is None and os.path.exists(args.metrics):
-        open(args.metrics, "w").close()
     ckpt = pipeline.train(config, dataset, metrics_out=args.metrics, resume=resume)
     pipeline.save_checkpoint(ckpt, args.checkpoint)
     if ckpt.stop_reason == "diverged":
@@ -199,32 +188,30 @@ def run_train(args, parser):
     return 0
 
 
-def _encode_items(params, items, modality):
-    feats = [item.feat for item in items]
-    labels = np.array([item.class_id for item in items], dtype=np.uint32)
+def _encode(params, records, modality):
+    """Binary codes for one modality's ZSFT record array."""
     if modality == "sketch":
-        soft = model.encode_features(feats, params.attn_sk, params.enc_sk)
+        soft = model.encode_features(records["feat"], params.attn_sk, params.enc_sk)
     else:
-        soft = model.encode_features(feats, params.attn_im, params.enc_im)
-    return retrieval.binarize(soft, labels, modality=modality)
+        soft = model.encode_features(records["feat"], params.attn_im, params.enc_im)
+    return retrieval.binarize(soft, records["class_id"], modality=modality)
 
 
 def run_encode(args, parser):
     ckpt = pipeline.load_checkpoint(args.checkpoint)
     params = ckpt.build_params()
-    store = data.load_features(args.features)
-    items = store.modality_items(args.modality)
-    if not items:
+    records = data.load_features(args.features).records[args.modality]
+    if not len(records):
         raise ValueError(
             f"feature file {args.features} holds no {args.modality} items "
             "(modality mismatch)"
         )
-    if items[0].feat.shape[1] != params.feat_channels:
+    if records["feat"].shape[2] != params.feat_channels:
         raise ValueError(
-            f"feature channels {items[0].feat.shape[1]} do not match "
+            f"feature channels {records['feat'].shape[2]} do not match "
             f"checkpoint ({params.feat_channels})"
         )
-    codes = _encode_items(params, items, args.modality)
+    codes = _encode(params, records, args.modality)
     retrieval.save_codes(codes, args.out)
     print(f"encoded {len(codes)} {args.modality} items at {codes.n_bits} bits "
           f"-> {args.out}")
@@ -283,21 +270,20 @@ ABLATION_SETTINGS = (
 
 def run_ablate(args, parser):
     base = _load_config(args)
-    sketch_store, image_store, semantics, split = _load_training_inputs(args)
-    dataset = _seen_dataset(sketch_store, image_store, semantics, split)
-    unseen_sketches = [i for i in sketch_store.modality_items("sketch")
-                       if i.class_id in split.unseen]
-    unseen_images = [i for i in image_store.modality_items("image")
-                     if i.class_id in split.unseen]
-    if not unseen_sketches or not unseen_images:
-        raise ValueError("no unseen-class data to evaluate the ablation on")
+    dataset, sketch_store, image_store, split = _training_inputs(args)
+    unseen = {}
+    for modality, store in (("sketch", sketch_store), ("image", image_store)):
+        records = store.records[modality]
+        unseen[modality] = records[np.isin(records["class_id"], sorted(split.unseen))]
+        if not len(unseen[modality]):
+            raise ValueError("no unseen-class data to evaluate the ablation on")
     rows = []
     for name, overrides in ABLATION_SETTINGS:
         config = pipeline.apply_overrides(base, overrides)
         ckpt = pipeline.train(config, dataset)
         params = ckpt.build_params()
-        q = _encode_items(params, unseen_sketches, "sketch")
-        g = _encode_items(params, unseen_images, "image")
+        q = _encode(params, unseen["sketch"], "sketch")
+        g = _encode(params, unseen["image"], "image")
         report = retrieval.evaluate(q, g, ks=(1,))
         rows.append((name, report.map_all))
         logger.info("ablation %s: mAP@all %.4f", name, report.map_all)

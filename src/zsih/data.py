@@ -3,9 +3,11 @@ text files, zero-shot class splits, and a synthetic generator whose
 semantic geometry is informative by construction.
 """
 
+import contextlib
 import logging
 import os
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,76 +28,80 @@ class FormatError(ValueError):
     """A binary or text input file does not match its declared format."""
 
 
-@dataclass
-class FeatureItem:
-    item_id: int
-    class_id: int
-    modality: str
-    feat: np.ndarray  # [L, C] float32
+# one item of ``FeatureStore.modality_items``; feat is an [L, C] float32 view
+FeatureView = namedtuple("FeatureView", "item_id class_id feat")
 
 
-@dataclass
-class FeatureStore:
-    items: list = field(default_factory=list)
-    class_names: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        shapes = {}
-        for item in self.items:
-            if item.modality not in MODALITY_CODES:
-                raise ValueError(f"unknown modality {item.modality!r}")
-            shape = shapes.setdefault(item.modality, item.feat.shape)
-            if item.feat.shape != shape:
-                raise ValueError(
-                    f"inconsistent feature shape {item.feat.shape} for item "
-                    f"{item.item_id} (expected {shape})"
-                )
-            if item.class_id not in self.class_names:
-                raise ValueError(f"class id {item.class_id} has no name")
-
-    def classes(self, modality=None):
-        return sorted(
-            {i.class_id for i in self.items
-             if modality is None or i.modality == modality}
-        )
-
-    def by_class(self, modality):
-        out = {}
-        for item in self.items:
-            if item.modality == modality:
-                out.setdefault(item.class_id, []).append(item.feat)
-        return out
-
-    def modality_items(self, modality):
-        return [i for i in self.items if i.modality == modality]
-
-
-_FEATURE_HEADER = struct.Struct("<HBIIQ")
-
-
-def _feature_record(length, channels):
+def feature_dtype(length, channels):
     """One ZSFT record: u64 item id, u32 class id, [L, C] little-endian f32."""
     return np.dtype([("item_id", "<u8"), ("class_id", "<u4"),
                      ("feat", "<f4", (length, channels))])
 
 
+@dataclass
+class FeatureStore:
+    """Feature maps as one ZSFT record array per modality (``feature_dtype``
+    fields ``item_id``, ``class_id`` and ``feat``), plus the class names.
+    A modality the store lacks is an empty array."""
+
+    records: dict = field(default_factory=dict)  # modality -> record array
+    class_names: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for modality in self.records:
+            if modality not in MODALITY_CODES:
+                raise ValueError(f"unknown modality {modality!r}")
+        empty = np.empty(0, feature_dtype(0, 0))
+        self.records = {m: self.records.get(m, empty) for m in MODALITY_CODES}
+        unnamed = [c for c in self.classes() if c not in self.class_names]
+        if unnamed:
+            raise ValueError(f"class id {unnamed[0]} has no name")
+
+    def classes(self, modality=None):
+        """Sorted ids of the classes with items in ``modality`` (or in any)."""
+        modalities = MODALITY_CODES if modality is None else (modality,)
+        return np.unique(np.concatenate(
+            [self.records[m]["class_id"] for m in modalities])).tolist()
+
+    def modality_items(self, modality):
+        """One modality as per-item views, built on each call.  Kept only for
+        the benchmark harness: the package works on ``records``."""
+        records = self.records[modality]
+        return list(map(FeatureView, records["item_id"].tolist(),
+                        records["class_id"].tolist(), records["feat"]))
+
+
+_FEATURE_HEADER = struct.Struct("<HBIIQ")
+
+
+def write_atomic(path, *chunks):
+    """Write byte chunks to ``path`` through a temporary file in the same
+    directory and ``os.replace``, so that a failed or killed writer leaves
+    the old file as it was.  Not fsynced: a power loss can still lose it.
+    A device or pipe (``/dev/null``, ``/dev/stdout``) is written in place."""
+    head, tail = os.path.split(path)
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    tmp = path if in_place else os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+        if not in_place:
+            os.replace(tmp, path)
+    except BaseException:
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
+
+
 def save_features(store, path, modality):
     """Write one modality of a store in the ZSFT binary layout."""
-    items = store.modality_items(modality)
-    length, channels = items[0].feat.shape if items else (0, 0)
-    records = np.empty(len(items), dtype=_feature_record(length, channels))
-    if items:
-        records["item_id"] = [item.item_id for item in items]
-        records["class_id"] = [item.class_id for item in items]
-        records["feat"] = np.stack([item.feat for item in items])
-    with open(path, "wb") as f:
-        f.write(FEATURE_MAGIC)
-        f.write(_FEATURE_HEADER.pack(FEATURE_VERSION, MODALITY_CODES[modality],
-                                     length, channels, len(items)))
-        f.write(records.tobytes())
+    records = store.records[modality]
+    length, channels = records["feat"].shape[1:]
+    write_atomic(path, FEATURE_MAGIC,
+                 _FEATURE_HEADER.pack(FEATURE_VERSION, MODALITY_CODES[modality],
+                                      length, channels, len(records)),
+                 records.tobytes())
 
 
 def _read_exact(f, n, what):
@@ -135,7 +141,7 @@ def load_features(path):
             raise FormatError(f"unsupported feature file version {version}")
         if mod_code not in MODALITY_NAMES:
             raise FormatError(f"unknown modality code {mod_code}")
-        record = _feature_record(length, channels)
+        record = feature_dtype(length, channels)
         # sized before reading, so that a short file names its first
         # incomplete record
         body_size = count * record.itemsize
@@ -151,13 +157,8 @@ def load_features(path):
                 f"unexpected trailing bytes at offset {f.tell() + body_size}"
             )
         records = np.frombuffer(_read_exact(f, body_size, "records"), dtype=record)
-    modality = MODALITY_NAMES[mod_code]
-    class_ids = records["class_id"].tolist()
-    items = [FeatureItem(item_id, class_id, modality, feat)
-             for item_id, class_id, feat
-             in zip(records["item_id"].tolist(), class_ids, records["feat"])]
-    names = {class_id: str(class_id) for class_id in dict.fromkeys(class_ids)}
-    return FeatureStore(items=items, class_names=names)
+    names = {c: str(c) for c in np.unique(records["class_id"]).tolist()}
+    return FeatureStore({MODALITY_NAMES[mod_code]: records}, names)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +172,6 @@ class SemanticTable:
     @property
     def dim(self):
         return len(next(iter(self.vectors.values())))
-
-    def matrix(self, labels):
-        return np.stack([self.vectors[int(c)] for c in labels])
 
 
 def read_semantic_file(path):
@@ -343,22 +341,22 @@ def synth_from_semantics(sem, per_class, length, channels, noise, rng):
     # semantic structure survives into the features
     q_lat, _ = np.linalg.qr(rng.normal(size=(d_s, d_lat)))
     latents = sem @ q_lat
-    protos = {}
-    for modality in ("sketch", "image"):
+    n_items = n_classes * per_class
+    # item ids run class by class, a class's sketches before its images
+    item_ids = np.arange(2 * n_items).reshape(n_classes, 2, per_class)
+    protos, records = [], {}
+    for m, modality in enumerate(("sketch", "image")):
         embed, _ = np.linalg.qr(rng.normal(size=(channels, d_lat)))
         raw = latents @ embed.T
         # one shared scale per modality keeps the map linear in the latent
         # (per-class normalization would distort the distance structure)
-        protos[modality] = raw / np.mean(np.linalg.norm(raw, axis=1))
-    items = []
-    item_id = 0
+        protos.append(raw / np.mean(np.linalg.norm(raw, axis=1)))
+        rec = records[modality] = np.empty(n_items, feature_dtype(length, channels))
+        rec["item_id"] = item_ids[:, m].reshape(-1)
+        rec["class_id"] = np.arange(n_items) // per_class
     for cid in range(n_classes):
-        for modality in ("sketch", "image"):
-            proto = protos[modality][cid]
-            for _ in range(per_class):
-                jitter = noise * rng.normal(size=(length, channels)) / np.sqrt(channels)
-                feat = (proto[None, :] + jitter).astype(np.float32)
-                items.append(FeatureItem(item_id, cid, modality, feat))
-                item_id += 1
-    names = {i: str(i) for i in range(n_classes)}
-    return FeatureStore(items=items, class_names=names)
+        rows = slice(cid * per_class, (cid + 1) * per_class)
+        for m, rec in enumerate(records.values()):
+            jitter = rng.normal(size=(per_class, length, channels))
+            rec["feat"][rows] = protos[m][cid] + noise * jitter / np.sqrt(channels)
+    return FeatureStore(records, {i: str(i) for i in range(n_classes)})

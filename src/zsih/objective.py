@@ -141,4 +141,10 @@ def adam_step(params, grad, state):
     m += (1.0 - state.beta1) * grad
     v *= state.beta2
     v += (1.0 - state.beta2) * (grad * grad)
-    params.theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps_hat)
+    # in place over two buffers: four theta-sized temporaries at once were
+    # enough for glibc to trim and regrow the heap on every step
+    step, denom = m / bc1, v / bc2
+    step *= state.lr
+    np.sqrt(denom, out=denom)
+    denom += state.eps_hat
+    params.theta -= np.divide(step, denom, out=step)

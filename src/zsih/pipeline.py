@@ -4,12 +4,13 @@ semantic adjacency, the optimization loop and binary checkpoints."""
 import io
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import FormatError, _read_exact
+from .data import FormatError, _read_exact, write_atomic
 from .model import (  # noqa: F401  (re-exported pipeline surface)
     ModelParams,
     TripletBatch,
@@ -140,63 +141,61 @@ def apply_overrides(config, overrides):
 
 
 class PairedDataset:
-    """Per-class sketch and image feature lists with semantic vectors."""
+    """The training view of one sketch and one image record array: each
+    modality's maps, their rows grouped by class, and one semantic row
+    per class."""
 
     def __init__(self, sketches, images, semantics, classes=None):
-        self.classes = sorted(classes if classes is not None
-                              else set(sketches) | set(images))
+        if classes is None:
+            classes = np.union1d(sketches["class_id"], images["class_id"])
+        self.classes = sorted(int(c) for c in classes)
         if not self.classes:
             raise ValueError("dataset has no classes")
-        missing = [c for c in self.classes
-                   if not sketches.get(c) or not images.get(c)]
-        if missing:
-            raise ValueError(
-                f"classes missing a modality: {sorted(missing)}"
-            )
+        # per modality: the store's maps, its rows stably sorted by class, and
+        # where each listed class's rows start in that order and their count
+        self.feats = [sketches["feat"], images["feat"]]
+        self.rows, starts, ends = [], [], []
+        for labels in (sketches["class_id"], images["class_id"]):
+            self.rows.append(np.argsort(labels, kind="stable"))
+            starts.append(np.searchsorted(labels[self.rows[-1]], self.classes))
+            ends.append(np.searchsorted(labels[self.rows[-1]], self.classes, side="right"))
+        self.starts = np.stack(starts, axis=1)  # [n_classes, 2]
+        self.counts = np.stack(ends, axis=1) - self.starts
+        missing = np.array(self.classes)[np.any(self.counts == 0, axis=1)]
+        if missing.size:
+            raise ValueError(f"classes missing a modality: {missing.tolist()}")
         absent = [c for c in self.classes if c not in semantics.vectors]
         if absent:
-            raise ValueError(f"classes without semantics: {sorted(absent)}")
-        self.sketches = {c: sketches[c] for c in self.classes}
-        self.images = {c: images[c] for c in self.classes}
-        self.semantics = semantics
-        shapes = {f.shape for c in self.classes
-                  for f in (*self.sketches[c], *self.images[c])}
+            raise ValueError(f"classes without semantics: {absent}")
+        self.semantics = np.stack([semantics.vectors[c] for c in self.classes])
+        shapes = sorted({f.shape[1:] for f in self.feats})
         if len(shapes) != 1:
-            raise ValueError(f"inconsistent feature shapes: {sorted(shapes)}")
-        self.feat_shape = shapes.pop()
+            raise ValueError(f"inconsistent feature shapes: {shapes}")
+        self.feat_shape = shapes[0]
 
     @classmethod
     def from_stores(cls, sketch_store, image_store, semantics, classes=None):
-        return cls(
-            sketch_store.by_class("sketch"),
-            image_store.by_class("image"),
-            semantics,
-            classes=classes,
-        )
+        return cls(sketch_store.records["sketch"], image_store.records["image"],
+                   semantics, classes=classes)
 
     @property
     def semantic_dim(self):
-        return self.semantics.dim
+        return self.semantics.shape[1]
 
 
 def sample_batch(dataset, n_b, rng):
-    """Draw N_B classes with replacement, then one sketch-image pair each."""
-    n_classes = len(dataset.classes)
-    picks = rng.integers(0, n_classes, size=n_b)
-    sketch_feats, image_feats, labels = [], [], []
-    for idx in picks:
-        cid = dataset.classes[idx]
-        sks = dataset.sketches[cid]
-        ims = dataset.images[cid]
-        sketch_feats.append(sks[rng.integers(0, len(sks))])
-        image_feats.append(ims[rng.integers(0, len(ims))])
-        labels.append(cid)
-    labels = np.array(labels, dtype=np.int64)
+    """Draw N_B classes with replacement, then one sketch-image pair each
+    (the per-row draws come sketch, image, sketch, image, ...)."""
+    picks = rng.integers(0, len(dataset.classes), size=n_b)
+    pos = dataset.starts[picks] + rng.integers(0, dataset.counts[picks])
+    sketch_feats, image_feats = (
+        feats[rows[p]].astype(np.float64)
+        for feats, rows, p in zip(dataset.feats, dataset.rows, pos.T))
     return TripletBatch(
-        sketch_feats=np.stack(sketch_feats).astype(np.float64),
-        image_feats=np.stack(image_feats).astype(np.float64),
-        semantics=dataset.semantics.matrix(labels),
-        labels=labels,
+        sketch_feats=sketch_feats,
+        image_feats=image_feats,
+        semantics=dataset.semantics[picks],
+        labels=np.array(dataset.classes, dtype=np.int64)[picks],
     )
 
 
@@ -228,7 +227,9 @@ def train_step(batch, params, opt_state, adj, eps, grad_clip=0.0):
         )
     grad = estimate_gradients(loss, params)
     if grad_clip > 0.0:
-        np.clip(grad, -grad_clip, grad_clip, out=grad)
+        # clip only the finite entries: adam_step's check must still see
+        # an infinite one and stop the run
+        np.clip(grad, -grad_clip, grad_clip, out=grad, where=np.isfinite(grad))
     adam_step(params, grad, opt_state)
     return breakdown
 
@@ -279,6 +280,18 @@ def _snapshot(config, params, opt_state, iteration, rng, stop_reason):
     )
 
 
+def _open_metrics(path, start):
+    """Open a metrics log for a run going on from iteration ``start``; lines
+    past it, from a run that stopped before saving, would repeat."""
+    kept = []
+    if start and os.path.exists(path):
+        with open(path, "r", encoding="utf-8") as f:
+            kept = [line for line in f if int(line.split("\t", 1)[0]) <= start]
+    f = open(path, "w", encoding="utf-8")
+    f.writelines(kept)
+    return f
+
+
 def train(config, dataset, metrics_out=None, resume=None):
     """Run the full optimization loop and return the final checkpoint.
 
@@ -313,7 +326,7 @@ def train(config, dataset, metrics_out=None, resume=None):
 
     close_metrics = False
     if isinstance(metrics_out, (str, bytes)) or hasattr(metrics_out, "__fspath__"):
-        metrics_out = open(metrics_out, "a", encoding="utf-8")
+        metrics_out = _open_metrics(metrics_out, start)
         close_metrics = True
 
     history = []
@@ -400,8 +413,7 @@ def checkpoint_bytes(ckpt):
 
 
 def save_checkpoint(ckpt, path):
-    with open(path, "wb") as f:
-        f.write(checkpoint_bytes(ckpt))
+    write_atomic(path, checkpoint_bytes(ckpt))
 
 
 def load_checkpoint(path):

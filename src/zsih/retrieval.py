@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FormatError, MODALITY_CODES, MODALITY_NAMES, _read_exact, bytes_left
+from .data import (FormatError, MODALITY_CODES, MODALITY_NAMES, _read_exact,
+                   bytes_left, write_atomic)
 
 CODE_MAGIC = b"ZSCB"
 CODE_VERSION = 1
@@ -238,14 +239,10 @@ def save_codes(code_matrix, path):
                        dtype=_record_dtype(code_matrix.codes.shape[1]))
     records["label"] = code_matrix.labels
     records["code"] = code_matrix.codes
-    with open(path, "wb") as f:
-        f.write(CODE_MAGIC)
-        f.write(_CODE_HEADER.pack(
-            CODE_VERSION, len(code_matrix), code_matrix.n_bits,
-            MODALITY_CODES[code_matrix.modality],
-        ))
-        f.write(records.tobytes())
-        f.write(records["label"].tobytes())
+    write_atomic(path, CODE_MAGIC,
+                 _CODE_HEADER.pack(CODE_VERSION, len(code_matrix), code_matrix.n_bits,
+                                   MODALITY_CODES[code_matrix.modality]),
+                 records.tobytes(), records["label"].tobytes())
 
 
 def load_codes(path):

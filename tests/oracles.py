@@ -1,10 +1,12 @@
 """Independent reference implementations used to check the fast paths.
 
 The model forward is plain numpy that runs one item at a time, and the
-weight initialization draws one weight at a time.  For retrieval,
-distances are computed on unpacked bits, rankings by explicit keyed
-sort, and the metric accumulations mirror the production order so
-agreement can be asserted exactly."""
+weight initialization draws one weight at a time.  The synthetic data
+generator draws one map at a time, and the batch sampler one pair at a
+time from per-class lists.  For retrieval, distances are computed on
+unpacked bits, rankings by explicit keyed sort, and the metric
+accumulations mirror the production order so agreement can be asserted
+exactly."""
 
 import numpy as np
 
@@ -137,7 +139,6 @@ def naive_forward(sketch_feats, image_feats, w, mode, adj, eps):
     return b, b_tilde, f, g
 
 
-
 def _glorot(rng, fan_in, fan_out):
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -172,3 +173,42 @@ def naive_init(mode, channels, d_f, hidden, m, d_s, rng):
     w["dec.w_logvar"] = _glorot(rng, m, d_s)
     w["dec.b_logvar"] = np.zeros(d_s)
     return w
+
+
+def naive_synth(sem, per_class, length, channels, noise, rng, latent_cap=8):
+    """The generator item by item: returns a list of (item_id, class_id,
+    modality, [L, C] float32 map) in id order."""
+    n_classes, d_s = sem.shape
+    d_lat = min(d_s, latent_cap)
+    q_lat, _ = np.linalg.qr(rng.normal(size=(d_s, d_lat)))
+    latents = sem @ q_lat
+    protos = {}
+    for modality in ("sketch", "image"):
+        embed, _ = np.linalg.qr(rng.normal(size=(channels, d_lat)))
+        raw = latents @ embed.T
+        protos[modality] = raw / np.mean(np.linalg.norm(raw, axis=1))
+    items = []
+    for cid in range(n_classes):
+        for modality in ("sketch", "image"):
+            for _ in range(per_class):
+                jitter = noise * rng.normal(size=(length, channels)) / np.sqrt(channels)
+                feat = (protos[modality][cid][None, :] + jitter).astype(np.float32)
+                items.append((len(items), cid, modality, feat))
+    return items
+
+
+def naive_sample_batch(sketches, images, vectors, n_b, rng):
+    """Draw n_b classes, then one sketch and one image of each, pair by
+    pair.  ``sketches`` / ``images`` map class id -> list of [L, C] maps
+    (only the training classes), ``vectors`` class id -> semantic vector.
+    Returns (sketch maps, image maps, semantics, labels)."""
+    classes = sorted(sketches)
+    picks = rng.integers(0, len(classes), size=n_b)
+    sk, im, labels = [], [], []
+    for idx in picks:
+        cid = classes[idx]
+        sk.append(sketches[cid][rng.integers(0, len(sketches[cid]))])
+        im.append(images[cid][rng.integers(0, len(images[cid]))])
+        labels.append(cid)
+    return (np.stack(sk).astype(np.float64), np.stack(im).astype(np.float64),
+            np.stack([vectors[c] for c in labels]), np.array(labels, dtype=np.int64))

@@ -239,15 +239,13 @@ E2E_SYNTH = dict(n_classes=20, per_class=50, length=4, channels=32, d_s=16,
 
 
 def _encode_unseen(params, store, split, modality):
-    items = [i for i in store.modality_items(modality)
-             if i.class_id in split.unseen]
-    feats = [i.feat.astype(np.float64) for i in items]
-    labels = np.array([i.class_id for i in items], dtype=np.uint32)
+    records = store.records[modality]
+    records = records[np.isin(records["class_id"], sorted(split.unseen))]
     if modality == "sketch":
-        soft = model.encode_features(feats, params.attn_sk, params.enc_sk)
+        soft = model.encode_features(records["feat"], params.attn_sk, params.enc_sk)
     else:
-        soft = model.encode_features(feats, params.attn_im, params.enc_im)
-    return retrieval.binarize(soft, labels, modality=modality)
+        soft = model.encode_features(records["feat"], params.attn_im, params.enc_im)
+    return retrieval.binarize(soft, records["class_id"], modality=modality)
 
 
 def _unseen_map(params, store, split):
@@ -364,15 +362,14 @@ def test_criterion_8_format_round_trips(tmp_path):
             # feature file
             length = int(rng.integers(1, 4))
             channels = int(rng.integers(1, 6))
-            items = []
+            rows = []
             names = {}
             for i in range(int(rng.integers(1, 12))):
                 cid = int(rng.integers(0, 4))
-                items.append(data.FeatureItem(
-                    i, cid, "image",
-                    rng.normal(size=(length, channels)).astype(np.float32)))
+                rows.append((i, cid, rng.normal(size=(length, channels)).astype(np.float32)))
                 names[cid] = str(cid)
-            store = data.FeatureStore(items=items, class_names=names)
+            records = np.array(rows, dtype=data.feature_dtype(length, channels))
+            store = data.FeatureStore({"image": records}, class_names=names)
             f_path = tmp_path / f"f{trial}.zsft"
             data.save_features(store, f_path, "image")
             raw = f_path.read_bytes()

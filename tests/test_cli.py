@@ -145,6 +145,19 @@ class TestTrain:
         assert "error:" in err and "opt_m weight 'enc_im.w' has shape (3, 7)" in err
         assert "Traceback" not in err
 
+    def test_resume_drops_metrics_past_the_checkpoint(self, workspace):
+        """Train to 10, resume to 20, then resume from the 10-iteration
+        checkpoint again: the log must equal one uninterrupted run's."""
+        tiny_20 = ["--set", "max_iters=20"]
+        assert train_workspace(workspace, extra=tiny_20) == 0
+        straight = workspace["metrics"].read_bytes()
+        ck10 = workspace["dir"] / "ck10.zsih"
+        assert train_workspace(dict(workspace, checkpoint=ck10),
+                               extra=["--set", "max_iters=10"]) == 0
+        for _ in range(2):
+            assert train_workspace(workspace, extra=[*tiny_20, "--resume", ck10]) == 0
+            assert workspace["metrics"].read_bytes() == straight
+
     def test_resume_appends_metrics(self, workspace):
         assert train_workspace(workspace) == 0
         assert train_workspace(
@@ -298,6 +311,19 @@ class TestAblate:
                          "t=1", "t=1e-6"]
         for line in lines[1:]:
             assert 0.0 <= float(line.split("\t")[1]) <= 1.0
+
+
+class TestParser:
+    @pytest.mark.parametrize("verb, own", [
+        ("train", ["--checkpoint", "--metrics", "--resume"]),
+        ("ablate", ["--out"]),
+    ])
+    def test_training_verbs_share_one_argument_set(self, verb, own, capsys):
+        assert run_cli(verb, "--help") == 0
+        flags = [word.rstrip(",") for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  -") for word in line.split()[:1]]
+        assert flags == ["-h", "--config", "--set", "--seed", "--sketches",
+                         "--images", "--semantics", "--synonyms", "--split", *own]
 
 
 class TestEnvironment:

@@ -1,12 +1,19 @@
+import builtins
+import errno
 import logging
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import oracles
+from conftest import tiny_setup
+from zsih import data, pipeline, retrieval
 from zsih.data import (
-    FeatureItem,
     FeatureStore,
     FormatError,
+    feature_dtype,
     load_features,
     load_semantics,
     load_split,
@@ -14,6 +21,7 @@ from zsih.data import (
     read_semantic_file,
     save_features,
     save_split,
+    SemanticTable,
     synth_dataset,
     synth_from_semantics,
     write_semantic_file,
@@ -21,15 +29,24 @@ from zsih.data import (
 
 
 def random_store(rng, n_classes=3, per_class=2, length=2, channels=4):
-    items = []
+    rows = {"sketch": [], "image": []}
     item_id = 0
     for cid in range(n_classes):
         for modality in ("sketch", "image"):
             for _ in range(per_class):
                 feat = rng.normal(size=(length, channels)).astype(np.float32)
-                items.append(FeatureItem(item_id, cid, modality, feat))
+                rows[modality].append((item_id, cid, feat))
                 item_id += 1
-    return FeatureStore(items=items, class_names={c: str(c) for c in range(n_classes)})
+    records = {m: np.array(r, dtype=feature_dtype(length, channels))
+               for m, r in rows.items()}
+    return FeatureStore(records, class_names={c: str(c) for c in range(n_classes)})
+
+
+def class_feats(store, modality):
+    """class id -> that class's [n, L, C] maps, in store order."""
+    records = store.records[modality]
+    return {c: records["feat"][records["class_id"] == c]
+            for c in store.classes(modality)}
 
 
 class TestFeatureFiles:
@@ -41,18 +58,17 @@ class TestFeatureFiles:
         loaded = load_features(path)
         save_features(loaded, path, "image")
         assert path.read_bytes() == raw
-        originals = store.modality_items("image")
-        reloaded = loaded.modality_items("image")
+        originals = store.records["image"]
+        reloaded = loaded.records["image"]
         assert len(reloaded) == len(originals)
-        for a, b in zip(originals, reloaded):
-            assert (a.item_id, a.class_id) == (b.item_id, b.class_id)
-            np.testing.assert_array_equal(a.feat, b.feat)
+        for name in ("item_id", "class_id", "feat"):
+            np.testing.assert_array_equal(reloaded[name], originals[name])
 
     def test_empty_store_round_trips(self, tmp_path):
         path = tmp_path / "empty.zsft"
         save_features(FeatureStore(), path, "sketch")
         loaded = load_features(path)
-        assert loaded.items == []
+        assert [len(r) for r in loaded.records.values()] == [0, 0]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "feats.zsft"
@@ -98,17 +114,110 @@ class TestFeatureFiles:
             load_features(path)
 
     def test_inconsistent_shapes_rejected(self, rng):
-        items = [
-            FeatureItem(0, 0, "image", rng.normal(size=(2, 3)).astype(np.float32)),
-            FeatureItem(1, 0, "image", rng.normal(size=(2, 4)).astype(np.float32)),
-        ]
+        # one modality holds one [L, C]; the sketch and image maps of a
+        # training set must agree too
+        store = FeatureStore({
+            "sketch": np.array([(0, 0, rng.normal(size=(2, 3)))], dtype=feature_dtype(2, 3)),
+            "image": np.array([(1, 0, rng.normal(size=(2, 4)))], dtype=feature_dtype(2, 4)),
+        }, class_names={0: "0"})
+        table = SemanticTable(vectors={0: np.zeros(3)})
         with pytest.raises(ValueError, match="inconsistent feature shape"):
-            FeatureStore(items=items, class_names={0: "0"})
+            pipeline.PairedDataset.from_stores(store, store, table)
 
     def test_unnamed_class_rejected(self, rng):
-        items = [FeatureItem(0, 5, "image", np.zeros((1, 2), dtype=np.float32))]
+        records = np.array([(0, 5, np.zeros((1, 2)))], dtype=feature_dtype(1, 2))
         with pytest.raises(ValueError, match="no name"):
-            FeatureStore(items=items, class_names={})
+            FeatureStore({"image": records}, class_names={})
+
+    def test_modality_items_is_a_per_item_view(self, rng):
+        store = random_store(rng, n_classes=2, per_class=3)
+        records = store.records["sketch"]
+        items = store.modality_items("sketch")
+        assert len(items) == len(records) == 6
+        for k in np.arange(6):
+            item = items[k]
+            assert (item.item_id, item.class_id) == (records["item_id"][k],
+                                                     records["class_id"][k])
+            np.testing.assert_array_equal(item.feat, records["feat"][k])
+            assert item.feat.shape == (2, 4)
+
+    def test_unknown_modality_rejected(self):
+        with pytest.raises(ValueError, match="unknown modality 'video'"):
+            FeatureStore({"video": np.empty(0, feature_dtype(1, 2))})
+
+
+class _DiskFull:
+    """A file that stores half of the first chunk, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def writelines(self, chunks):
+        chunk = next(iter(chunks))
+        self.f.write(chunk[: len(chunk) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _write_features(path, seed):
+    save_features(random_store(np.random.default_rng(seed)), path, "image")
+
+
+def _write_checkpoint(path, seed):
+    config, dataset, *_ = tiny_setup()
+    pipeline.save_checkpoint(pipeline.train(replace(config, seed=seed), dataset), path)
+
+
+def _write_codes(path, seed):
+    codes = np.random.default_rng(seed).integers(0, 256, size=(5, 2), dtype=np.uint8)
+    retrieval.save_codes(retrieval.CodeMatrix(codes, np.arange(5, dtype=np.uint32),
+                                              16, "sketch"), path)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write", [_write_features, _write_checkpoint, _write_codes])
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, write, tmp_path,
+                                                            monkeypatch):
+        path = tmp_path / "out.bin"
+        write(path, 1)
+        old = path.read_bytes()
+        monkeypatch.setattr(data, "open", lambda p, mode: _DiskFull(builtins.open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write(path, 2)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["out.bin"]
+        monkeypatch.undo()
+        write(path, 2)
+        assert path.read_bytes() != old
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(ZeroDivisionError):
+            data.write_atomic(tmp_path / "new.bin", b"abc", 1 / 0)
+        with pytest.raises(TypeError):
+            data.write_atomic(tmp_path / "new.bin", b"abc", "not bytes")
+        assert os.listdir(tmp_path) == []
+
+    def test_device_is_written_in_place(self, tmp_path):
+        link = tmp_path / "null"
+        link.symlink_to(os.devnull)
+        data.write_atomic(link, b"abc")
+        assert link.is_symlink() and os.listdir(tmp_path) == ["null"]
+
+    def test_file_gets_the_usual_permissions(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            data.write_atomic(tmp_path / "f.bin", b"x")
+            (tmp_path / "plain.bin").write_bytes(b"x")
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "f.bin").stat().st_mode == (tmp_path / "plain.bin").stat().st_mode
 
 
 class TestSemantics:
@@ -204,7 +313,7 @@ class TestSynth:
     def test_zero_noise_collapses_classes(self):
         store, _ = synth_dataset(3, 4, 2, 6, 4, noise=0.0, seed=0)
         for modality in ("sketch", "image"):
-            by_class = store.by_class(modality)
+            by_class = class_feats(store, modality)
             for feats in by_class.values():
                 for feat in feats[1:]:
                     np.testing.assert_array_equal(feat, feats[0])
@@ -214,15 +323,15 @@ class TestSynth:
         sem[2] = sem[0]  # two classes share a semantic vector
         store = synth_from_semantics(sem, per_class=2, length=1, channels=6,
                                      noise=0.0, rng=np.random.default_rng(4))
-        sketches = store.by_class("sketch")
+        sketches = class_feats(store, "sketch")
         np.testing.assert_array_equal(sketches[0][0], sketches[2][0])
-        images = store.by_class("image")
+        images = class_feats(store, "image")
         np.testing.assert_array_equal(images[0][0], images[2][0])
 
     def test_modalities_differ(self):
         store, _ = synth_dataset(2, 1, 1, 8, 4, noise=0.0, seed=0)
-        sk = store.by_class("sketch")[0][0]
-        im = store.by_class("image")[0][0]
+        sk = class_feats(store, "sketch")[0][0]
+        im = class_feats(store, "image")[0][0]
         assert np.max(np.abs(sk - im)) > 1e-3
 
     def test_nearest_centroid_accuracy(self):
@@ -230,7 +339,7 @@ class TestSynth:
         correct = 0
         total = 0
         for modality in ("sketch", "image"):
-            by_class = store.by_class(modality)
+            by_class = class_feats(store, modality)
             centroids = {c: np.mean([f.mean(axis=0) for f in feats], axis=0)
                          for c, feats in by_class.items()}
             for cid, feats in by_class.items():
@@ -244,7 +353,7 @@ class TestSynth:
     def test_semantic_distance_tracks_latent_distance(self):
         store, table = synth_dataset(10, 1, 1, 12, 6, noise=0.0, seed=3)
         protos = {c: feats[0].reshape(-1)
-                  for c, feats in store.by_class("image").items()}
+                  for c, feats in class_feats(store, "image").items()}
         sem_d, lat_d = [], []
         for i in range(10):
             for j in range(i + 1, 10):
@@ -260,6 +369,23 @@ class TestSynth:
         rs, rl = ranks(sem_d), ranks(lat_d)
         rho = np.corrcoef(rs, rl)[0, 1]
         assert rho > 0.5
+
+    @pytest.mark.parametrize("seed, n_classes, per_class, d_s", [
+        (0, 4, 3, 5), (1, 3, 1, 12), (2, 5, 6, 2)])
+    def test_matches_item_by_item_oracle(self, seed, n_classes, per_class, d_s):
+        sem = np.random.default_rng(seed).normal(size=(n_classes, d_s))
+        store = synth_from_semantics(sem, per_class, 3, 10, 0.2,
+                                     np.random.default_rng(seed + 100))
+        items = oracles.naive_synth(sem, per_class, 3, 10, 0.2,
+                                    np.random.default_rng(seed + 100))
+        for modality in ("sketch", "image"):
+            ref = [item for item in items if item[2] == modality]
+            records = store.records[modality]
+            assert records["feat"].dtype == np.float32
+            np.testing.assert_array_equal(records["item_id"], [i[0] for i in ref])
+            np.testing.assert_array_equal(records["class_id"], [i[1] for i in ref])
+            np.testing.assert_array_equal(records["feat"], np.stack([i[3] for i in ref]))
+        assert store.class_names == {c: str(c) for c in range(n_classes)}
 
     def test_invalid_args(self):
         with pytest.raises(ValueError, match="positive"):

@@ -102,10 +102,10 @@ class TestBuildAdjacency:
 class TestPairedDataset:
     def test_missing_modality_rejected(self):
         store, table = synth_dataset(3, 2, 1, 4, 3, 0.0, seed=0)
-        sketches = store.by_class("sketch")
-        images = store.by_class("image")
-        del images[1]
-        with pytest.raises(ValueError, match="missing a modality"):
+        sketches = store.records["sketch"]
+        images = store.records["image"]
+        images = images[images["class_id"] != 1]
+        with pytest.raises(ValueError, match=r"missing a modality: \[1\]"):
             PairedDataset(sketches, images, table)
 
     def test_missing_semantics_rejected(self):
@@ -135,8 +135,9 @@ class TestSampleBatch:
     def test_pairs_share_labels_over_many_draws(self):
         store, table = synth_dataset(6, 3, 1, 5, 3, 0.0, seed=1)
         ds = PairedDataset.from_stores(store, store, table)
-        sk_proto = {c: ds.sketches[c][0] for c in ds.classes}
-        im_proto = {c: ds.images[c][0] for c in ds.classes}
+        sk, im = store.records["sketch"], store.records["image"]
+        sk_proto = {c: sk["feat"][sk["class_id"] == c][0] for c in ds.classes}
+        im_proto = {c: im["feat"][im["class_id"] == c][0] for c in ds.classes}
         rng = np.random.default_rng(7)
         drawn = 0
         while drawn < 10_000:
@@ -160,6 +161,36 @@ class TestSampleBatch:
             np.testing.assert_array_equal(b1.labels, b2.labels)
             np.testing.assert_array_equal(b1.sketch_feats, b2.sketch_feats)
             np.testing.assert_array_equal(b1.image_feats, b2.image_feats)
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_pair_by_pair_oracle(self, seed):
+        """Unequal class sizes in shuffled store order, a class with a
+        single sketch, one with a single image, and a class left out."""
+        rng = np.random.default_rng(seed)
+        store, table = synth_dataset(6, 5, 2, 4, 3, 0.3, seed=seed)
+        kept = {"sketch": [5, 3, 1, 4, 2, 5], "image": [2, 5, 3, 1, 5, 4]}
+        records = {}
+        for modality, counts in kept.items():
+            rec = store.records[modality]
+            rank = np.arange(len(rec)) % 5  # position within its class
+            rec = rec[rank < np.array(counts)[rec["class_id"]]]
+            records[modality] = rec[rng.permutation(len(rec))]
+        classes = [0, 2, 3, 4, 5]
+        per_class = [{c: list(r["feat"][r["class_id"] == c]) for c in classes}
+                     for r in records.values()]
+        ds = PairedDataset(records["sketch"], records["image"], table, classes=classes)
+        fast, slow = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+        for _ in range(30):
+            batch = sample_batch(ds, 7, fast)
+            sk, im, sem, labels = oracles.naive_sample_batch(
+                *per_class, table.vectors, 7, slow)
+            np.testing.assert_array_equal(batch.sketch_feats, sk)
+            np.testing.assert_array_equal(batch.image_feats, im)
+            np.testing.assert_array_equal(batch.semantics, sem)
+            np.testing.assert_array_equal(batch.labels, labels)
+            assert batch.labels.dtype == labels.dtype
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 class TestForwardMultimodal:
@@ -395,6 +426,24 @@ class TestTrain:
         assert (ckpt.stop_reason, ckpt.iteration) == ("diverged", 3)
         for name in good.params:
             np.testing.assert_array_equal(ckpt.params[name], good.params[name])
+
+    @pytest.mark.parametrize("grad_clip", [0.0, 0.01])
+    def test_infinite_gradient_aborts_with_or_without_clipping(self, monkeypatch, grad_clip):
+        config, _, params, batch, adj, eps, _ = tiny_setup(grad_clip=grad_clip)
+        real = pipeline.estimate_gradients
+
+        def with_inf(loss, p):
+            grad = real(loss, p)
+            grad[0] = np.inf
+            return grad
+
+        monkeypatch.setattr(pipeline, "estimate_gradients", with_inf)
+        state = objective.AdamState.init(params)
+        before = params.theta.copy()
+        with pytest.raises(FloatingPointError, match="'attn_sk.score_weights'"):
+            train_step(batch, params, state, adj, eps[None], grad_clip=config.grad_clip)
+        assert state.step == 0
+        np.testing.assert_array_equal(params.theta, before)
 
     def test_resume_config_mismatch_rejected(self):
         config, dataset, _, _, _, _, _ = tiny_setup(max_iters=2)

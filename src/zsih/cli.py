@@ -2,6 +2,7 @@
 encode, and evaluate Hamming-space retrieval."""
 
 import argparse
+import io
 import logging
 import os
 import sys
@@ -10,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import data, model, pipeline, retrieval
+from .formats import write_atomic
 
 logger = logging.getLogger("zsih.cli")
 
@@ -229,7 +231,8 @@ def run_retrieve(args, parser):
             f"gallery {gallery.n_bits} bits"
         )
     top = min(args.top, len(gallery))
-    with open(args.out, "w", encoding="utf-8") as f:
+    with (write_atomic(args.out) as raw,
+          io.TextIOWrapper(raw, encoding="utf-8") as f):
         f.write("query\trank\tgallery_index\tdistance\n")
         for qi, bits in enumerate(queries.bits()):
             order = retrieval.hamming_rank(bits, gallery)[:top]
@@ -249,7 +252,8 @@ def run_eval(args, parser):
     if any(k < 1 for k in ks):
         parser.error("--k values must be positive")
     report = retrieval.evaluate(queries, gallery, ks=ks)
-    with open(args.out, "w", encoding="utf-8") as f:
+    with (write_atomic(args.out) as raw,
+          io.TextIOWrapper(raw, encoding="utf-8") as f):
         f.write(retrieval.format_report(report))
     if args.pr_dump:
         retrieval.write_pr_dump(report, args.pr_dump)
@@ -287,7 +291,8 @@ def run_ablate(args, parser):
         report = retrieval.evaluate(q, g, ks=(1,))
         rows.append((name, report.map_all))
         logger.info("ablation %s: mAP@all %.4f", name, report.map_all)
-    with open(args.out, "w", encoding="utf-8") as f:
+    with (write_atomic(args.out) as raw,
+          io.TextIOWrapper(raw, encoding="utf-8") as f):
         f.write("setting\tmap_all\n")
         for name, value in rows:
             f.write(f"{name}\t{value!r}\n")

@@ -3,29 +3,25 @@ text files, zero-shot class splits, and a synthetic generator whose
 semantic geometry is informative by construction.
 """
 
-import contextlib
+import io
 import logging
-import os
 import struct
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .formats import (MODALITY_CODES, FormatError, modality_name, pack_header,
+                      read_body, read_header, write_atomic)
+
 logger = logging.getLogger("zsih.data")
 
 FEATURE_MAGIC = b"ZSFT"
-FEATURE_VERSION = 1
-MODALITY_CODES = {"sketch": 0, "image": 1}
-MODALITY_NAMES = {v: k for k, v in MODALITY_CODES.items()}
+_FEATURE_HEADER = struct.Struct("<BIIQ")   # modality, L, C, count
 
 # class latents live in a space of at most this many dimensions so that a
 # handful of seen classes can span it
 LATENT_DIM_CAP = 8
-
-
-class FormatError(ValueError):
-    """A binary or text input file does not match its declared format."""
 
 
 # one item of ``FeatureStore.modality_items``; feat is an [L, C] float32 view
@@ -71,54 +67,14 @@ class FeatureStore:
                         records["class_id"].tolist(), records["feat"]))
 
 
-_FEATURE_HEADER = struct.Struct("<HBIIQ")
-
-
-def write_atomic(path, *chunks):
-    """Write byte chunks to ``path`` through a temporary file in the same
-    directory and ``os.replace``, so that a failed or killed writer leaves
-    the old file as it was.  Not fsynced: a power loss can still lose it.
-    A device or pipe (``/dev/null``, ``/dev/stdout``) is written in place."""
-    head, tail = os.path.split(path)
-    in_place = os.path.exists(path) and not os.path.isfile(path)
-    tmp = path if in_place else os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.writelines(chunks)
-        if not in_place:
-            os.replace(tmp, path)
-    except BaseException:
-        if not in_place:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-        raise
-
-
 def save_features(store, path, modality):
     """Write one modality of a store in the ZSFT binary layout."""
     records = store.records[modality]
     length, channels = records["feat"].shape[1:]
-    write_atomic(path, FEATURE_MAGIC,
-                 _FEATURE_HEADER.pack(FEATURE_VERSION, MODALITY_CODES[modality],
-                                      length, channels, len(records)),
-                 records.tobytes())
-
-
-def _read_exact(f, n, what):
-    # never ask for more than the file holds, so that a corrupt size fails
-    # here and not in a huge allocation
-    data = f.read(min(n, bytes_left(f)))
-    if len(data) != n:
-        raise FormatError(
-            f"truncated file while reading {what}: wanted {n} bytes at offset "
-            f"{f.tell() - len(data)}, got {len(data)}"
-        )
-    return data
-
-
-def bytes_left(f):
-    """Bytes between the position of an open file and its end."""
-    return os.fstat(f.fileno()).st_size - f.tell()
+    with write_atomic(path) as f:
+        f.write(pack_header(FEATURE_MAGIC, _FEATURE_HEADER, MODALITY_CODES[modality],
+                            length, channels, len(records)))
+        f.write(records.tobytes())
 
 
 def load_features(path):
@@ -129,36 +85,16 @@ def load_features(path):
     semantics.
     """
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != FEATURE_MAGIC:
-            raise FormatError(
-                f"bad magic {magic!r} at offset 0 (expected {FEATURE_MAGIC!r})"
-            )
-        version, mod_code, length, channels, count = _FEATURE_HEADER.unpack(
-            _read_exact(f, _FEATURE_HEADER.size, "header")
-        )
-        if version != FEATURE_VERSION:
-            raise FormatError(f"unsupported feature file version {version}")
-        if mod_code not in MODALITY_NAMES:
-            raise FormatError(f"unknown modality code {mod_code}")
+        mod_code, length, channels, count = read_header(f, FEATURE_MAGIC, _FEATURE_HEADER)
+        # id u64, class u32 and L*C f32, sized before numpy sees L and C
+        body = read_body(f, count, 12 + 4 * length * channels)
+    try:
         record = feature_dtype(length, channels)
-        # sized before reading, so that a short file names its first
-        # incomplete record
-        body_size = count * record.itemsize
-        remaining = bytes_left(f)
-        if remaining < body_size:
-            idx = remaining // record.itemsize
-            raise FormatError(
-                f"record {idx}: truncated file: header claims {count} records "
-                f"of {record.itemsize} bytes, {remaining} bytes follow the header"
-            )
-        if remaining > body_size:
-            raise FormatError(
-                f"unexpected trailing bytes at offset {f.tell() + body_size}"
-            )
-        records = np.frombuffer(_read_exact(f, body_size, "records"), dtype=record)
+    except ValueError as err:
+        raise FormatError(f"feature maps of {length} x {channels}: {err}") from None
+    records = np.frombuffer(body, dtype=record)
     names = {c: str(c) for c in np.unique(records["class_id"]).tolist()}
-    return FeatureStore({MODALITY_NAMES[mod_code]: records}, names)
+    return FeatureStore({modality_name(mod_code): records}, names)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +137,8 @@ def read_semantic_file(path):
 
 
 def write_semantic_file(table, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with (write_atomic(path) as raw,
+          io.TextIOWrapper(raw, encoding="utf-8") as f):
         for name, vec in table.items():
             f.write(name + " " + " ".join(repr(float(x)) for x in vec) + "\n")
 
@@ -274,7 +211,8 @@ def make_split(class_ids, n_unseen, seed):
 
 
 def save_split(split, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with (write_atomic(path) as raw,
+          io.TextIOWrapper(raw, encoding="utf-8") as f):
         f.write(f"# seed {split.seed}\n")
         for cid in sorted(split.seen):
             f.write(f"seen\t{cid}\n")
@@ -333,9 +271,14 @@ def synth_dataset(n_classes, per_class, length, channels, d_s, noise, seed):
 
 
 def synth_from_semantics(sem, per_class, length, channels, noise, rng):
-    """Generate items for given semantic vectors (one class per row)."""
+    """Generate items for given semantic vectors (one class per row).
+
+    The class latents are ``min(d_s, LATENT_DIM_CAP, channels)`` wide: a
+    modality embedding cannot hold more latent dimensions than the maps
+    have channels.
+    """
     n_classes, d_s = sem.shape
-    d_lat = min(d_s, LATENT_DIM_CAP)
+    d_lat = min(d_s, LATENT_DIM_CAP, channels)
     # orthonormal maps: the latent projection is an isometry up to the cap
     # and each modality embedding preserves latent distances exactly, so
     # semantic structure survives into the features

@@ -10,21 +10,17 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import FormatError, _read_exact, write_atomic
-from .model import (  # noqa: F401  (re-exported pipeline surface)
-    ModelParams,
-    TripletBatch,
-    check_shapes,
-    forward_multimodal,
-    init_params,
-    params_from_arrays,
-)
+from .formats import (FormatError, pack_header, read_body, read_exact, read_header,
+                      write_atomic)
+from .model import TripletBatch, check_shapes, init_params, params_from_arrays
 from .objective import AdamState, adam_step, batch_loss, estimate_gradients
 
 logger = logging.getLogger("zsih.pipeline")
 
 CHECKPOINT_MAGIC = b"ZSIH"
-CHECKPOINT_VERSION = 1
+_CHECKPOINT_HEADER = struct.Struct("<I")   # config text length
+# iteration, then the PCG64 has_uint32, uinteger, state and increment
+_CHECKPOINT_TAIL = struct.Struct("<QBI16s16s")
 
 # early stop when the trailing-window mean loss improves by less than
 # CONVERGENCE_RTOL relative between consecutive windows
@@ -285,8 +281,15 @@ def _open_metrics(path, start):
     past it, from a run that stopped before saving, would repeat."""
     kept = []
     if start and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as f:
-            kept = [line for line in f if int(line.split("\t", 1)[0]) <= start]
+        with open(path, "rb") as f:
+            for line_no, line in enumerate(f, 1):
+                try:
+                    step = int(line.split(b"\t", 1)[0])
+                    text = line.decode("utf-8")
+                except ValueError:   # a UnicodeDecodeError too
+                    raise FormatError(f"{path}:{line_no}: malformed metrics line") from None
+                if step <= start:
+                    kept.append(text)
     f = open(path, "w", encoding="utf-8")
     f.writelines(kept)
     return f
@@ -373,25 +376,25 @@ def train(config, dataset, metrics_out=None, resume=None):
 
 def _pack_array(arr):
     arr = np.asarray(arr, dtype="<f8")
-    parts = [struct.pack("<B", arr.ndim)]
-    parts.extend(struct.pack("<I", d) for d in arr.shape)
-    parts.append(arr.tobytes())
-    return b"".join(parts)
+    return struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape) + arr.tobytes()
 
 
 def _read_array(f):
-    (ndim,) = struct.unpack("<B", _read_exact(f, 1, "array rank"))
-    shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "array shape"))
-    raw = _read_exact(f, math.prod(shape) * 8, f"array of shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    (ndim,) = struct.unpack("<B", read_exact(f, 1, "array rank"))
+    shape = struct.unpack(f"<{ndim}I", read_exact(f, 4 * ndim, "array shape"))
+    raw = read_exact(f, math.prod(shape) * 8, f"array of shape {shape}")
+    try:
+        return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    except ValueError as err:
+        # a rank over numpy's limit, or a zero dim next to dims whose
+        # product numpy cannot index
+        raise FormatError(f"array of shape {shape}: {err}") from None
 
 
 def checkpoint_bytes(ckpt):
-    out = io.BytesIO()
-    out.write(CHECKPOINT_MAGIC)
-    out.write(struct.pack("<H", CHECKPOINT_VERSION))
     cfg_text = format_config(ckpt.config).encode("utf-8")
-    out.write(struct.pack("<I", len(cfg_text)))
+    out = io.BytesIO()
+    out.write(pack_header(CHECKPOINT_MAGIC, _CHECKPOINT_HEADER, len(cfg_text)))
     out.write(cfg_text)
     out.write(struct.pack("<I", len(ckpt.params)))
     for name, arr in ckpt.params.items():
@@ -403,49 +406,49 @@ def checkpoint_bytes(ckpt):
     for name in ckpt.params:
         out.write(_pack_array(ckpt.opt_m[name]))
         out.write(_pack_array(ckpt.opt_v[name]))
-    out.write(struct.pack("<Q", ckpt.iteration))
     state = ckpt.rng_state["state"]
-    out.write(struct.pack("<BI", ckpt.rng_state.get("has_uint32", 0),
-                          ckpt.rng_state.get("uinteger", 0)))
-    out.write(int(state["state"]).to_bytes(16, "little"))
-    out.write(int(state["inc"]).to_bytes(16, "little"))
+    out.write(_CHECKPOINT_TAIL.pack(
+        ckpt.iteration, ckpt.rng_state.get("has_uint32", 0),
+        ckpt.rng_state.get("uinteger", 0),
+        int(state["state"]).to_bytes(16, "little"),
+        int(state["inc"]).to_bytes(16, "little")))
     return out.getvalue()
 
 
 def save_checkpoint(ckpt, path):
-    write_atomic(path, checkpoint_bytes(ckpt))
+    with write_atomic(path) as f:
+        f.write(checkpoint_bytes(ckpt))
 
 
 def load_checkpoint(path):
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<H", _read_exact(f, 2, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
-        config = parse_config(_read_exact(f, cfg_len, "config").decode("utf-8"))
-        (n_params,) = struct.unpack("<I", _read_exact(f, 4, "parameter count"))
+        (cfg_len,) = read_header(f, CHECKPOINT_MAGIC, _CHECKPOINT_HEADER)
+        cfg_text = read_exact(f, cfg_len, "config")
+        try:
+            config = parse_config(cfg_text.decode("utf-8"))
+        except ValueError as err:   # a UnicodeDecodeError too
+            raise FormatError(f"bad checkpoint config: {err}") from None
+        (n_params,) = struct.unpack("<I", read_exact(f, 4, "parameter count"))
         params = {}
         for _ in range(n_params):
-            (name_len,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
-            name = _read_exact(f, name_len, "parameter name").decode("utf-8")
+            (name_len,) = struct.unpack("<H", read_exact(f, 2, "name length"))
+            raw_name = read_exact(f, name_len, "parameter name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise FormatError(f"bad parameter name: {err}") from None
             params[name] = _read_array(f)
-        (opt_step,) = struct.unpack("<Q", _read_exact(f, 8, "optimizer step"))
+        (opt_step,) = struct.unpack("<Q", read_exact(f, 8, "optimizer step"))
         opt_m, opt_v = {}, {}
         for name in params:
             opt_m[name] = _read_array(f)
             opt_v[name] = _read_array(f)
-        (iteration,) = struct.unpack("<Q", _read_exact(f, 8, "iteration"))
-        has_uint32, uinteger = struct.unpack("<BI", _read_exact(f, 5, "rng flags"))
-        state = int.from_bytes(_read_exact(f, 16, "rng state"), "little")
-        inc = int.from_bytes(_read_exact(f, 16, "rng increment"), "little")
-        if f.read(1):
-            raise FormatError("unexpected trailing bytes in checkpoint")
+        iteration, has_uint32, uinteger, state, inc = _CHECKPOINT_TAIL.unpack(
+            read_body(f, 1, _CHECKPOINT_TAIL.size))
     rng_state = {
         "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
+        "state": {"state": int.from_bytes(state, "little"),
+                  "inc": int.from_bytes(inc, "little")},
         "has_uint32": int(has_uint32),
         "uinteger": int(uinteger),
     }

@@ -1,17 +1,17 @@
 """Hamming-space retrieval: code binarization, bit-packed linear scan and
 the mAP / precision@K / precision-recall evaluation protocol."""
 
+import io
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (FormatError, MODALITY_CODES, MODALITY_NAMES, _read_exact,
-                   bytes_left, write_atomic)
+from .formats import (MODALITY_CODES, FormatError, modality_name, pack_header,
+                      read_body, read_header, write_atomic)
 
 CODE_MAGIC = b"ZSCB"
-CODE_VERSION = 1
-_CODE_HEADER = struct.Struct("<HQIB")   # version, count, n_bits, modality
+_CODE_HEADER = struct.Struct("<QIB")   # count, n_bits, modality
 
 # interpolated precision is reported at the standard 11 recall levels
 RECALL_LEVELS = np.linspace(0.0, 1.0, 11)
@@ -217,7 +217,8 @@ def format_report(report):
 def write_pr_dump(report, path):
     """Tab-separated P-R points: interpolated 11-level curve plus the raw
     per-rank averages."""
-    with open(path, "w", encoding="utf-8") as f:
+    with (write_atomic(path) as raw,
+          io.TextIOWrapper(raw, encoding="utf-8") as f):
         f.write("kind\trecall\tprecision\n")
         for recall, precision in report.pr_curve:
             f.write(f"interp\t{recall!r}\t{precision!r}\n")
@@ -239,40 +240,24 @@ def save_codes(code_matrix, path):
                        dtype=_record_dtype(code_matrix.codes.shape[1]))
     records["label"] = code_matrix.labels
     records["code"] = code_matrix.codes
-    write_atomic(path, CODE_MAGIC,
-                 _CODE_HEADER.pack(CODE_VERSION, len(code_matrix), code_matrix.n_bits,
-                                   MODALITY_CODES[code_matrix.modality]),
-                 records.tobytes(), records["label"].tobytes())
+    with write_atomic(path) as f:
+        f.write(pack_header(CODE_MAGIC, _CODE_HEADER, len(code_matrix),
+                            code_matrix.n_bits, MODALITY_CODES[code_matrix.modality]))
+        f.write(records.tobytes())
+        f.write(records["label"].tobytes())
 
 
 def load_codes(path):
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != CODE_MAGIC:
-            raise FormatError(f"bad code file magic {magic!r}")
-        version, count, n_bits, mod_code = _CODE_HEADER.unpack(
-            _read_exact(f, _CODE_HEADER.size, "header"))
-        if version != CODE_VERSION:
-            raise FormatError(f"unsupported code file version {version}")
-        if mod_code not in MODALITY_NAMES:
-            raise FormatError(f"unknown modality code {mod_code}")
+        count, n_bits, mod_code = read_header(f, CODE_MAGIC, _CODE_HEADER)
         record = _record_dtype((n_bits + 7) // 8)
-        # the records, then the u32 label trailer; sized before reading so
-        # that a corrupt count cannot ask for more memory than the file holds
-        body_size = count * (record.itemsize + 4)
-        remaining = bytes_left(f)
-        if remaining < body_size:
-            raise FormatError(
-                f"truncated code file: header claims {count} records "
-                f"({body_size} bytes), {remaining} bytes follow the header")
-        if remaining > body_size:
-            raise FormatError("unexpected trailing bytes in code file")
-        body = _read_exact(f, body_size, "records")
+        # the records, then the u32 label trailer: 4 more bytes per record
+        body = read_body(f, count, record.itemsize + 4)
     records = np.frombuffer(body, dtype=record, count=count)
     trailer = np.frombuffer(body, dtype="<u4", offset=count * record.itemsize)
     if not np.array_equal(trailer, records["label"]):
         raise FormatError("label trailer does not match records (corrupt file)")
     return CodeMatrix(
         codes=records["code"].copy(), labels=records["label"].astype(np.uint32),
-        n_bits=int(n_bits), modality=MODALITY_NAMES[mod_code],
+        n_bits=int(n_bits), modality=modality_name(mod_code),
     )

@@ -70,6 +70,13 @@ class TestSynth:
                               for n in ("s.zsft", "i.zsft", "sem.txt")))
         assert outs[0] == outs[1]
 
+    def test_fewer_channels_than_semantic_dims(self, tmp_path):
+        code = run_cli("synth", "--seed", 1, "--classes", 6, "--per-class", 5,
+                       "--locations", 2, "--channels", 3, "--semantic-dim", 4,
+                       "--noise", 0.3, "--sketches", tmp_path / "s",
+                       "--images", tmp_path / "i", "--semantics", tmp_path / "m")
+        assert code == 0
+
     def test_zero_classes_is_usage_error(self, tmp_path):
         code = run_cli("synth", "--seed", 1, "--classes", 0,
                        "--sketches", tmp_path / "s", "--images", tmp_path / "i",
@@ -157,6 +164,17 @@ class TestTrain:
         for _ in range(2):
             assert train_workspace(workspace, extra=[*tiny_20, "--resume", ck10]) == 0
             assert workspace["metrics"].read_bytes() == straight
+
+    @pytest.mark.parametrize("bad_line", [b"xx\t0.3\n", b"2\t0.3\xff\n"])
+    def test_resume_with_malformed_metrics_line_names_it(self, workspace, capsys, bad_line):
+        assert train_workspace(workspace) == 0
+        workspace["metrics"].write_bytes(b"1\t0.5\n" + bad_line)
+        code = train_workspace(
+            workspace,
+            extra=["--set", "max_iters=8", "--resume", workspace["checkpoint"]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {workspace['metrics']}:2:" in err and "Traceback" not in err
 
     def test_resume_appends_metrics(self, workspace):
         assert train_workspace(workspace) == 0

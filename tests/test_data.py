@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from conftest import tiny_setup
-from zsih import data, pipeline, retrieval
+from zsih import formats, pipeline, retrieval
 from zsih.data import (
     FeatureStore,
     FormatError,
@@ -105,6 +105,17 @@ class TestFeatureFiles:
         with pytest.raises(FormatError, match="claims 1099511627776 records"):
             load_features(path)
 
+    @pytest.mark.parametrize("length, channels", [(2 ** 16, 2 ** 15), (0, 2 ** 31)])
+    def test_map_shape_numpy_cannot_hold_rejected(self, tmp_path, length, channels):
+        # no records, so no size check stops it: the record type itself fails
+        path = tmp_path / "feats.zsft"
+        save_features(FeatureStore(), path, "image")
+        raw = bytearray(path.read_bytes())
+        raw[7:15] = length.to_bytes(4, "little") + channels.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"feature maps of {length} x {channels}"):
+            load_features(path)
+
     def test_trailing_bytes_rejected(self, rng, tmp_path):
         store = random_store(rng, n_classes=1, per_class=1)
         path = tmp_path / "feats.zsft"
@@ -147,7 +158,7 @@ class TestFeatureFiles:
 
 
 class _DiskFull:
-    """A file that stores half of the first chunk, then fails."""
+    """A file that stores half of the first chunk written, then fails."""
 
     def __init__(self, f):
         self.f = f
@@ -158,8 +169,7 @@ class _DiskFull:
     def __exit__(self, *exc):
         self.f.close()
 
-    def writelines(self, chunks):
-        chunk = next(iter(chunks))
+    def write(self, chunk):
         self.f.write(chunk[: len(chunk) // 2])
         raise OSError(errno.ENOSPC, "No space left on device")
 
@@ -179,6 +189,21 @@ def _write_codes(path, seed):
                                               16, "sketch"), path)
 
 
+def _write_split(path, seed):
+    save_split(make_split(range(6), 2, seed), path)
+
+
+def _write_semantics(path, seed):
+    write_semantic_file({"cat": np.random.default_rng(seed).normal(size=3)}, path)
+
+
+def _write_pr_dump(path, seed):
+    rng = np.random.default_rng(seed)
+    codes = retrieval.CodeMatrix(rng.integers(0, 256, size=(6, 1), dtype=np.uint8),
+                                 np.arange(6) % 2, 8)
+    retrieval.write_pr_dump(retrieval.evaluate(codes, codes), path)
+
+
 class TestAtomicWrites:
     @pytest.mark.parametrize("write", [_write_features, _write_checkpoint, _write_codes])
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, write, tmp_path,
@@ -186,8 +211,8 @@ class TestAtomicWrites:
         path = tmp_path / "out.bin"
         write(path, 1)
         old = path.read_bytes()
-        monkeypatch.setattr(data, "open", lambda p, mode: _DiskFull(builtins.open(p, mode)),
-                            raising=False)
+        monkeypatch.setattr(formats, "open",
+                            lambda p, mode: _DiskFull(builtins.open(p, mode)), raising=False)
         with pytest.raises(OSError, match="No space left"):
             write(path, 2)
         assert path.read_bytes() == old
@@ -197,23 +222,42 @@ class TestAtomicWrites:
         assert path.read_bytes() != old
         assert os.listdir(tmp_path) == ["out.bin"]
 
+    @pytest.mark.parametrize("write", [_write_features, _write_checkpoint, _write_codes,
+                                       _write_split, _write_semantics, _write_pr_dump])
+    def test_save_replaces_the_file_instead_of_rewriting_it(self, write, tmp_path):
+        path = tmp_path / "out"
+        write(path, 1)
+        old = path.read_bytes()
+        with open(path, "rb") as held:
+            write(path, 2)
+            assert path.read_bytes() != old
+            assert held.read() == old
+            assert os.fstat(held.fileno()).st_ino != path.stat().st_ino
+        assert os.listdir(tmp_path) == ["out"]
+
     def test_failed_first_write_leaves_nothing(self, tmp_path):
         with pytest.raises(ZeroDivisionError):
-            data.write_atomic(tmp_path / "new.bin", b"abc", 1 / 0)
+            with formats.write_atomic(tmp_path / "new.bin") as f:
+                f.write(b"abc")
+                1 / 0
         with pytest.raises(TypeError):
-            data.write_atomic(tmp_path / "new.bin", b"abc", "not bytes")
+            with formats.write_atomic(tmp_path / "new.bin") as f:
+                f.write(b"abc")
+                f.write("not bytes")
         assert os.listdir(tmp_path) == []
 
     def test_device_is_written_in_place(self, tmp_path):
         link = tmp_path / "null"
         link.symlink_to(os.devnull)
-        data.write_atomic(link, b"abc")
+        with formats.write_atomic(link) as f:
+            f.write(b"abc")
         assert link.is_symlink() and os.listdir(tmp_path) == ["null"]
 
     def test_file_gets_the_usual_permissions(self, tmp_path):
         umask = os.umask(0o022)
         try:
-            data.write_atomic(tmp_path / "f.bin", b"x")
+            with formats.write_atomic(tmp_path / "f.bin") as f:
+                f.write(b"x")
             (tmp_path / "plain.bin").write_bytes(b"x")
         finally:
             os.umask(umask)
@@ -369,6 +413,17 @@ class TestSynth:
         rs, rl = ranks(sem_d), ranks(lat_d)
         rho = np.corrcoef(rs, rl)[0, 1]
         assert rho > 0.5
+
+    def test_fewer_channels_than_latent_dims(self):
+        # the latents are capped at the channel count: 3 here, not min(4, 8)
+        store, _ = synth_dataset(6, 5, 2, 3, 4, 0.3, 1)
+        assert store.records["image"]["feat"].shape == (30, 2, 3)
+        sem = np.random.default_rng(1).normal(size=(6, 4))
+        store = synth_from_semantics(sem, 5, 2, 3, 0.3, np.random.default_rng(2))
+        items = oracles.naive_synth(sem, 5, 2, 3, 0.3, np.random.default_rng(2),
+                                    latent_cap=3)
+        np.testing.assert_array_equal(store.records["sketch"]["feat"],
+                                      [i[3] for i in items if i[2] == "sketch"])
 
     @pytest.mark.parametrize("seed, n_classes, per_class, d_s", [
         (0, 4, 3, 5), (1, 3, 1, 12), (2, 5, 6, 2)])

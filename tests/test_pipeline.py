@@ -545,6 +545,37 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=r"array of shape \(1048576, 1048576\)"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("old, new, message", [
+        (b"M = 4", b"M = \xff", "bad checkpoint config: 'utf-8' codec"),
+        (b"fusion_mode", b"fusiOn_mode", "bad checkpoint config: config line 9: unknown key"),
+        (b"max_iters = 4", b"max_iters = -4", "bad checkpoint config: max_iters"),
+        (b"enc_im.b", b"enc_\xe9m.b", "bad parameter name: 'utf-8' codec"),
+    ])
+    def test_corrupt_text_raises_format_error(self, tmp_path, old, new, message):
+        raw = checkpoint_bytes(self._make())
+        assert raw.count(old) == 1
+        path = tmp_path / "model.zsih"
+        path.write_bytes(raw.replace(old, new))
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims, message", [
+        (struct.pack("<B65I", 65, *[1] * 65), "maximum supported dimension"),
+        (struct.pack("<B3I", 3, 0, 2 ** 32 - 1, 2 ** 32 - 1),
+         r"array of shape \(0, 4294967295, 4294967295\)"),
+    ])
+    def test_shape_numpy_cannot_hold_rejected(self, tmp_path, dims, message):
+        ckpt = self._make()
+        ckpt.params = {"s": np.array(0.0)}
+        ckpt.opt_m, ckpt.opt_v = dict(ckpt.params), dict(ckpt.params)
+        # the weight "s": name length, name, then rank 0 and its one f64
+        raw = checkpoint_bytes(ckpt).replace(b"\x01\x00s\x00" + bytes(8),
+                                             b"\x01\x00s" + dims + bytes(8))
+        path = tmp_path / "model.zsih"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+
     def test_weight_shapes_survive_a_round_trip(self, tmp_path):
         ckpt = self._make()
         path = tmp_path / "model.zsih"

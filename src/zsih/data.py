@@ -110,26 +110,38 @@ class SemanticTable:
         return len(next(iter(self.vectors.values())))
 
 
+def _text_lines(path):
+    """The (line number, line) pairs of a UTF-8 text file; a line that is
+    not UTF-8 is a FormatError naming it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        lines = list(enumerate(f, 1))
+    for line_no, line in lines:
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise FormatError(f"{path}:{line_no}: not UTF-8 text") from None
+    return lines
+
+
 def read_semantic_file(path):
     """Parse a word-vector text file into name -> vector, last entry wins."""
     table = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            name = parts[0]
-            try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{line_no}: non-numeric semantic component"
-                ) from None
-            if vec.size == 0:
-                raise FormatError(f"{path}:{line_no}: class {name!r} has no vector")
-            if name in table:
-                logger.warning("duplicate semantic entry %r, keeping the last", name)
-            table[name] = vec
+    for line_no, line in _text_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        name = parts[0]
+        try:
+            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        except ValueError:
+            raise FormatError(
+                f"{path}:{line_no}: non-numeric semantic component"
+            ) from None
+        if vec.size == 0:
+            raise FormatError(f"{path}:{line_no}: class {name!r} has no vector")
+        if name in table:
+            logger.warning("duplicate semantic entry %r, keeping the last", name)
+        table[name] = vec
     dims = {v.size for v in table.values()}
     if len(dims) > 1:
         raise FormatError(f"{path}: inconsistent semantic dimensions {sorted(dims)}")
@@ -146,18 +158,17 @@ def write_semantic_file(table, path):
 def read_synonyms(path):
     """Tab-separated missing_name -> substitute_name mapping."""
     out = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            try:
-                missing, substitute = line.split("\t")
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{line_no}: expected 'missing<TAB>substitute'"
-                ) from None
-            out[missing] = substitute
+    for line_no, line in _text_lines(path):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        try:
+            missing, substitute = line.split("\t")
+        except ValueError:
+            raise FormatError(
+                f"{path}:{line_no}: expected 'missing<TAB>substitute'"
+            ) from None
+        out[missing] = substitute
     return out
 
 
@@ -223,27 +234,26 @@ def save_split(split, path):
 def load_split(path):
     seed = 0
     seen, unseen = set(), set()
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "seed":
-                    seed = int(parts[1])
-                continue
-            try:
-                kind, cid = line.split("\t")
-                cid = int(cid)
-            except ValueError:
-                raise FormatError(f"{path}:{line_no}: expected 'seen|unseen<TAB>id'") from None
-            if kind == "seen":
-                seen.add(cid)
-            elif kind == "unseen":
-                unseen.add(cid)
-            else:
-                raise FormatError(f"{path}:{line_no}: unknown split kind {kind!r}")
+    for line_no, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if len(parts) == 2 and parts[0] == "seed":
+                seed = int(parts[1])
+            continue
+        try:
+            kind, cid = line.split("\t")
+            cid = int(cid)
+        except ValueError:
+            raise FormatError(f"{path}:{line_no}: expected 'seen|unseen<TAB>id'") from None
+        if kind == "seen":
+            seen.add(cid)
+        elif kind == "unseen":
+            unseen.add(cid)
+        else:
+            raise FormatError(f"{path}:{line_no}: unknown split kind {kind!r}")
     return ZeroShotSplit(seen=frozenset(seen), unseen=frozenset(unseen), seed=seed)
 
 

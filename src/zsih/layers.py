@@ -1,19 +1,23 @@
-"""Network building blocks: attention pooling, Kronecker fusion, graph
-convolution, sigmoid hash encoders, stochastic binary neurons and the
-Gaussian semantic decoder.
+"""Network building blocks: attention pooling, Kronecker fusion and its
+concat and factorized-bilinear ablations, graph convolution, sigmoid
+hash encoders, stochastic binary neurons and the Gaussian semantic
+decoder.
 
 All layer functions are pure: output = f(params, inputs, noise), where
 ``params`` is one group of weights read by attribute (``params.w_theta``).
 All of them act on a whole batch at once: feature maps are [N, L, C], every
 later activation is an [N, d] matrix with one row per item, and the
 log-likelihoods sum over all rows.
+
+Each layer returns one graph ``Node``.  Its value is computed with plain
+numpy, and its ``_bwd`` is the layer's own vector-Jacobian product: the
+gradient of the layer's output in, one gradient per input node out.
 """
 
 import math
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Node
 
 # probability clamp applied before logs; straight-through gradients are
@@ -21,6 +25,39 @@ from .autodiff import Node
 PROB_EPS = 1e-7
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def relu(z):
+    return np.where(z > 0, z, 0.0)
+
+
+def sigmoid(z):
+    # two-branch form avoids exp overflow for large |z|
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+# each activation's VJP, written in terms of its output y
+_ACTIVATION_VJPS = {
+    relu: lambda g, y: g * (y > 0),
+    sigmoid: lambda g, y: g * y * (1.0 - y),
+}
+
+
+def softmax_rows(x):
+    """Softmax along each row of a matrix (max-stabilized per row)."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _check_rows(h, w, what):
+    """``h`` must be an [N, d] matrix whose width matches the rows of ``w``."""
+    if h.ndim != 2 or h.shape[1] != w.shape[0]:
+        raise ValueError(f"{what} input must be [N, {w.shape[0]}], got {h.shape}")
 
 
 def attention_pool(feats, params):
@@ -33,29 +70,93 @@ def attention_pool(feats, params):
     if feats.ndim != 3 or feats.shape[1] == 0:
         raise ValueError(f"feature maps must be [N, L, C] with L >= 1, got {feats.shape}")
     n, length, channels = feats.shape
-    if channels != params.score_weights.shape[0]:
+    sw, sb = params.score_weights, params.score_bias
+    pw, pb = params.proj_weights, params.proj_bias
+    if channels != sw.shape[0]:
         raise ValueError(
             f"feature channels {channels} do not match attention "
-            f"parameters {params.score_weights.shape[0]}"
+            f"parameters {sw.shape[0]}"
         )
-    maps = ad.constant(feats)
-    logits = ad.affine(maps, params.score_weights, params.score_bias)
-    weights = ad.softmax_rows(ad.reshape(logits, (n, length)))
-    pooled = ad.pool_rows(weights, maps)
-    return ad.relu(ad.affine(pooled, params.proj_weights, params.proj_bias))
+    rows = feats.reshape(-1, channels)
+    weights = softmax_rows((rows @ sw.data + sb.data).reshape(n, length))
+    pooled = np.einsum("nl,nlc->nc", weights, feats)
+    out = relu(pooled @ pw.data + pb.data)
+
+    def bwd(g):
+        gz = g * (out > 0)
+        g_weights = np.einsum("nc,nlc->nl", gz @ pw.data.T, feats)
+        g_logits = weights * (g_weights - (g_weights * weights).sum(axis=1, keepdims=True))
+        g_logits = g_logits.reshape(-1, 1)
+        return (rows.T @ g_logits, g_logits.sum(axis=0), pooled.T @ gz, gz.sum(axis=0))
+
+    return Node(out, _parents=(sw, sb, pw, pb), _bwd=bwd)
 
 
-def fuse(h_sk, h_im, params):
-    """ReLU of the row-wise Kronecker product of the transformed modality
-    features: [N, d_f] x [N, d_f] -> [N, d_f^2]."""
-    d_f = params.w_sk.shape[0]
+def _check_fusion_inputs(h_sk, h_im, d_f):
     if h_sk.ndim != 2 or h_sk.shape[1] != d_f or h_im.shape != h_sk.shape:
         raise ValueError(
             f"fusion inputs must both be [N, d_f] with rows of length {d_f}, "
             f"got {h_sk.shape} and {h_im.shape}"
         )
-    return ad.relu(ad.kron_rows(ad.matmul(h_sk, params.w_sk),
-                                ad.matmul(h_im, params.w_im)))
+
+
+def fuse(h_sk, h_im, params):
+    """ReLU of the row-wise Kronecker product of the transformed modality
+    features: [N, d_f] x [N, d_f] -> [N, d_f^2]."""
+    w_sk, w_im = params.w_sk, params.w_im
+    _check_fusion_inputs(h_sk, h_im, w_sk.shape[0])
+    a = h_sk.data @ w_sk.data
+    b = h_im.data @ w_im.data
+    (n, p), q = a.shape, b.shape[1]
+    out = relu((a[:, :, None] * b[:, None, :]).reshape(n, p * q))
+
+    def bwd(g):
+        gm = (g * (out > 0)).reshape(n, p, q)
+        g_a = np.einsum("npq,nq->np", gm, b)
+        g_b = np.einsum("np,npq->nq", a, gm)
+        return (g_a @ w_sk.data.T, g_b @ w_im.data.T,
+                h_sk.data.T @ g_a, h_im.data.T @ g_b)
+
+    return Node(out, _parents=(h_sk, h_im, w_sk, w_im), _bwd=bwd)
+
+
+def fuse_concat(h_sk, h_im, params):
+    """The concatenation ablation: ReLU([h_sk, h_im] W_proj),
+    [N, d_f] x [N, d_f] -> [N, d_f^2]."""
+    w_proj = params.w_proj
+    d_f = w_proj.shape[0] // 2
+    _check_fusion_inputs(h_sk, h_im, d_f)
+    raw = np.concatenate([h_sk.data, h_im.data], axis=1)
+    out = relu(raw @ w_proj.data)
+
+    def bwd(g):
+        gz = g * (out > 0)
+        g_raw = gz @ w_proj.data.T
+        return (g_raw[:, :d_f], g_raw[:, d_f:], raw.T @ gz)
+
+    return Node(out, _parents=(h_sk, h_im, w_proj), _bwd=bwd)
+
+
+def fuse_mfb(h_sk, h_im, params):
+    """The factorized-bilinear ablation: the factor products
+    (h_sk U) * (h_im V) sum-pooled over consecutive groups of k / d_f
+    columns, then ReLU(. W_proj): [N, d_f] x [N, d_f] -> [N, d_f^2]."""
+    u, v, w_proj = params.u, params.v, params.w_proj
+    d_f, k = u.shape
+    _check_fusion_inputs(h_sk, h_im, d_f)
+    a = h_sk.data @ u.data
+    b = h_im.data @ v.data
+    raw = (a * b).reshape(len(a), d_f, k // d_f).sum(axis=2)
+    out = relu(raw @ w_proj.data)
+
+    def bwd(g):
+        gz = g * (out > 0)
+        g_prod = np.repeat(gz @ w_proj.data.T, k // d_f, axis=1)
+        g_a, g_b = g_prod * b, g_prod * a
+        return (g_a @ u.data.T, g_b @ v.data.T,
+                h_sk.data.T @ g_a, h_im.data.T @ g_b, raw.T @ gz)
+
+    return Node(out, _parents=(h_sk, h_im, u, v, w_proj), _bwd=bwd)
 
 
 def normalized_adjacency(adj):
@@ -81,38 +182,60 @@ def normalized_adjacency(adj):
     return adj * d_isqrt[:, None] * d_isqrt[None, :]
 
 
-def _check_activation(act):
-    if act is not ad.relu and act is not ad.sigmoid:
-        raise ValueError(f"unknown activation {act!r}; expected ad.relu or ad.sigmoid")
+def _activation_vjp(act):
+    if act not in _ACTIVATION_VJPS:
+        raise ValueError(f"unknown activation {act!r}; expected layers.relu or layers.sigmoid")
+    return _ACTIVATION_VJPS[act]
 
 
-def graph_conv(h, adj, layer, act):
-    """One propagation step: act(D^{-1/2} A D^{-1/2} H W), W = layer.w_theta,
-    with ``act`` ad.relu or ad.sigmoid.
+def graph_conv(h, a_norm, layer, act):
+    """One propagation step: act(A_norm H W), W = layer.w_theta, with
+    ``act`` layers.relu or layers.sigmoid.
 
-    ``adj`` is a plain array treated as a constant; no gradient flows
-    through it.
+    ``a_norm`` is the batch's ``normalized_adjacency``, a plain array
+    treated as a constant; no gradient flows through it.
     """
-    _check_activation(act)
-    if h.ndim != 2:
-        raise ValueError(f"graph_conv input must be [N, d_in], got {h.shape}")
-    a_norm = normalized_adjacency(adj)
-    if a_norm.shape[0] != h.shape[0]:
+    vjp = _activation_vjp(act)
+    w = layer.w_theta
+    _check_rows(h, w, "graph_conv")
+    if a_norm.shape != (h.shape[0], h.shape[0]):
         raise ValueError(
-            f"adjacency size {a_norm.shape[0]} does not match batch {h.shape[0]}"
+            f"adjacency size {a_norm.shape} does not match batch {h.shape[0]}"
         )
-    return act(ad.matmul(ad.matmul(ad.constant(a_norm), h), layer.w_theta))
+    ah = a_norm @ h.data
+    out = act(ah @ w.data)
+
+    def bwd(g):
+        gz = vjp(g, out)
+        return (a_norm.T @ (gz @ w.data.T), ah.T @ gz)
+
+    return Node(out, _parents=(h, w), _bwd=bwd)
 
 
 def dense(h, layer, act):
     """The same transform as graph_conv without any graph coupling."""
-    _check_activation(act)
-    return act(ad.matmul(h, layer.w_theta))
+    vjp = _activation_vjp(act)
+    w = layer.w_theta
+    _check_rows(h, w, "dense")
+    out = act(h.data @ w.data)
+
+    def bwd(g):
+        gz = vjp(g, out)
+        return (gz @ w.data.T, h.data.T @ gz)
+
+    return Node(out, _parents=(h, w), _bwd=bwd)
 
 
 def encode_soft(h, enc):
     """Sigmoid code probabilities [N, M] from attended features [N, d_f]."""
-    return ad.sigmoid(ad.affine(h, enc.w, enc.b))
+    _check_rows(h, enc.w, "hash encoder")
+    out = sigmoid(h.data @ enc.w.data + enc.b.data)
+
+    def bwd(g):
+        gz = g * out * (1.0 - out)
+        return (gz @ enc.w.data.T, h.data.T @ gz, gz.sum(axis=0))
+
+    return Node(out, _parents=(h, enc.w, enc.b), _bwd=bwd)
 
 
 def stochastic_neurons(b, eps):
@@ -135,24 +258,28 @@ def stochastic_neurons(b, eps):
     def bwd(g):
         return (g * mask,)
 
-    return Node(hard, requires_grad=b.requires_grad, _parents=(b,), _bwd=bwd)
+    return Node(hard, _parents=(b,), _bwd=bwd)
 
 
 def log_q(b, b_tilde):
     """Log-probability of sampled bits under the factorized Bernoulli code.
 
     sum_m [ b~ log b + (1 - b~) log(1 - b) ], with b clamped away from
-    {0, 1} before the logs.
+    {0, 1} before the logs; the gradient is zero where the clamp acted.
     """
     b_tilde = np.asarray(b_tilde, dtype=np.float64)
     if b_tilde.shape != b.shape:
         raise ValueError(f"bit shape {b_tilde.shape} does not match code shape {b.shape}")
     if not np.all((b_tilde == 0.0) | (b_tilde == 1.0)):
         raise ValueError("sampled bits must be binary")
-    bc = ad.clip(b, PROB_EPS, 1.0 - PROB_EPS)
-    on = ad.mul(ad.constant(b_tilde), ad.log(bc))
-    off = ad.mul(ad.constant(1.0 - b_tilde), ad.log(ad.sub(1.0, bc)))
-    return ad.reduce_sum(ad.add(on, off))
+    bc = np.clip(b.data, PROB_EPS, 1.0 - PROB_EPS)
+    value = (b_tilde * np.log(bc) + (1.0 - b_tilde) * np.log(1.0 - bc)).sum()
+    mask = (b.data > PROB_EPS) & (b.data < 1.0 - PROB_EPS)
+
+    def bwd(g):
+        return ((g * b_tilde / bc - g * (1.0 - b_tilde) / (1.0 - bc)) * mask,)
+
+    return Node(value, _parents=(b,), _bwd=bwd)
 
 
 def log_p_gaussian(s, b_tilde, dec):
@@ -162,11 +289,24 @@ def log_p_gaussian(s, b_tilde, dec):
     summed over the rows of the [N, M] bits and [N, d_s] semantics.
     """
     s = np.asarray(s, dtype=np.float64)
-    mu = ad.affine(b_tilde, dec.w_mu, dec.b_mu)
-    logvar = ad.affine(b_tilde, dec.w_logvar, dec.b_logvar)
+    w_mu, b_mu, w_lv, b_lv = dec.w_mu, dec.b_mu, dec.w_logvar, dec.b_logvar
+    _check_rows(b_tilde, w_mu, "decoder")
+    bits = b_tilde.data
+    mu = bits @ w_mu.data + b_mu.data
+    logvar = bits @ w_lv.data + b_lv.data
     if s.shape != mu.shape:
         raise ValueError(f"semantic shape {s.shape} does not match decoder output {mu.shape}")
-    resid = ad.square(ad.sub(ad.constant(s), mu))
-    scaled = ad.mul(resid, ad.exp(ad.mul(logvar, -1.0)))
-    total = ad.reduce_sum(ad.add(ad.add(scaled, logvar), LOG_2PI))
-    return ad.mul(total, -0.5)
+    diff = s - mu
+    resid = diff * diff
+    # overflow becomes inf and surfaces through the non-finite loss guard
+    with np.errstate(over="ignore"):
+        inv_var = np.exp(-logvar)
+    value = ((resid * inv_var + logvar) + LOG_2PI).sum() * -0.5
+
+    def bwd(g):
+        g_mu = g * inv_var * diff
+        g_lv = 0.5 * (g * resid * inv_var - g)
+        return (g_mu @ w_mu.data.T + g_lv @ w_lv.data.T,
+                bits.T @ g_mu, g_mu.sum(axis=0), bits.T @ g_lv, g_lv.sum(axis=0))
+
+    return Node(value, _parents=(b_tilde, w_mu, b_mu, w_lv, b_lv), _bwd=bwd)

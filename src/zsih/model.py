@@ -9,8 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import layers
+from .autodiff import Node, parameter
 
 FUSION_MODES = ("kronecker", "concat", "mfb")
 
@@ -94,7 +94,7 @@ class ModelParams:
         self.theta = self.flatten(arrays)
         self.grad = np.zeros_like(self.theta)
         grads = self.split(self.grad)
-        self.nodes = {name: ad.parameter(data, grads[name])
+        self.nodes = {name: parameter(data, grads[name])
                       for name, data in self.split(self.theta).items()}
         groups = {}
         for name, node in self.nodes.items():
@@ -161,24 +161,13 @@ def params_from_arrays(config, arrays):
     return ModelParams(config, shapes, arrays)
 
 
-def raw_fused(h_sk, h_im, params):
-    """The mode-specific fused rows [N, *] before any re-projection."""
-    fusion = params.fusion
-    if params.fusion_mode == "kronecker":
-        return layers.fuse(h_sk, h_im, fusion)
-    if params.fusion_mode == "concat":
-        return ad.concat_cols(h_sk, h_im)
-    t = ad.mul(ad.matmul(h_sk, fusion.u), ad.matmul(h_im, fusion.v))
-    n, d_f = h_sk.shape
-    return ad.reduce_sum(ad.reshape(t, (n, d_f, MFB_FACTOR)), axis=2)
-
-
 def fuse_modalities(h_sk, h_im, params):
-    """Fused features [N, d_f^2] for any fusion mode."""
-    raw = raw_fused(h_sk, h_im, params)
+    """Fused features [N, d_f^2] for any fusion mode, as one layer node."""
     if params.fusion_mode == "kronecker":
-        return raw
-    return ad.relu(ad.matmul(raw, params.fusion.w_proj))
+        return layers.fuse(h_sk, h_im, params.fusion)
+    if params.fusion_mode == "concat":
+        return layers.fuse_concat(h_sk, h_im, params.fusion)
+    return layers.fuse_mfb(h_sk, h_im, params.fusion)
 
 
 def forward_multimodal(batch, params, adj, eps, code_offset=None):
@@ -194,16 +183,17 @@ def forward_multimodal(batch, params, adj, eps, code_offset=None):
     fused = fuse_modalities(h_sk, h_im, params)
 
     if params.use_gcn:
-        hidden = layers.graph_conv(fused, adj, params.gcn1, ad.relu)
-        b = layers.graph_conv(hidden, adj, params.gcn2, ad.sigmoid)
+        a_norm = layers.normalized_adjacency(adj)
+        hidden = layers.graph_conv(fused, a_norm, params.gcn1, layers.relu)
+        b = layers.graph_conv(hidden, a_norm, params.gcn2, layers.sigmoid)
     else:
-        hidden = layers.dense(fused, params.gcn1, ad.relu)
-        b = layers.dense(hidden, params.gcn2, ad.sigmoid)
+        hidden = layers.dense(fused, params.gcn1, layers.relu)
+        b = layers.dense(hidden, params.gcn2, layers.sigmoid)
 
     if code_offset is None:
         b_tilde = layers.stochastic_neurons(b, eps)
     else:
-        b_tilde = ad.add(b, ad.constant(code_offset))
+        b_tilde = Node(b.data + code_offset, _parents=(b,), _bwd=lambda g: (g,))
 
     f_out = layers.encode_soft(h_im, params.enc_im)
     g_out = layers.encode_soft(h_sk, params.enc_sk)

@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import layers
+from .autodiff import Node
 from .model import forward_multimodal
 
 
@@ -43,19 +43,63 @@ class AdamState:
         )
 
 
+def code_regression(f_out, g_out, b_tilde, m_bits):
+    """The encoders' L2 regression onto the sampled codes as one node:
+    (|f - b~|^2 + |g - b~|^2) / (2M), summed over the batch."""
+    for out in (f_out, g_out):
+        if out.shape != b_tilde.shape:
+            raise ValueError(f"encoder output shape {out.shape} does not "
+                             f"match code shape {b_tilde.shape}")
+    d_f = f_out.data - b_tilde.data
+    d_g = g_out.data - b_tilde.data
+    scale = 1.0 / (2.0 * m_bits)
+    value = ((d_f * d_f).sum() + (d_g * d_g).sum()) * scale
+
+    def bwd(g):
+        g_f = 2.0 * g * scale * d_f
+        g_g = 2.0 * g * scale * d_g
+        return (g_f, g_g, -g_f, -g_g)
+
+    # b~ enters both differences; the engine sums its two gradients
+    return Node(value, _parents=(f_out, g_out, b_tilde, b_tilde), _bwd=bwd)
+
+
 def loss_terms(b, b_tilde, bits, f_out, g_out, semantics, dec, m_bits):
-    """The three per-batch loss terms as graph nodes.
+    """One draw's three loss nodes: log q(bits), log p(s | b~) and the
+    code regression.
 
     ``bits`` enters the entropy term as a constant (the sampled values);
     ``b_tilde`` is the graph node carrying the straight-through path into
     the decoder and the L2 regressions.
     """
-    entropy = layers.log_q(b, bits)
-    decode = ad.mul(layers.log_p_gaussian(semantics, b_tilde, dec), -1.0)
-    sq_f = ad.reduce_sum(ad.square(ad.sub(f_out, b_tilde)))
-    sq_g = ad.reduce_sum(ad.square(ad.sub(g_out, b_tilde)))
-    code_reg = ad.mul(ad.add(sq_f, sq_g), 1.0 / (2.0 * m_bits))
-    return entropy, decode, code_reg
+    return (layers.log_q(b, bits), layers.log_p_gaussian(semantics, b_tilde, dec),
+            code_regression(f_out, g_out, b_tilde, m_bits))
+
+
+def mc_total(draws):
+    """The loss node over K draws of ``loss_terms``: each term averaged
+    over the draws, the decode term being -log p, and the three summed.
+
+    Returns (loss node, LossBreakdown).
+    """
+    scale = 1.0 / len(draws)
+
+    def mc_mean(values):
+        # summed in draw order, then scaled; x * 1.0 == x, so one draw is exact
+        return sum(values[1:], values[0]) * scale
+
+    entropy = mc_mean([log_q.item() for log_q, _, _ in draws])
+    decode = mc_mean([-log_p.item() for _, log_p, _ in draws])
+    code_reg = mc_mean([reg.item() for _, _, reg in draws])
+    total = entropy + decode + code_reg
+
+    def bwd(g):
+        g_k = g * scale
+        return (g_k, -g_k, g_k) * len(draws)
+
+    node = Node(total, _parents=tuple(term for draw in draws for term in draw), _bwd=bwd)
+    return node, LossBreakdown(total=total, entropy_term=entropy,
+                               decode_term=decode, code_reg_term=code_reg)
 
 
 def batch_loss(batch, params, adj, eps_draws, code_offset=None, frozen_bits=None):
@@ -77,40 +121,17 @@ def batch_loss(batch, params, adj, eps_draws, code_offset=None, frozen_bits=None
         if code_offset is not None:
             code_offset = np.asarray(code_offset)[None]
             frozen_bits = np.asarray(frozen_bits)[None]
-    k = eps_draws.shape[0]
-    m_bits = params.code_bits
 
-    ent_parts, dec_parts, reg_parts = [], [], []
-    for draw in range(k):
+    draws = []
+    for draw in range(eps_draws.shape[0]):
         offset = None if code_offset is None else code_offset[draw]
         b, b_tilde, f_out, g_out = forward_multimodal(
             batch, params, adj, eps_draws[draw], code_offset=offset
         )
         bits = b_tilde.data if offset is None else frozen_bits[draw]
-        entropy, decode, code_reg = loss_terms(
-            b, b_tilde, bits, f_out, g_out, batch.semantics, params.dec, m_bits
-        )
-        ent_parts.append(entropy)
-        dec_parts.append(decode)
-        reg_parts.append(code_reg)
-
-    def mc_mean(parts):
-        node = parts[0]
-        for p in parts[1:]:
-            node = ad.add(node, p)
-        return ad.mul(node, 1.0 / k) if k > 1 else node
-
-    entropy = mc_mean(ent_parts)
-    decode = mc_mean(dec_parts)
-    code_reg = mc_mean(reg_parts)
-    total = ad.add(ad.add(entropy, decode), code_reg)
-    breakdown = LossBreakdown(
-        total=total.item(),
-        entropy_term=entropy.item(),
-        decode_term=decode.item(),
-        code_reg_term=code_reg.item(),
-    )
-    return total, breakdown
+        draws.append(loss_terms(b, b_tilde, bits, f_out, g_out,
+                                batch.semantics, params.dec, params.code_bits))
+    return mc_total(draws)
 
 
 def estimate_gradients(loss, params):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .formats import (FormatError, pack_header, read_body, read_exact, read_header,
                       write_atomic)
-from .model import TripletBatch, check_shapes, init_params, params_from_arrays
+from .model import FUSION_MODES, TripletBatch, check_shapes, init_params, params_from_arrays
 from .objective import AdamState, adam_step, batch_loss, estimate_gradients
 
 logger = logging.getLogger("zsih.pipeline")
@@ -47,6 +47,9 @@ class ZsihConfig:
     grad_clip: float = 0.0
 
     def validate(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.M < 1:
             raise ValueError("M must be at least 1")
         if self.N_B < 2:
@@ -59,12 +62,14 @@ class ZsihConfig:
             raise ValueError("layer widths must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
-        if self.fusion_mode not in ("kronecker", "concat", "mfb"):
+        if self.fusion_mode not in FUSION_MODES:
             raise ValueError(f"unknown fusion_mode {self.fusion_mode!r}")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
+        if self.eps_hat <= 0:
+            raise ValueError("eps_hat must be positive")
         if self.grad_clip < 0:
             raise ValueError("grad_clip must be non-negative")
         return self
@@ -76,16 +81,14 @@ _CONFIG_TYPES = {f.name: f.type for f in fields(ZsihConfig)}
 def _coerce(key, raw):
     kind = _CONFIG_TYPES[key]
     raw = raw.strip()
-    if kind == "bool" or kind is bool:
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"config key {key!r} expects a boolean, got {raw!r}")
-    if kind == "int" or kind is int:
-        return int(raw)
-    if kind == "float" or kind is float:
-        return float(raw)
+    if kind in (int, float):
+        return kind(raw)
     return raw
 
 

@@ -50,6 +50,19 @@ def check_node_grads(make_loss, nodes, rtol=FD_RTOL, atol=FD_ATOL):
         assert_grad_close(ag, fd, rtol=rtol, atol=atol)
 
 
+def square_sum(node):
+    """sum(x^2) over a node's value, as a scalar node: the loss the layer
+    tests reduce a layer's output to."""
+    return Node(np.sum(node.data * node.data), _parents=(node,),
+                _bwd=lambda g: (2.0 * g * node.data,))
+
+
+def shifted(node, offset):
+    """node + offset with an identity gradient: the straight-through
+    surrogate of the sampler once its bits are frozen."""
+    return Node(node.data + offset, _parents=(node,), _bwd=lambda g: (g,))
+
+
 def param_group(**arrays):
     """One layer's weights as the layers read them: a trainable Node per
     attribute, each holding a float64 copy of its array."""

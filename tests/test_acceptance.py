@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import assert_grad_close, fd_grad, param_group, tiny_setup
-from zsih import autodiff as ad
+from conftest import assert_grad_close, fd_grad, param_group, shifted, square_sum, tiny_setup
 from zsih import cli, data, layers, model, objective, pipeline, retrieval
-from zsih.autodiff import Node
+from zsih.autodiff import Node, constant
 
 
 @contextlib.contextmanager
@@ -41,57 +40,22 @@ def _check(make_loss, nodes):
 # criterion 1: gradient suite
 
 
-def _op_cases(rng):
-    """One randomized gradient-check case per differentiable operation."""
-    p = Node(rng.normal(size=(3, 4)), requires_grad=True)
-    q = Node(rng.normal(size=(4, 2)), requires_grad=True)
-    v = Node(rng.normal(size=4), requires_grad=True)
-    a = Node(rng.normal(size=(3, 2)), requires_grad=True)
-    w2 = Node(rng.normal(size=(2, 3)), requires_grad=True)
-    b3 = Node(rng.normal(size=3), requires_grad=True)
-    x = Node(rng.normal(size=(3, 4, 2)), requires_grad=True)
-    w = Node(rng.uniform(0.2, 3.0, size=5), requires_grad=True)
-    s = Node(rng.normal(), requires_grad=True)
-    p2 = Node(rng.normal(size=(3, 4)), requires_grad=True)
-    q1 = Node(rng.normal(size=(4, 1)), requires_grad=True)
-    b1 = Node(rng.normal(size=1), requires_grad=True)
-    sq = lambda x: ad.reduce_sum(ad.square(x))
-    return [
-        (lambda: sq(ad.matmul(p, q)), [p, q]),
-        (lambda: sq(ad.affine(x, w2, b3)), [x, w2, b3]),
-        (lambda: sq(ad.affine(p, q1, b1)), [p, q1, b1]),
-        (lambda: sq(ad.softmax_rows(p)), [p]),
-        (lambda: sq(ad.pool_rows(p, x)), [p, x]),
-        (lambda: sq(ad.kron_rows(p, a)), [p, a]),
-        (lambda: sq(ad.concat_cols(p, a)), [p, a]),
-        (lambda: sq(ad.add(p, p2)), [p, p2]),
-        (lambda: sq(ad.sub(p, s)), [p, s]),
-        (lambda: sq(ad.mul(p, p2)), [p, p2]),
-        (lambda: sq(ad.relu(p)), [p]),
-        (lambda: sq(ad.sigmoid(p)), [p]),
-        (lambda: sq(ad.exp(ad.mul(p, 0.5))), [p]),
-        (lambda: sq(ad.log(w)), [w]),
-        (lambda: sq(ad.square(v)), [v]),
-        (lambda: ad.square(ad.reduce_sum(p)), [p]),
-        (lambda: sq(ad.reduce_sum(p, axis=0)), [p]),
-        (lambda: sq(ad.reduce_sum(x, axis=2)), [x]),
-        (lambda: sq(ad.clip(v, -0.5, 0.5)), [v]),
-        (lambda: sq(ad.reshape(p, (2, 6))), [p]),
-    ]
-
-
 def _layer_cases(rng):
+    """One randomized gradient-check case per layer node."""
     attn = param_group(
         score_weights=rng.normal(size=(4, 1)), score_bias=rng.normal(size=1),
         proj_weights=rng.normal(size=(4, 3)), proj_bias=rng.normal(size=3))
     feats = rng.normal(size=(2, 3, 4))
-    fusion = param_group(w_sk=rng.normal(size=(3, 3)), w_im=rng.normal(size=(3, 3)))
-    h_sk = ad.constant(rng.normal(size=(2, 3)))
-    h_im = ad.constant(rng.normal(size=(2, 3)))
+    h_sk = Node(rng.normal(size=(2, 3)), requires_grad=True)
+    h_im = Node(rng.normal(size=(2, 3)), requires_grad=True)
+    kron = param_group(w_sk=rng.normal(size=(3, 3)), w_im=rng.normal(size=(3, 3)))
+    concat = param_group(w_proj=rng.normal(size=(6, 9)))
+    mfb = param_group(u=rng.normal(size=(3, 6)), v=rng.normal(size=(3, 6)),
+                      w_proj=rng.normal(size=(3, 9)))
     gcn = param_group(w_theta=rng.normal(size=(3, 2)))
     hidden = Node(rng.normal(size=(4, 3)), requires_grad=True)
     sem = rng.normal(size=(4, 2))
-    adj = pipeline.build_adjacency(sem, 0.8)
+    a_norm = layers.normalized_adjacency(pipeline.build_adjacency(sem, 0.8))
     enc = param_group(w=rng.normal(size=(4, 3)), b=rng.normal(size=3))
     h_enc = Node(rng.normal(size=(2, 4)), requires_grad=True)
     b_probs = Node(rng.uniform(0.15, 0.85, size=(2, 3)), requires_grad=True)
@@ -101,16 +65,26 @@ def _layer_cases(rng):
         w_logvar=rng.normal(size=(5, 3)) * 0.3, b_logvar=rng.normal(size=3) * 0.3)
     dec_bits = Node(rng.integers(0, 2, size=(2, 5)).astype(float), requires_grad=True)
     s_rows = rng.normal(size=(2, 3))
-    sq = lambda x: ad.reduce_sum(ad.square(x))
+    f_out, g_out, b_tilde = (Node(rng.uniform(0.1, 0.9, size=(2, 3)), requires_grad=True)
+                             for _ in range(3))
+    terms = [Node(rng.normal(), requires_grad=True) for _ in range(6)]
     return [
-        (lambda: sq(layers.attention_pool(feats, attn)),
+        (lambda: square_sum(layers.attention_pool(feats, attn)),
          [attn.score_weights, attn.score_bias, attn.proj_weights, attn.proj_bias]),
-        (lambda: sq(layers.fuse(h_sk, h_im, fusion)), [fusion.w_sk, fusion.w_im]),
-        (lambda: sq(layers.graph_conv(hidden, adj, gcn, ad.sigmoid)), [hidden, gcn.w_theta]),
-        (lambda: sq(layers.encode_soft(h_enc, enc)), [h_enc, enc.w, enc.b]),
+        (lambda: square_sum(layers.fuse(h_sk, h_im, kron)), [h_sk, h_im, kron.w_sk, kron.w_im]),
+        (lambda: square_sum(layers.fuse_concat(h_sk, h_im, concat)),
+         [h_sk, h_im, concat.w_proj]),
+        (lambda: square_sum(layers.fuse_mfb(h_sk, h_im, mfb)),
+         [h_sk, h_im, mfb.u, mfb.v, mfb.w_proj]),
+        (lambda: square_sum(layers.graph_conv(hidden, a_norm, gcn, layers.sigmoid)),
+         [hidden, gcn.w_theta]),
+        (lambda: square_sum(layers.dense(hidden, gcn, layers.relu)), [hidden, gcn.w_theta]),
+        (lambda: square_sum(layers.encode_soft(h_enc, enc)), [h_enc, enc.w, enc.b]),
         (lambda: layers.log_q(b_probs, bits), [b_probs]),
         (lambda: layers.log_p_gaussian(s_rows, dec_bits, dec),
          [dec.w_mu, dec.b_mu, dec.w_logvar, dec.b_logvar, dec_bits]),
+        (lambda: objective.code_regression(f_out, g_out, b_tilde, 3), [f_out, g_out, b_tilde]),
+        (lambda: objective.mc_total([terms[:3], terms[3:]])[0], terms),
     ]
 
 
@@ -124,7 +98,7 @@ def _check_stochastic_path(rng):
     h = rng.normal(size=(2, 4))
     s = rng.normal(size=(2, 2))
     eps = rng.random((2, 3))
-    b0 = layers.encode_soft(ad.constant(h), enc)
+    b0 = layers.encode_soft(constant(h), enc)
     sampled = layers.stochastic_neurons(b0, eps)
     offset = sampled.data - b0.data
     loss = layers.log_p_gaussian(s, sampled, dec)
@@ -135,8 +109,8 @@ def _check_stochastic_path(rng):
     grads = [n.grad.copy() for n in nodes]
 
     def surrogate():
-        b = layers.encode_soft(ad.constant(h), enc)
-        return layers.log_p_gaussian(s, ad.add(b, ad.constant(offset)), dec).item()
+        b = layers.encode_soft(constant(h), enc)
+        return layers.log_p_gaussian(s, shifted(b, offset), dec).item()
 
     for n, g in zip(nodes, grads):
         assert_grad_close(g, fd_grad(surrogate, n))
@@ -164,8 +138,6 @@ def test_criterion_1_gradient_suite():
         start = time.monotonic()
         for trial in range(100):
             rng = np.random.default_rng(1000 + trial)
-            for make_loss, nodes in _op_cases(rng):
-                _check(make_loss, nodes)
             for make_loss, nodes in _layer_cases(rng):
                 _check(make_loss, nodes)
             _check_stochastic_path(rng)
@@ -183,9 +155,9 @@ def test_criterion_2_gcn_equals_fc_under_identity():
             n = int(rng.integers(2, 9))
             d_in = int(rng.integers(1, 7))
             d_out = int(rng.integers(1, 7))
-            act = ad.relu if rng.integers(2) else ad.sigmoid
+            act = layers.relu if rng.integers(2) else layers.sigmoid
             layer = param_group(w_theta=rng.normal(size=(d_in, d_out)))
-            h = ad.constant(rng.normal(size=(n, d_in)) * 3.0)
+            h = constant(rng.normal(size=(n, d_in)) * 3.0)
             gcn = layers.graph_conv(h, np.eye(n), layer, act)
             fc = layers.dense(h, layer, act)
             assert np.max(np.abs(gcn.data - fc.data)) <= 1e-12

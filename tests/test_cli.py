@@ -122,6 +122,21 @@ class TestTrain:
         code = train_workspace(workspace, extra=["--set", "bogus=1"])
         assert code == 1
 
+    def test_non_finite_override_is_runtime_error(self, workspace, capsys):
+        code = train_workspace(workspace, extra=["--set", "lr=nan"])
+        assert code == 1
+        assert "error: lr must be finite" in capsys.readouterr().err
+
+    def test_semantics_not_utf8_is_runtime_error(self, workspace, capsys):
+        raw = workspace["semantics"].read_bytes()
+        workspace["semantics"].write_bytes(raw + b"\xff 1.0\n")
+        line = raw.count(b"\n") + 1
+        code = train_workspace(workspace)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"semantics.txt:{line}: not UTF-8" in err
+        assert "Traceback" not in err
+
     def test_diverged_run_saves_last_good_state_and_exits_1(
             self, workspace, monkeypatch, capsys):
         calls = []

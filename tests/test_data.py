@@ -19,6 +19,7 @@ from zsih.data import (
     load_split,
     make_split,
     read_semantic_file,
+    read_synonyms,
     save_features,
     save_split,
     SemanticTable,
@@ -317,6 +318,18 @@ class TestSemantics:
         path.write_text("cat 1.0 zap\n")
         with pytest.raises(FormatError, match="non-numeric"):
             read_semantic_file(path)
+
+
+@pytest.mark.parametrize("read, raw", [
+    (read_semantic_file, b"cat 1.0\n\xff 2.0\n"),
+    (read_synonyms, b"cat\tdog\n\xff\tdog\n"),
+    (load_split, b"seen\t1\n\xff\t2\n"),
+])
+def test_text_reader_names_the_line_that_is_not_utf8(tmp_path, read, raw):
+    path = tmp_path / "text.txt"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=r"text\.txt:2: not UTF-8"):
+        read(path)
 
 
 class TestSplit:

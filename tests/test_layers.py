@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_grad_close, check_node_grads, fd_grad, param_group
-from zsih import autodiff as ad
+from conftest import (assert_grad_close, check_node_grads, fd_grad, param_group, shifted,
+                      square_sum)
 from zsih import layers, pipeline
-from zsih.autodiff import Node
+from zsih.autodiff import Node, constant
 
 
 def make_attention(rng, channels, d_f):
@@ -23,26 +23,26 @@ def attention_weights(feats, params):
     n, length, channels = feats.shape
     logits = (feats.reshape(n * length, channels) @ params.score_weights.data
               + params.score_bias.data)
-    return ad.softmax_rows(ad.constant(logits.reshape(n, length)))
+    return layers.softmax_rows(logits.reshape(n, length))
 
 
 class TestAttentionPool:
     def test_single_location_weight_is_one(self, rng):
         params = make_attention(rng, 5, 3)
         weights = attention_weights(rng.normal(size=(3, 1, 5)), params)
-        assert weights.data.tolist() == [[1.0]] * 3
+        assert weights.tolist() == [[1.0]] * 3
 
     def test_identical_rows_give_uniform_weights(self, rng):
         params = make_attention(rng, 4, 2)
         feats = np.tile(rng.normal(size=(2, 1, 4)), (1, 6, 1))
         weights = attention_weights(feats, params)
-        np.testing.assert_allclose(weights.data, np.full((2, 6), 1 / 6), rtol=1e-12)
+        np.testing.assert_allclose(weights, np.full((2, 6), 1 / 6), rtol=1e-12)
 
     def test_weights_form_a_simplex(self, rng):
         params = make_attention(rng, 4, 2)
         weights = attention_weights(rng.normal(size=(3, 7, 4)), params)
-        assert np.all(weights.data >= 0)
-        np.testing.assert_allclose(weights.data.sum(axis=1), np.ones(3),
+        assert np.all(weights >= 0)
+        np.testing.assert_allclose(weights.sum(axis=1), np.ones(3),
                                    rtol=0, atol=1e-12)
 
     def test_full_scale_output_dim(self, rng):
@@ -68,7 +68,7 @@ class TestAttentionPool:
         nodes = [params.score_weights, params.score_bias,
                  params.proj_weights, params.proj_bias]
         check_node_grads(
-            lambda: ad.reduce_sum(ad.square(layers.attention_pool(feats, params))),
+            lambda: square_sum(layers.attention_pool(feats, params)),
             nodes,
         )
 
@@ -76,47 +76,46 @@ class TestAttentionPool:
 class TestKroneckerFusion:
     def test_zero_sketch_annihilates(self, rng):
         params = param_group(w_sk=rng.normal(size=(4, 4)), w_im=rng.normal(size=(4, 4)))
-        out = layers.fuse(ad.constant(np.zeros((2, 4))),
-                          ad.constant(rng.normal(size=(2, 4))), params)
+        out = layers.fuse(constant(np.zeros((2, 4))),
+                          constant(rng.normal(size=(2, 4))), params)
         np.testing.assert_array_equal(out.data, np.zeros((2, 16)))
 
     def test_identity_weights_hand_case(self):
         params = param_group(w_sk=np.eye(2), w_im=np.eye(2))
-        out = layers.fuse(ad.constant([[1.0, 0.0], [0.0, 1.0]]),
-                          ad.constant([[0.0, 2.0], [3.0, 0.0]]), params)
+        out = layers.fuse(constant([[1.0, 0.0], [0.0, 1.0]]),
+                          constant([[0.0, 2.0], [3.0, 0.0]]), params)
         assert out.data.tolist() == [[0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 0.0]]
 
     def test_full_scale_output_dim(self, rng):
         params = param_group(w_sk=rng.normal(size=(256, 256)), w_im=rng.normal(size=(256, 256)))
         out = layers.fuse(
-            ad.constant(rng.normal(size=(2, 256))),
-            ad.constant(rng.normal(size=(2, 256))), params
+            constant(rng.normal(size=(2, 256))),
+            constant(rng.normal(size=(2, 256))), params
         )
         assert out.shape == (2, 65536)
 
     def test_output_nonnegative(self, rng):
         params = param_group(w_sk=rng.normal(size=(5, 5)), w_im=rng.normal(size=(5, 5)))
         out = layers.fuse(
-            ad.constant(rng.normal(size=(3, 5))),
-            ad.constant(rng.normal(size=(3, 5))), params
+            constant(rng.normal(size=(3, 5))),
+            constant(rng.normal(size=(3, 5))), params
         )
         assert np.all(out.data >= 0)
 
     def test_length_mismatch_rejected(self, rng):
         params = param_group(w_sk=np.eye(3), w_im=np.eye(3))
         with pytest.raises(ValueError, match="length 3"):
-            layers.fuse(ad.constant(np.ones((1, 2))), ad.constant(np.ones((1, 3))), params)
+            layers.fuse(constant(np.ones((1, 2))), constant(np.ones((1, 3))), params)
         with pytest.raises(ValueError, match="length 3"):
-            layers.fuse(ad.constant(np.ones((1, 3))), ad.constant(np.ones((2, 3))), params)
+            layers.fuse(constant(np.ones((1, 3))), constant(np.ones((2, 3))), params)
 
     def test_pre_activation_bilinear(self, rng):
         params = param_group(w_sk=rng.normal(size=(4, 4)), w_im=rng.normal(size=(4, 4)))
 
         def pre(h_sk, h_im):
-            return ad.kron_rows(
-                ad.matmul(ad.constant(h_sk), params.w_sk),
-                ad.matmul(ad.constant(h_im), params.w_im),
-            ).data
+            # relu(P) - relu(-P) = P, and negating h_sk negates P
+            return (layers.fuse(constant(h_sk), constant(h_im), params).data
+                    - layers.fuse(constant(-h_sk), constant(h_im), params).data)
 
         a, b, c = rng.normal(size=(3, 2, 4))
         alpha, beta = 0.7, -1.3
@@ -129,10 +128,10 @@ class TestKroneckerFusion:
 
     def test_gradients_match_fd(self, rng):
         params = param_group(w_sk=rng.normal(size=(3, 3)), w_im=rng.normal(size=(3, 3)))
-        h_sk = ad.constant(rng.normal(size=(2, 3)))
-        h_im = ad.constant(rng.normal(size=(2, 3)))
+        h_sk = constant(rng.normal(size=(2, 3)))
+        h_im = constant(rng.normal(size=(2, 3)))
         check_node_grads(
-            lambda: ad.reduce_sum(ad.square(layers.fuse(h_sk, h_im, params))),
+            lambda: square_sum(layers.fuse(h_sk, h_im, params)),
             [params.w_sk, params.w_im],
         )
 
@@ -141,51 +140,54 @@ class TestGraphConv:
     def test_identity_adjacency_equals_dense(self, rng):
         layer = param_group(w_theta=rng.normal(size=(5, 4)))
         h = Node(rng.normal(size=(6, 5)), requires_grad=True)
-        gcn = layers.graph_conv(h, np.eye(6), layer, ad.relu)
-        fc = layers.dense(h, layer, ad.relu)
+        gcn = layers.graph_conv(h, np.eye(6), layer, layers.relu)
+        fc = layers.dense(h, layer, layers.relu)
         assert np.max(np.abs(gcn.data - fc.data)) <= 1e-12
 
     def test_full_scale_layer_dims(self, rng):
         relu_layer = param_group(w_theta=rng.normal(size=(32, 1024)) * 0.1)
         sig_layer = param_group(w_theta=rng.normal(size=(1024, 64)) * 0.01)
-        h = ad.constant(rng.normal(size=(3, 32)))
+        h = constant(rng.normal(size=(3, 32)))
         adj = np.eye(3)
-        hidden = layers.graph_conv(h, adj, relu_layer, ad.relu)
+        hidden = layers.graph_conv(h, adj, relu_layer, layers.relu)
         assert hidden.shape == (3, 1024)
-        out = layers.graph_conv(hidden, adj, sig_layer, ad.sigmoid)
+        out = layers.graph_conv(hidden, adj, sig_layer, layers.sigmoid)
         assert out.shape == (3, 64)
         assert np.all((out.data > 0) & (out.data < 1))
 
     def test_all_ones_adjacency_averages_rows(self, rng):
         layer = param_group(w_theta=rng.normal(size=(4, 3)))
         h = rng.normal(size=(3, 4))
-        out = layers.graph_conv(ad.constant(h), np.ones((3, 3)), layer, ad.relu)
+        out = layers.graph_conv(constant(h), layers.normalized_adjacency(np.ones((3, 3))),
+                                 layer, layers.relu)
         mean_row = h.mean(axis=0)
         expected = np.maximum(0.0, mean_row @ layer.w_theta.data)
         for row in out.data:
             np.testing.assert_allclose(row, expected, rtol=1e-12)
 
-    def test_asymmetric_adjacency_rejected(self, rng):
-        layer = param_group(w_theta=rng.normal(size=(2, 2)))
+    def test_asymmetric_adjacency_rejected(self):
         adj = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            layers.graph_conv(ad.constant(np.ones((2, 2))), adj, layer, ad.relu)
+            layers.normalized_adjacency(adj)
 
-    def test_bad_diagonal_rejected(self, rng):
-        layer = param_group(w_theta=rng.normal(size=(2, 2)))
+    def test_bad_diagonal_rejected(self):
         adj = np.array([[0.9, 0.5], [0.5, 1.0]])
         with pytest.raises(ValueError, match="diagonal"):
-            layers.graph_conv(ad.constant(np.ones((2, 2))), adj, layer, ad.relu)
+            layers.normalized_adjacency(adj)
 
-    def test_out_of_range_entries_rejected(self, rng):
-        layer = param_group(w_theta=rng.normal(size=(2, 2)))
+    def test_out_of_range_entries_rejected(self):
         adj = np.array([[1.0, 1.5], [1.5, 1.0]])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            layers.graph_conv(ad.constant(np.ones((2, 2))), adj, layer, ad.relu)
+            layers.normalized_adjacency(adj)
+
+    def test_adjacency_size_must_match_batch(self, rng):
+        layer = param_group(w_theta=rng.normal(size=(2, 2)))
+        with pytest.raises(ValueError, match="does not match batch 3"):
+            layers.graph_conv(constant(np.ones((3, 2))), np.eye(2), layer, layers.relu)
 
     def test_unknown_activation_rejected(self, rng):
         layer = param_group(w_theta=rng.normal(size=(2, 2)))
-        h = ad.constant(np.ones((2, 2)))
+        h = constant(np.ones((2, 2)))
         with pytest.raises(ValueError, match="activation"):
             layers.graph_conv(h, np.eye(2), layer, np.tanh)
         with pytest.raises(ValueError, match="activation"):
@@ -196,7 +198,8 @@ class TestGraphConv:
         h = rng.normal(size=(4, 3))
         adj = pipeline.build_adjacency(rng.normal(size=(4, 2)), 0.8)
         pre = layers.normalized_adjacency(adj) @ h @ layer.w_theta.data
-        out = layers.graph_conv(ad.constant(h), adj, layer, ad.sigmoid)
+        out = layers.graph_conv(constant(h), layers.normalized_adjacency(adj), layer,
+                                 layers.sigmoid)
         np.testing.assert_allclose(out.data, 1.0 / (1.0 + np.exp(-pre)), rtol=1e-12)
 
     def test_gradients_match_fd(self, rng):
@@ -206,8 +209,9 @@ class TestGraphConv:
         sq = ((sem[:, None, :] - sem[None, :, :]) ** 2).sum(axis=2)
         adj = np.exp(-sq)
         np.fill_diagonal(adj, 1.0)
+        a_norm = layers.normalized_adjacency(adj)
         check_node_grads(
-            lambda: ad.reduce_sum(ad.square(layers.graph_conv(h, adj, layer, ad.sigmoid))),
+            lambda: square_sum(layers.graph_conv(h, a_norm, layer, layers.sigmoid)),
             [h, layer.w_theta],
         )
 
@@ -215,45 +219,45 @@ class TestGraphConv:
 class TestHashEncoder:
     def test_zero_weights_give_half(self):
         enc = param_group(w=np.zeros((3, 4)), b=np.zeros(4))
-        out = layers.encode_soft(ad.constant(np.ones((1, 3))), enc)
+        out = layers.encode_soft(constant(np.ones((1, 3))), enc)
         assert out.data.tolist() == [[0.5] * 4]
 
     def test_outputs_inside_unit_interval(self, rng):
         enc = param_group(w=rng.normal(size=(3, 4)), b=rng.normal(size=4))
-        out = layers.encode_soft(ad.constant(rng.normal(size=(2, 3)) * 5), enc)
+        out = layers.encode_soft(constant(rng.normal(size=(2, 3)) * 5), enc)
         assert np.all((out.data > 0) & (out.data < 1))
 
     def test_batch_path_matches_vector_path(self, rng):
         # every row of a batch equals the same row encoded on its own
         enc = param_group(w=rng.normal(size=(3, 4)), b=rng.normal(size=4))
         h = rng.normal(size=(5, 3))
-        batched = layers.encode_soft(ad.constant(h), enc)
+        batched = layers.encode_soft(constant(h), enc)
         for i in range(5):
-            single = layers.encode_soft(ad.constant(h[i:i + 1]), enc)
+            single = layers.encode_soft(constant(h[i:i + 1]), enc)
             np.testing.assert_allclose(batched.data[i:i + 1], single.data, rtol=1e-14)
 
     def test_gradients_match_fd(self, rng):
         enc = param_group(w=rng.normal(size=(4, 3)), b=rng.normal(size=3))
         h = Node(rng.normal(size=(2, 4)), requires_grad=True)
         check_node_grads(
-            lambda: ad.reduce_sum(ad.square(layers.encode_soft(h, enc))),
+            lambda: square_sum(layers.encode_soft(h, enc)),
             [h, enc.w, enc.b],
         )
 
 
 class TestStochasticNeurons:
     def test_extreme_probabilities(self):
-        b = ad.constant([1.0 - 1e-9, 1e-9])
+        b = constant([1.0 - 1e-9, 1e-9])
         out = layers.stochastic_neurons(b, np.array([0.9999, 0.0001]))
         assert out.data.tolist() == [1.0, 0.0]
 
     def test_threshold_rule(self):
-        b = ad.constant([0.5, 0.5])
+        b = constant([0.5, 0.5])
         out = layers.stochastic_neurons(b, np.array([0.3, 0.7]))
         assert out.data.tolist() == [1.0, 0.0]
 
     def test_boundary_resolves_to_one(self):
-        out = layers.stochastic_neurons(ad.constant([0.25]), np.array([0.25]))
+        out = layers.stochastic_neurons(constant([0.25]), np.array([0.25]))
         assert out.data.tolist() == [1.0]
 
     def test_empirical_mean_matches_probability(self, rng):
@@ -266,56 +270,56 @@ class TestStochasticNeurons:
 
     def test_domain_error_outside_unit_interval(self):
         with pytest.raises(ValueError, match="probabilities"):
-            layers.stochastic_neurons(ad.constant([1.2]), np.array([0.5]))
+            layers.stochastic_neurons(constant([1.2]), np.array([0.5]))
         with pytest.raises(ValueError, match="probabilities"):
-            layers.stochastic_neurons(ad.constant([-0.1]), np.array([0.5]))
+            layers.stochastic_neurons(constant([-0.1]), np.array([0.5]))
 
     def test_straight_through_gradient_is_identity(self, rng):
         b = Node(rng.uniform(0.2, 0.8, size=6), requires_grad=True)
         out = layers.stochastic_neurons(b, rng.random(6))
         w = rng.normal(size=6)
-        ad.reduce_sum(ad.mul(out, ad.constant(w))).backward()
-        np.testing.assert_array_equal(b.grad, w)
+        square_sum(shifted(out, w)).backward()
+        np.testing.assert_array_equal(b.grad, 2.0 * (out.data + w))
 
     def test_gradient_zeroed_in_clamp_region(self):
         b = Node([0.5, 1e-9, 1.0 - 1e-9], requires_grad=True)
         out = layers.stochastic_neurons(b, np.full(3, 0.5))
-        ad.reduce_sum(out).backward()
-        np.testing.assert_array_equal(b.grad, [1.0, 0.0, 0.0])
+        square_sum(out).backward()
+        np.testing.assert_array_equal(b.grad, [2.0, 0.0, 0.0])
 
     def test_eps_shape_mismatch(self):
         with pytest.raises(ValueError, match="eps shape"):
-            layers.stochastic_neurons(ad.constant([0.5, 0.5]), np.array([0.5]))
+            layers.stochastic_neurons(constant([0.5, 0.5]), np.array([0.5]))
 
 
 class TestLogQ:
     def test_half_probabilities(self):
-        b = ad.constant(np.full(6, 0.5))
+        b = constant(np.full(6, 0.5))
         for bits in (np.zeros(6), np.ones(6), np.array([1, 0, 1, 0, 1, 0.0])):
             out = layers.log_q(b, bits)
             assert abs(out.item() - 6 * math.log(0.5)) < 1e-12
 
     def test_scalar_case(self):
-        out = layers.log_q(ad.constant([0.9]), np.array([1.0]))
+        out = layers.log_q(constant([0.9]), np.array([1.0]))
         assert abs(out.item() - math.log(0.9)) < 1e-12
         assert abs(out.item() + 0.10536) < 1e-4
 
     def test_maximized_at_sampled_bits(self, rng):
         bits = rng.integers(0, 2, size=8).astype(float)
         best = np.clip(bits, layers.PROB_EPS, 1 - layers.PROB_EPS)
-        top = layers.log_q(ad.constant(best), bits).item()
+        top = layers.log_q(constant(best), bits).item()
         for _ in range(50):
             other = rng.uniform(0.01, 0.99, size=8)
-            assert layers.log_q(ad.constant(other), bits).item() <= top
+            assert layers.log_q(constant(other), bits).item() <= top
 
     def test_extreme_probabilities_are_clamped(self):
-        b = ad.constant([1e-12, 1.0 - 1e-12])
+        b = constant([1e-12, 1.0 - 1e-12])
         out = layers.log_q(b, np.array([0.0, 1.0]))
         assert np.isfinite(out.item())
 
     def test_non_binary_bits_rejected(self):
         with pytest.raises(ValueError, match="binary"):
-            layers.log_q(ad.constant([0.5]), np.array([0.4]))
+            layers.log_q(constant([0.5]), np.array([0.4]))
 
     def test_gradients_match_fd(self, rng):
         b = Node(rng.uniform(0.1, 0.9, size=7), requires_grad=True)
@@ -331,7 +335,7 @@ class TestLogPGaussian:
             w_mu=np.zeros((3, d_s)), b_mu=s[0].copy(),
             w_logvar=np.zeros((3, d_s)), b_logvar=np.zeros(d_s),
         )
-        out = layers.log_p_gaussian(s, ad.constant(np.ones((1, 3))), dec)
+        out = layers.log_p_gaussian(s, constant(np.ones((1, 3))), dec)
         assert abs(out.item() + 0.5 * d_s * math.log(2 * math.pi)) < 1e-12
 
     def test_scalar_miniature(self):
@@ -339,7 +343,7 @@ class TestLogPGaussian:
             w_mu=np.zeros((2, 1)), b_mu=np.array([1.0]),
             w_logvar=np.zeros((2, 1)), b_logvar=np.array([0.0]),
         )
-        out = layers.log_p_gaussian(np.array([[0.0]]), ad.constant(np.ones((1, 2))), dec)
+        out = layers.log_p_gaussian(np.array([[0.0]]), constant(np.ones((1, 2))), dec)
         expected = -0.5 * (math.log(2 * math.pi) + 1.0)
         assert abs(out.item() - expected) < 1e-12
         assert abs(out.item() + 1.41894) < 1e-5
@@ -349,7 +353,7 @@ class TestLogPGaussian:
             w_mu=np.zeros((2, 1)), b_mu=np.array([0.0]),
             w_logvar=np.zeros((2, 1)), b_logvar=np.array([0.0]),
         )
-        bits = ad.constant(np.ones((1, 2)))
+        bits = constant(np.ones((1, 2)))
         values = [layers.log_p_gaussian(np.array([[mu_gap]]), bits, dec).item()
                   for mu_gap in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -360,7 +364,7 @@ class TestLogPGaussian:
             w_logvar=rng.normal(size=(2, 3)), b_logvar=np.zeros(3),
         )
         with pytest.raises(ValueError, match="semantic shape"):
-            layers.log_p_gaussian(np.zeros((1, 2)), ad.constant(np.ones((1, 2))), dec)
+            layers.log_p_gaussian(np.zeros((1, 2)), constant(np.ones((1, 2))), dec)
 
     def test_gradients_match_fd(self, rng):
         dec = param_group(
@@ -388,7 +392,7 @@ class TestStraightThroughPath:
         s = rng.normal(size=(1, 3))
         eps = rng.random((1, 4))
 
-        b0 = layers.encode_soft(ad.constant(h), enc)
+        b0 = layers.encode_soft(constant(h), enc)
         bits = layers.stochastic_neurons(b0, eps)
         offset = bits.data - b0.data
 
@@ -400,8 +404,8 @@ class TestStraightThroughPath:
         ad_w, ad_b = enc.w.grad.copy(), enc.b.grad.copy()
 
         def surrogate():
-            b = layers.encode_soft(ad.constant(h), enc)
-            relaxed = ad.add(b, ad.constant(offset))
+            b = layers.encode_soft(constant(h), enc)
+            relaxed = shifted(b, offset)
             return layers.log_p_gaussian(s, relaxed, dec).item()
 
         assert_grad_close(ad_w, fd_grad(surrogate, enc.w))

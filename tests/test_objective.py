@@ -4,9 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import assert_grad_close, fd_grad, param_group, tiny_setup
-from zsih import autodiff as ad
+from conftest import assert_grad_close, fd_grad, param_group, square_sum, tiny_setup
 from zsih import layers, model, objective, pipeline
+from zsih.autodiff import Node, constant, parameter
 from zsih.model import forward_multimodal
 from zsih.objective import AdamState, adam_step, batch_loss, estimate_gradients
 
@@ -39,9 +39,9 @@ class TestBatchLoss:
 
     def test_regularizer_vanishes_when_encoders_hit_bits(self, rng):
         m = 4
-        b = ad.constant(rng.uniform(0.3, 0.7, size=(2, m)))
+        b = constant(rng.uniform(0.3, 0.7, size=(2, m)))
         bits = rng.integers(0, 2, size=(2, m)).astype(float)
-        bits_node = ad.constant(bits)
+        bits_node = constant(bits)
         dec = param_group(w_mu=np.zeros((m, 2)), b_mu=np.zeros(2),
                           w_logvar=np.zeros((m, 2)), b_logvar=np.zeros(2))
         _, _, code_reg = objective.loss_terms(
@@ -60,22 +60,23 @@ class TestBatchLoss:
         )
         f_val = np.array([[0.61]])
         g_val = np.array([[0.28]])
-        b = ad.constant([[b_val]])
-        bits_node = ad.constant(bit)
-        entropy, decode, code_reg = objective.loss_terms(
-            b, bits_node, bit, ad.constant(f_val), ad.constant(g_val), s, dec, 1
+        b = constant([[b_val]])
+        bits_node = constant(bit)
+        terms = objective.loss_terms(
+            b, bits_node, bit, constant(f_val), constant(g_val), s, dec, 1
         )
-        assert abs(entropy.item() - math.log(b_val)) < 1e-12
-        expected_decode = -layers.log_p_gaussian(s, ad.constant(bit), dec).item()
-        assert abs(decode.item() - expected_decode) < 1e-12
+        _, bd = objective.mc_total([terms])
+        assert abs(bd.entropy_term - math.log(b_val)) < 1e-12
+        expected_decode = -layers.log_p_gaussian(s, constant(bit), dec).item()
+        assert abs(bd.decode_term - expected_decode) < 1e-12
         expected_reg = ((f_val[0, 0] - 1.0) ** 2 + (g_val[0, 0] - 1.0) ** 2) / 2.0
-        assert abs(code_reg.item() - expected_reg) < 1e-12
+        assert abs(bd.code_reg_term - expected_reg) < 1e-12
 
     def test_total_orders_with_code_entropy(self, rng):
         """The sampled-code log-probability enters the total with a plus
         sign, so minimizing the total presses E[log q] down (entropy up)."""
         m = 6
-        b = ad.constant(np.full((2, m), 0.7))
+        b = constant(np.full((2, m), 0.7))
         # constant decoder: the decode term cannot distinguish the states
         dec = param_group(w_mu=np.zeros((m, 2)), b_mu=np.zeros(2),
                           w_logvar=np.zeros((m, 2)), b_logvar=np.zeros(2))
@@ -83,10 +84,10 @@ class TestBatchLoss:
         totals = {}
         for tag, bit in (("likely", 1.0), ("unlikely", 0.0)):
             bits = np.full((2, m), bit)
-            bits_node = ad.constant(bits)
-            entropy, decode, reg = objective.loss_terms(
-                b, bits_node, bits, bits_node, bits_node, sem, dec, m)
-            totals[tag] = entropy.item() + decode.item() + reg.item()
+            bits_node = constant(bits)
+            _, bd = objective.mc_total([objective.loss_terms(
+                b, bits_node, bits, bits_node, bits_node, sem, dec, m)])
+            totals[tag] = bd.total
         assert totals["unlikely"] < totals["likely"]
 
     def test_batch_too_small(self):
@@ -97,6 +98,23 @@ class TestBatchLoss:
         batch.labels = batch.labels[:1]
         with pytest.raises(ValueError, match="at least 2"):
             batch_loss(batch, params, adj[:1, :1], eps[:1])
+
+    @pytest.mark.parametrize("draws, nodes", [(1, 12), (2, 23)])
+    def test_one_node_per_layer(self, monkeypatch, draws, nodes):
+        """A default step (Kronecker fusion, GCN) builds per draw one node
+        for each of the 11 layers, plus the one node over all draws."""
+        _, _, params, batch, adj, eps, _ = tiny_setup()
+        built = []
+        init = Node.__init__
+
+        def counting_init(node, *args, **kwargs):
+            built.append(node)
+            init(node, *args, **kwargs)
+
+        monkeypatch.setattr(Node, "__init__", counting_init)
+        loss, _ = batch_loss(batch, params, adj, np.stack([eps] * draws))
+        estimate_gradients(loss, params)
+        assert len(built) == nodes
 
     def test_multi_draw_average_of_identical_draws(self):
         config, _, params, batch, adj, eps, _ = tiny_setup()
@@ -118,7 +136,7 @@ class TestEstimateGradients:
 
     def test_constant_loss_gives_zero_gradients(self):
         _, _, params, _, _, _, _ = tiny_setup()
-        loss = ad.reduce_sum(ad.square(ad.constant([1.0, 2.0])))
+        loss = square_sum(constant([1.0, 2.0]))
         grad = estimate_gradients(loss, params)
         assert grad.shape == params.theta.shape
         assert np.all(grad == 0.0)
@@ -170,15 +188,15 @@ class TestAdam:
 
     def test_quadratic_bowl_descends_monotonically(self):
         holder = SimpleNamespace(theta=np.full(6, 2.0), grad=np.zeros(6))
-        theta = ad.parameter(holder.theta, holder.grad)
+        theta = parameter(holder.theta, holder.grad)
         state = AdamState.init(holder, lr=0.01)
         losses = []
         for _ in range(100):
-            loss = ad.mul(ad.reduce_sum(ad.square(theta)), 0.5)
+            loss = square_sum(theta)
             losses.append(loss.item())
             grad = estimate_gradients(loss, holder)
             adam_step(holder, grad, state)
-        losses.append(0.5 * float(np.sum(theta.data ** 2)))
+        losses.append(float(np.sum(theta.data ** 2)))
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
     def test_non_finite_gradient_aborts(self, rng):

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from conftest import tiny_config, tiny_setup
 from zsih import model, objective, pipeline
+from zsih.autodiff import constant
 from zsih.data import FormatError, synth_dataset
 from zsih.pipeline import (
     Checkpoint,
@@ -47,11 +48,18 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(t=0.0), dict(N_B=1), dict(M=0), dict(fusion_mode="sum"),
-         dict(K=0), dict(lr=0.0), dict(grad_clip=-1.0)],
+         dict(K=0), dict(lr=0.0), dict(grad_clip=-1.0), dict(eps_hat=0.0)],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ZsihConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("text", [
+        "lr = nan", "t = inf", "eps_hat = nan", "grad_clip = nan", "beta1 = -inf",
+        "lr = nan\nt = inf\neps_hat = nan\ngrad_clip = nan"])
+    def test_non_finite_floats_rejected(self, text):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_config(text)
 
     def test_overrides_win(self):
         config = apply_overrides(ZsihConfig(M=8), {"M": "16", "use_gcn": "false"})
@@ -220,13 +228,15 @@ class TestForwardMultimodal:
             np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
     def test_fusion_raw_dimensions(self, rng):
+        # concat and MFB re-project their raw rows through w_proj
         n, d_f = 2, 3
-        h_sk = model.ad.constant(rng.normal(size=(n, d_f)))
-        h_im = model.ad.constant(rng.normal(size=(n, d_f)))
-        raw_width = {"kronecker": d_f * d_f, "concat": 2 * d_f, "mfb": d_f}
+        h_sk = constant(rng.normal(size=(n, d_f)))
+        h_im = constant(rng.normal(size=(n, d_f)))
+        raw_width = {"kronecker": None, "concat": 2 * d_f, "mfb": d_f}
         for mode, width in raw_width.items():
             params = model.init_params(tiny_config(d_f=d_f, fusion_mode=mode), 6, 3, rng)
-            assert model.raw_fused(h_sk, h_im, params).shape == (n, width)
+            if width is not None:
+                assert params.shapes["fusion.w_proj"] == (width, d_f * d_f)
             assert model.fuse_modalities(h_sk, h_im, params).shape == (n, d_f * d_f)
 
     def test_code_probabilities_in_unit_interval(self):
@@ -549,6 +559,7 @@ class TestCheckpoint:
         (b"M = 4", b"M = \xff", "bad checkpoint config: 'utf-8' codec"),
         (b"fusion_mode", b"fusiOn_mode", "bad checkpoint config: config line 9: unknown key"),
         (b"max_iters = 4", b"max_iters = -4", "bad checkpoint config: max_iters"),
+        (b"t = 0.5", b"t = inf", "bad checkpoint config: t must be finite"),
         (b"enc_im.b", b"enc_\xe9m.b", "bad parameter name: 'utf-8' codec"),
     ])
     def test_corrupt_text_raises_format_error(self, tmp_path, old, new, message):

@@ -234,11 +234,11 @@ def run_retrieve(args, parser):
     with (write_atomic(args.out) as raw,
           io.TextIOWrapper(raw, encoding="utf-8") as f):
         f.write("query\trank\tgallery_index\tdistance\n")
-        for qi, bits in enumerate(queries.bits()):
-            order = retrieval.hamming_rank(bits, gallery)[:top]
-            dist = retrieval.hamming_distances(queries.codes[qi],
-                                               gallery.codes[order])
-            for rank, (gi, d) in enumerate(zip(order, dist), start=1):
+        for qi, row in enumerate(queries.codes):
+            dist = retrieval.hamming_distances(row, gallery.codes)
+            # the same stable (radix) sort as hamming_rank: ties by index
+            order = np.argsort(dist, kind="stable")[:top]
+            for rank, (gi, d) in enumerate(zip(order, dist[order]), start=1):
                 f.write(f"{qi}\t{rank}\t{gi}\t{d}\n")
     print(f"ranked top-{top} of {len(gallery)} gallery items for "
           f"{len(queries)} queries -> {args.out}")

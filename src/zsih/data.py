@@ -241,7 +241,11 @@ def load_split(path):
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) == 2 and parts[0] == "seed":
-                seed = int(parts[1])
+                try:
+                    seed = int(parts[1])
+                except ValueError:
+                    raise FormatError(f"{path}:{line_no}: seed {parts[1]!r} "
+                                      "is not an integer") from None
             continue
         try:
             kind, cid = line.split("\t")

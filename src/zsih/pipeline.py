@@ -10,6 +10,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .data import _text_lines
 from .formats import (FormatError, pack_header, read_body, read_exact, read_header,
                       write_atomic)
 from .model import FUSION_MODES, TripletBatch, check_shapes, init_params, params_from_arrays
@@ -121,8 +122,7 @@ def format_config(config):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read())
+    return parse_config("".join(line for _, line in _text_lines(path)))
 
 
 def apply_overrides(config, overrides):

@@ -78,6 +78,20 @@ def _words(packed):
     return packed
 
 
+def _scan(query, gallery):
+    """The distance kernel: one query row against every gallery row, both
+    in the same word view (see ``_words``); uint8 while a row holds at most
+    255 bits, else uint16."""
+    dist = np.zeros(gallery.shape[0],
+                    dtype=np.uint8 if gallery.shape[1] * gallery.itemsize * 8 <= 255
+                    else np.uint16)
+    # one word column at a time: XOR against a scalar runs over all N rows in
+    # one inner loop, where broadcasting the query row would loop per row
+    for j, word in enumerate(query):
+        dist += np.bitwise_count(gallery[:, j] ^ word)
+    return dist
+
+
 def hamming_distances(query_row, codes):
     """Hamming distances of one packed query row to every packed row of
     ``codes``: uint8 while a row holds at most 255 bits, else uint16."""
@@ -88,15 +102,7 @@ def hamming_distances(query_row, codes):
             f"packed query {query_row.shape} does not match packed codes "
             f"{codes.shape}"
         )
-    query = _words(query_row)
-    gallery = _words(codes)
-    dist = np.zeros(gallery.shape[0],
-                    dtype=np.uint8 if codes.shape[1] * 8 <= 255 else np.uint16)
-    # one word column at a time: XOR against a scalar runs over all N rows in
-    # one inner loop, where broadcasting the query row would loop per row
-    for j, word in enumerate(query):
-        dist += np.bitwise_count(gallery[:, j] ^ word)
-    return dist
+    return _scan(_words(query_row), _words(codes))
 
 
 def hamming_rank(query_bits, gallery):
@@ -113,13 +119,22 @@ def hamming_rank(query_bits, gallery):
     return np.argsort(dist, kind="stable")
 
 
+def _hit_metrics(hit0, ranks):
+    """The precision at each hit of a ranking whose hits sit at the 0-based
+    ranks ``hit0``, and its AP; ``ranks`` holds 1..N as float64."""
+    hit_prec = ranks[:hit0.size] / ranks[hit0]
+    # cumsum adds left to right, as a loop over the hits does; sum() adds
+    # pairwise and would differ from the oracle in the last bits
+    return hit_prec, hit_prec.cumsum()[-1] / hit0.size
+
+
 def average_precision(ranked_labels, query_label):
     """AP over a fully ranked gallery; relevance is label equality."""
-    rel = np.asarray(ranked_labels) == query_label
-    if not rel.any():
+    hit0 = np.flatnonzero(np.asarray(ranked_labels) == query_label)
+    if not hit0.size:
         raise ValueError("query has no relevant gallery item")
-    ranks = np.arange(1, rel.size + 1, dtype=np.float64)
-    return float(_query_metrics(rel, (), ranks)[0])
+    ranks = np.arange(1, hit0[-1] + 2, dtype=np.float64)
+    return float(_hit_metrics(hit0, ranks)[1])
 
 
 @dataclass
@@ -132,31 +147,13 @@ class RetrievalReport:
     pr_raw: list = field(default_factory=list)  # (mean recall@n, mean precision@n)
 
 
-def _query_metrics(rel, ks, ranks):
-    """AP, precision@K, interpolated P-R and raw P-R rows for one query;
-    ``ranks`` holds 1..N as float64."""
-    cum = np.cumsum(rel, dtype=np.float64)
-    r_total = cum[-1]
-    prec_at = cum / ranks
-    recall_at = cum / r_total
-    hit_prec = prec_at[rel]
-    # cumsum adds left to right, as a loop over the hits does; sum() adds
-    # pairwise and would differ from the oracle in the last bits
-    ap = np.cumsum(hit_prec)[-1] / r_total
-    p_ks = {k: float(cum[min(k, rel.size) - 1]) / k for k in ks}
-    # precision only falls between hits, so the interpolated precision at a
-    # hit is the largest precision at it or a later hit; the first rank to
-    # reach a recall level is a hit
-    interp = np.maximum.accumulate(hit_prec[::-1])[::-1]
-    levels = interp[np.searchsorted(recall_at[rel], RECALL_LEVELS)]
-    return ap, p_ks, levels, prec_at, recall_at
-
-
 def evaluate(queries, gallery, ks=(1, 10, 100)):
     """Rank the gallery for every query and aggregate retrieval metrics.
 
-    Queries without a single relevant gallery item are excluded from the
-    averages and surfaced through ``excluded_queries``.
+    Every metric of a query comes from the 0-based ranks of its R hits
+    (relevant gallery items).  Queries without a single relevant gallery
+    item are excluded from the averages and surfaced through
+    ``excluded_queries``.
     """
     if len(gallery) == 0:
         raise ValueError("empty gallery")
@@ -170,24 +167,39 @@ def evaluate(queries, gallery, ks=(1, 10, 100)):
     ks = sorted(set(int(k) for k in ks))
     n = len(gallery)
     ranks = np.arange(1, n + 1, dtype=np.float64)
+    hit_counts = np.arange(n + 1, dtype=np.float64)
+    bounds = np.zeros(n + 2, dtype=np.intp)
     aps = []
     p_sum = {k: 0.0 for k in ks}
     level_sum = np.zeros(RECALL_LEVELS.size)
     raw_prec_sum = np.zeros(n)
     raw_rec_sum = np.zeros(n)
     excluded = 0
-    for bits, label in zip(queries.bits(), queries.labels):
-        rel = gallery.labels[hamming_rank(bits, gallery)] == label
-        if not rel.any():
+    gallery_words = _words(gallery.codes)
+    for row, label in zip(_words(queries.codes), queries.labels):
+        order = _scan(row, gallery_words).argsort(kind="stable")
+        hit0 = (gallery.labels == label)[order].nonzero()[0]
+        r_total = hit0.size
+        if not r_total:
             excluded += 1
             continue
-        ap, p_ks, levels, prec_at, recall_at = _query_metrics(rel, ks, ranks)
+        hit_prec, ap = _hit_metrics(hit0, ranks)
         aps.append(ap)
-        for k in ks:
-            p_sum[k] += p_ks[k]
-        level_sum += levels
-        raw_prec_sum += prec_at
-        raw_rec_sum += recall_at
+        for k, hits in zip(ks, hit0.searchsorted(ks)):
+            p_sum[k] += float(hits) / k
+        recall = hit_counts[:r_total + 1] / r_total   # after 0..R hits
+        # precision only falls between hits, so the interpolated precision at
+        # a hit is the largest precision at it or a later hit; the first rank
+        # to reach a recall level is a hit
+        interp = np.maximum.accumulate(hit_prec[::-1])[::-1]
+        level_sum += interp[recall[1:].searchsorted(RECALL_LEVELS)]
+        # ranks hit0[h-1] up to the next hit have seen h hits
+        bounds[1:r_total + 1] = hit0
+        bounds[r_total + 1] = n
+        run = bounds[1:r_total + 2] - bounds[:r_total + 1]
+        cum = hit_counts[:r_total + 1].repeat(run)
+        raw_prec_sum += np.divide(cum, ranks, out=cum)
+        raw_rec_sum += recall.repeat(run)
     if not aps:
         raise ValueError("every query lacked relevant gallery items")
     per_query_ap = np.array(aps)

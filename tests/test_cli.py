@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from zsih import cli, pipeline, retrieval
 from zsih.data import load_split, save_split
 
@@ -135,6 +136,15 @@ class TestTrain:
         err = capsys.readouterr().err
         assert code == 1
         assert f"semantics.txt:{line}: not UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_config_not_utf8_is_runtime_error(self, workspace, capsys):
+        config = workspace["dir"] / "bad.cfg"
+        config.write_bytes(b"M = 4\n\xff = 2\n")
+        code = train_workspace(workspace, extra=["--config", config])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "bad.cfg:2: not UTF-8" in err
         assert "Traceback" not in err
 
     def test_diverged_run_saves_last_good_state_and_exits_1(
@@ -287,6 +297,25 @@ class TestRetrieveAndEval:
         n_queries = len(retrieval.load_codes(q))
         assert lines[0] == "query\trank\tgallery_index\tdistance"
         assert len(lines) == 1 + 3 * n_queries
+
+    def test_retrieve_rows_equal_naive_ranking(self, tmp_path):
+        rng = np.random.default_rng(5)
+        q_bits = rng.integers(0, 2, size=(4, 13)).astype(np.uint8)
+        g_bits = rng.integers(0, 2, size=(30, 13)).astype(np.uint8)
+        g_bits[::6] = q_bits[0]  # ties at distance 0
+        for name, bits, modality in (("q", q_bits, "sketch"), ("g", g_bits, "image")):
+            retrieval.save_codes(retrieval.CodeMatrix(
+                retrieval.pack_bits(bits), np.zeros(len(bits), dtype=np.uint32),
+                13, modality), tmp_path / f"{name}.zscb")
+        out = tmp_path / "ranked.tsv"
+        assert run_cli("retrieve", "--queries", tmp_path / "q.zscb",
+                       "--gallery", tmp_path / "g.zscb", "--top", 7, "--out", out) == 0
+        expected = ["query\trank\tgallery_index\tdistance"]
+        for qi, row in enumerate(q_bits):
+            for rank, gi in enumerate(oracles.naive_rank(row, g_bits)[:7], start=1):
+                expected.append(f"{qi}\t{rank}\t{gi}\t"
+                                f"{oracles.naive_hamming(row, g_bits[gi])}")
+        assert out.read_text().splitlines() == expected
 
     def test_eval_identity_gallery_gives_unit_map(self, workspace):
         # distinct codes with unique labels: perfect self-retrieval

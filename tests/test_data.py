@@ -324,6 +324,7 @@ class TestSemantics:
     (read_semantic_file, b"cat 1.0\n\xff 2.0\n"),
     (read_synonyms, b"cat\tdog\n\xff\tdog\n"),
     (load_split, b"seen\t1\n\xff\t2\n"),
+    (pipeline.load_config, b"M = 4\n\xff = 2\n"),
 ])
 def test_text_reader_names_the_line_that_is_not_utf8(tmp_path, read, raw):
     path = tmp_path / "text.txt"
@@ -364,6 +365,12 @@ class TestSplit:
         path = tmp_path / "split.txt"
         save_split(split, path)
         assert load_split(path) == split
+
+    def test_non_integer_seed_names_the_line(self, tmp_path):
+        path = tmp_path / "split.txt"
+        path.write_text("# seed x\nseen\t1\n")
+        with pytest.raises(FormatError, match=r"split\.txt:1: seed 'x'"):
+            load_split(path)
 
 
 class TestSynth:

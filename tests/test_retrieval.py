@@ -144,6 +144,22 @@ class TestAveragePrecision:
                 oracles.naive_average_precision(labels, query)
 
 
+def assert_report_equals_oracle(q_bits, q_labels, g_bits, g_labels, ks):
+    """Every RetrievalReport field equal to the naive oracle's, exactly."""
+    m = q_bits.shape[1]
+    queries = CodeMatrix(pack_bits(q_bits), q_labels, m, "sketch")
+    gallery = CodeMatrix(pack_bits(g_bits), g_labels, m, "image")
+    report = evaluate(queries, gallery, ks=ks)
+    ref = oracles.naive_evaluate(q_bits, q_labels, g_bits, g_labels, ks)
+    assert report.map_all == ref["map_all"]
+    np.testing.assert_array_equal(report.per_query_ap, ref["per_query_ap"])
+    assert report.precision_at == ref["precision_at"]
+    assert report.pr_curve == ref["pr_curve"]
+    assert report.pr_raw == ref["pr_raw"]
+    assert report.excluded_queries == ref["excluded"]
+    return report
+
+
 class TestEvaluate:
     def test_identical_codes_unique_labels_give_perfect_map(self, rng):
         bits = rng.integers(0, 2, size=(8, 16)).astype(np.uint8)
@@ -171,17 +187,8 @@ class TestEvaluate:
             g_bits = rng.integers(0, 2, size=(120, 19)).astype(np.uint8)
             q_labels = rng.integers(0, 4, size=20).astype(np.uint32)
             g_labels = rng.integers(0, 4, size=120).astype(np.uint32)
-            queries = CodeMatrix(pack_bits(q_bits), q_labels, 19, "sketch")
-            gallery = CodeMatrix(pack_bits(g_bits), g_labels, 19, "image")
-            ks = (1, 5, 50, 200)
-            report = evaluate(queries, gallery, ks=ks)
-            ref = oracles.naive_evaluate(q_bits, q_labels, g_bits, g_labels, ks)
-            assert report.map_all == ref["map_all"]
-            np.testing.assert_array_equal(report.per_query_ap, ref["per_query_ap"])
-            assert report.precision_at == ref["precision_at"]
-            assert report.pr_curve == ref["pr_curve"]
-            assert report.pr_raw == ref["pr_raw"]
-            assert report.excluded_queries == ref["excluded"]
+            assert_report_equals_oracle(q_bits, q_labels, g_bits, g_labels,
+                                        (1, 5, 50, 200))
 
     @pytest.mark.parametrize("m", [5, 13, 32, 96, 300])
     def test_equals_naive_oracle_exactly_at_other_code_lengths(self, rng, m):
@@ -190,17 +197,65 @@ class TestEvaluate:
         g_bits[::7] = q_bits[0]  # ties at distance 0
         q_labels = rng.integers(0, 5, size=15).astype(np.uint32)
         g_labels = rng.integers(0, 4, size=90).astype(np.uint32)
-        queries = CodeMatrix(pack_bits(q_bits), q_labels, m, "sketch")
-        gallery = CodeMatrix(pack_bits(g_bits), g_labels, m, "image")
-        ks = (1, 10, 100)
-        report = evaluate(queries, gallery, ks=ks)
-        ref = oracles.naive_evaluate(q_bits, q_labels, g_bits, g_labels, ks)
-        assert report.map_all == ref["map_all"]
-        np.testing.assert_array_equal(report.per_query_ap, ref["per_query_ap"])
-        assert report.precision_at == ref["precision_at"]
-        assert report.pr_curve == ref["pr_curve"]
-        assert report.pr_raw == ref["pr_raw"]
-        assert report.excluded_queries == ref["excluded"]
+        assert_report_equals_oracle(q_bits, q_labels, g_bits, g_labels, (1, 10, 100))
+
+    def test_every_gallery_item_relevant(self, rng):
+        q_bits = rng.integers(0, 2, size=(6, 11)).astype(np.uint8)
+        g_bits = rng.integers(0, 2, size=(25, 11)).astype(np.uint8)
+        report = assert_report_equals_oracle(
+            q_bits, np.full(6, 3, dtype=np.uint32), g_bits,
+            np.full(25, 3, dtype=np.uint32), (1, 10, 25))
+        assert report.map_all == 1.0
+        assert report.pr_raw[-1] == (1.0, 1.0)
+
+    def test_one_relevant_item_ranked_last(self, rng):
+        m = 16
+        g_bits = rng.integers(0, 2, size=(40, m)).astype(np.uint8)
+        g_bits[:, 0] = 0
+        g_bits[0] = 1                      # the only relevant item: distance m
+        g_labels = np.ones(40, dtype=np.uint32)
+        g_labels[0] = 0
+        q_bits = np.zeros((3, m), dtype=np.uint8)
+        report = assert_report_equals_oracle(
+            q_bits, np.zeros(3, dtype=np.uint32), g_bits, g_labels, (1, 39, 40))
+        assert report.per_query_ap.tolist() == [1.0 / 40] * 3
+        assert report.precision_at[39] == 0.0
+
+    def test_k_larger_than_gallery(self, rng):
+        q_bits = rng.integers(0, 2, size=(9, 7)).astype(np.uint8)
+        g_bits = rng.integers(0, 2, size=(8, 7)).astype(np.uint8)
+        report = assert_report_equals_oracle(
+            q_bits, rng.integers(0, 3, size=9).astype(np.uint32), g_bits,
+            rng.integers(0, 3, size=8).astype(np.uint32), (1, 8, 9, 1000))
+        assert report.precision_at[1000] < report.precision_at[8]
+
+    def test_single_item_gallery(self, rng):
+        q_bits = rng.integers(0, 2, size=(5, 9)).astype(np.uint8)
+        g_bits = rng.integers(0, 2, size=(1, 9)).astype(np.uint8)
+        report = assert_report_equals_oracle(
+            q_bits, np.array([2, 2, 1, 2, 2], dtype=np.uint32), g_bits,
+            np.array([2], dtype=np.uint32), (1, 10))
+        assert report.excluded_queries == 1
+        assert report.map_all == 1.0
+
+    def test_ties_across_the_relevance_boundary(self, rng):
+        m = 12
+        blocks = rng.integers(0, 2, size=(4, m)).astype(np.uint8)
+        # 4 distinct codes, each held by 15 items of mixed labels, so every
+        # distance ties relevant and non-relevant items
+        g_bits = np.repeat(blocks, 15, axis=0)
+        g_labels = rng.integers(0, 3, size=60).astype(np.uint32)
+        q_bits = np.vstack([blocks, rng.integers(0, 2, size=(6, m))]).astype(np.uint8)
+        q_labels = rng.integers(0, 4, size=10).astype(np.uint32)
+        assert_report_equals_oracle(q_bits, q_labels, g_bits, g_labels, (1, 15, 16, 60))
+
+    def test_every_query_excluded_rejected(self, rng):
+        gallery, _ = random_code_matrix(rng, 10, 8, 2)
+        q_bits = rng.integers(0, 2, size=(3, 8)).astype(np.uint8)
+        queries = CodeMatrix(pack_bits(q_bits), np.full(3, 7, dtype=np.uint32),
+                             8, "sketch")
+        with pytest.raises(ValueError, match="every query lacked"):
+            evaluate(queries, gallery)
 
     def test_gallery_permutation_invariance_for_unique_distances(self, rng):
         m = 24

@@ -28,17 +28,31 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 def relu(z):
-    return np.where(z > 0, z, 0.0)
+    # fmax maps NaN to 0 as the comparison z > 0 does, and adding +0.0 turns
+    # -0.0 into +0.0; no mask, no branch
+    out = np.fmax(z, 0.0)
+    out += 0.0
+    return out
+
+
+def _sigmoid_into(z, out):
+    """The logistic function of ``z`` written to ``out``, which may be ``z``.
+
+    exp(min(z, 0)) / (1 + exp(-|z|)) is 1 / (1 + exp(-z)) where z >= 0 and
+    exp(z) / (1 + exp(z)) elsewhere, the same IEEE operations per element
+    as the two-branch form, without masks; exp never sees a positive
+    argument, so nothing overflows.
+    """
+    den = np.copysign(z, -1.0)
+    np.exp(den, out=den)
+    den += 1.0
+    np.minimum(z, 0.0, out=out)
+    np.exp(out, out=out)
+    return np.divide(out, den, out=out)
 
 
 def sigmoid(z):
-    # two-branch form avoids exp overflow for large |z|
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return _sigmoid_into(z, np.empty_like(z))
 
 
 # each activation's VJP, written in terms of its output y
@@ -50,8 +64,10 @@ _ACTIVATION_VJPS = {
 
 def softmax_rows(x):
     """Softmax along each row of a matrix (max-stabilized per row)."""
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _check_rows(h, w, what):
@@ -78,9 +94,15 @@ def attention_pool(feats, params):
             f"parameters {sw.shape[0]}"
         )
     rows = feats.reshape(-1, channels)
-    weights = softmax_rows((rows @ sw.data + sb.data).reshape(n, length))
+    # biases are added in place: at N = 20,000 a fresh [N, d] temporary costs
+    # more than the addition itself
+    logits = rows @ sw.data
+    logits += sb.data
+    weights = softmax_rows(logits.reshape(n, length))
     pooled = np.einsum("nl,nlc->nc", weights, feats)
-    out = relu(pooled @ pw.data + pb.data)
+    z = pooled @ pw.data
+    z += pb.data
+    out = relu(z)
 
     def bwd(g):
         gz = g * (out > 0)
@@ -229,7 +251,9 @@ def dense(h, layer, act):
 def encode_soft(h, enc):
     """Sigmoid code probabilities [N, M] from attended features [N, d_f]."""
     _check_rows(h, enc.w, "hash encoder")
-    out = sigmoid(h.data @ enc.w.data + enc.b.data)
+    z = h.data @ enc.w.data
+    z += enc.b.data
+    out = _sigmoid_into(z, z)
 
     def bwd(g):
         gz = g * out * (1.0 - out)

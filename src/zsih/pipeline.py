@@ -93,20 +93,29 @@ def _coerce(key, raw):
     return raw
 
 
-def parse_config(text):
-    """Parse the flat ``key = value`` config format (# starts a comment)."""
+def _parse_lines(lines, where):
+    """The config held by numbered ``key = value`` lines (# starts a
+    comment); ``where(line_no)`` names a bad line in its error."""
     values = {}
-    for line_no, line in enumerate(text.splitlines(), 1):
+    for line_no, line in lines:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line {line_no}: expected 'key = value'")
+            raise ValueError(f"{where(line_no)}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_TYPES:
-            raise ValueError(f"config line {line_no}: unknown key {key!r}")
-        values[key] = _coerce(key, raw)
+            raise ValueError(f"{where(line_no)}: unknown key {key!r}")
+        try:
+            values[key] = _coerce(key, raw)
+        except ValueError as err:
+            raise ValueError(f"{where(line_no)}: {err}") from None
     return ZsihConfig(**values).validate()
+
+
+def parse_config(text):
+    """Parse the flat ``key = value`` config format (# starts a comment)."""
+    return _parse_lines(enumerate(text.splitlines(), 1), "config line {}".format)
 
 
 def format_config(config):
@@ -122,7 +131,7 @@ def format_config(config):
 
 
 def load_config(path):
-    return parse_config("".join(line for _, line in _text_lines(path)))
+    return _parse_lines(_text_lines(path), f"{path}:{{}}".format)
 
 
 def apply_overrides(config, overrides):

@@ -60,9 +60,9 @@ def binarize(soft_codes, labels, modality="image"):
         raise ValueError(f"soft codes must be [N, M], got shape {soft.shape}")
     if np.any(soft < 0.0) or np.any(soft > 1.0):
         raise ValueError("soft codes must lie in [0, 1]")
-    bits = (soft >= 0.5).astype(np.uint8)
     return CodeMatrix(
-        codes=pack_bits(bits),
+        # packbits takes the boolean mask as it is, with no uint8 copy
+        codes=np.packbits(soft >= 0.5, axis=-1, bitorder="little"),
         labels=np.asarray(labels, dtype=np.uint32),
         n_bits=soft.shape[1],
         modality=modality,
@@ -165,6 +165,8 @@ def evaluate(queries, gallery, ks=(1, 10, 100)):
             f"gallery {gallery.n_bits} bits"
         )
     ks = sorted(set(int(k) for k in ks))
+    if ks and ks[0] < 1:
+        raise ValueError(f"precision@K needs K >= 1, got K = {ks[0]}")
     n = len(gallery)
     ranks = np.arange(1, n + 1, dtype=np.float64)
     hit_counts = np.arange(n + 1, dtype=np.float64)

@@ -1,12 +1,13 @@
 """Independent reference implementations used to check the fast paths.
 
 The model forward is plain numpy that runs one item at a time, and the
-weight initialization draws one weight at a time.  The synthetic data
-generator draws one map at a time, and the batch sampler one pair at a
-time from per-class lists.  For retrieval, distances are computed on
-unpacked bits, rankings by explicit keyed sort, and the metric
-accumulations mirror the production order so agreement can be asserted
-exactly."""
+weight initialization draws one weight at a time.  The activations and the
+row softmax are the plain masked and branching expressions that the
+layers' kernels must equal bit for bit.  The synthetic data generator
+draws one map at a time, and the batch sampler one pair at a time from
+per-class lists.  For retrieval, distances are computed on unpacked bits,
+rankings by explicit keyed sort, and the metric accumulations mirror the
+production order so agreement can be asserted exactly."""
 
 import numpy as np
 
@@ -94,6 +95,27 @@ def naive_evaluate(query_bits, query_labels, gallery_bits, gallery_labels, ks):
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def two_branch_sigmoid(z):
+    """The logistic function by sign, each branch on the elements it
+    gathers: 1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 + exp(z))
+    elsewhere (NaN included)."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def masked_relu(z):
+    return np.where(z > 0, z, 0.0)
+
+
+def softmax_rows(x):
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _attend(feat, w, tag):

@@ -147,6 +147,15 @@ class TestTrain:
         assert "bad.cfg:2: not UTF-8" in err
         assert "Traceback" not in err
 
+    def test_config_bad_line_names_file_and_line(self, workspace, capsys):
+        config = workspace["dir"] / "bad.cfg"
+        config.write_text("M = 4\nbogus = 2\n")
+        code = train_workspace(workspace, extra=["--config", config])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "bad.cfg:2: unknown key 'bogus'" in err
+        assert "Traceback" not in err
+
     def test_diverged_run_saves_last_good_state_and_exits_1(
             self, workspace, monkeypatch, capsys):
         calls = []

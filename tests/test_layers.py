@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import (assert_grad_close, check_node_grads, fd_grad, param_group, shifted,
                       square_sum)
-from zsih import layers, pipeline
+from zsih import layers, model, pipeline
 from zsih.autodiff import Node, constant
 
 
@@ -24,6 +26,90 @@ def attention_weights(feats, params):
     logits = (feats.reshape(n * length, channels) @ params.score_weights.data
               + params.score_bias.data)
     return layers.softmax_rows(logits.reshape(n, length))
+
+
+KERNEL_SHAPES = [(16, 32), (1, 64), (20000, 64)]
+
+# the IEEE edge cases: signed zeros, infinities, NaNs of both signs, the
+# exp overflow (709.78) and underflow (-745.13) thresholds, subnormals
+EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, -709.0,
+               746.0, -746.0, 5e-324, -5e-324, 1e-310, -1e-310,
+               2.2250738585072014e-308, -2.2250738585072014e-308]
+
+
+def edge_grid(rng, shape, edges=EDGE_VALUES):
+    """Random normals at scale 10 with ``edges`` over the first entries."""
+    grid = rng.normal(size=shape) * 10.0
+    grid.reshape(-1)[:len(edges)] = edges[:grid.size]
+    return grid
+
+
+class TestKernels:
+    """The activations and the row softmax equal their plain expressions
+    bit for bit, NaN payloads and signed zeros included."""
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_sigmoid_equals_two_branch_form(self, rng, shape):
+        z = edge_grid(rng, shape)
+        assert layers.sigmoid(z).tobytes() == oracles.two_branch_sigmoid(z).tobytes()
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_sigmoid_never_overflows(self, rng, shape):
+        with np.errstate(over="raise"):
+            layers.sigmoid(edge_grid(rng, shape))
+
+    def test_encoder_sigmoid_equals_two_branch_form(self, rng):
+        # encode_soft runs the kernel in place over its pre-activation
+        enc = param_group(w=rng.normal(size=(3, 64)) * 100.0, b=np.zeros(64))
+        h = edge_grid(rng, (40, 3), [0.0, -0.0, np.inf, -np.inf])
+        z = h @ enc.w.data + enc.b.data
+        out = layers.encode_soft(constant(h), enc).data
+        assert out.tobytes() == oracles.two_branch_sigmoid(z).tobytes()
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_relu_equals_masked_form(self, rng, shape):
+        z = edge_grid(rng, shape)
+        assert layers.relu(z).tobytes() == oracles.masked_relu(z).tobytes()
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_softmax_rows_equals_plain_expression(self, rng, shape):
+        finite = [v for v in EDGE_VALUES if np.isfinite(v)]
+        x = edge_grid(rng, shape, finite)
+        assert layers.softmax_rows(x).tobytes() == oracles.softmax_rows(x).tobytes()
+
+
+def peak_per_output_byte(call):
+    """The largest number of bytes ``call`` held allocated at once, over
+    the bytes of what it returns; tracemalloc counts numpy's data buffers."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / out.nbytes
+
+
+class TestMemoryBudget:
+    """The encode path at the index's 20,000 items allocates no more than
+    its output and one [N, M] temporary, plus the attention activations the
+    graph node keeps.  Measured: sigmoid 2.00x, encode_features 2.81x; the
+    two-branch sigmoid and fresh bias temporaries took 2.62x and 4.26x."""
+
+    N = 20000
+
+    def test_sigmoid(self, rng):
+        z = rng.normal(size=(self.N, 64)) * 4.0
+        assert peak_per_output_byte(lambda: layers.sigmoid(z)) <= 2.1
+
+    def test_encode_features(self, rng):
+        attn = make_attention(rng, 32, 16)
+        enc = param_group(w=rng.normal(size=(16, 64)), b=rng.normal(size=64))
+        feats = rng.normal(size=(self.N, 4, 32))
+        assert peak_per_output_byte(
+            lambda: model.encode_features(feats, attn, enc)) <= 2.9
 
 
 class TestAttentionPool:

@@ -18,6 +18,7 @@ from zsih.pipeline import (
     build_adjacency,
     checkpoint_bytes,
     format_config,
+    load_config,
     load_checkpoint,
     parse_config,
     sample_batch,
@@ -42,8 +43,20 @@ class TestConfig:
             parse_config("bogus = 1\n")
 
     def test_bad_boolean_rejected(self):
-        with pytest.raises(ValueError, match="boolean"):
+        with pytest.raises(ValueError, match="config line 1: .*boolean"):
             parse_config("use_gcn = maybe\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("bogus = 2", "unknown key 'bogus'"),
+        ("M 4", "expected 'key = value'"),
+        ("d_f = x", "invalid literal"),
+        ("use_gcn = maybe", "config key 'use_gcn' expects a boolean"),
+    ])
+    def test_config_file_error_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"M = 4\n{line}\n")
+        with pytest.raises(ValueError, match=rf"bad\.cfg:2: {message}"):
+            load_config(path)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -313,6 +313,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty gallery"):
             evaluate(queries, gallery)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_precision_at_k_below_one_rejected(self, rng, k):
+        codes, _ = random_code_matrix(rng, 3, 3, 2)
+        with pytest.raises(ValueError, match=f"K = {k}"):
+            evaluate(codes, codes, ks=(1, k))
+
     def test_code_length_mismatch_names_both(self, rng):
         queries, _ = random_code_matrix(rng, 2, 8, 2)
         gallery, _ = random_code_matrix(rng, 2, 16, 2)

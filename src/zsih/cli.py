@@ -289,13 +289,14 @@ def run_ablate(args, parser):
         q = _encode(params, unseen["sketch"], "sketch")
         g = _encode(params, unseen["image"], "image")
         report = retrieval.evaluate(q, g, ks=(1,))
-        rows.append((name, report.map_all))
-        logger.info("ablation %s: mAP@all %.4f", name, report.map_all)
+        rows.append((name, report.map_all, ckpt.stop_reason))
+        logger.info("ablation %s: mAP@all %.4f (%s)", name, report.map_all,
+                    ckpt.stop_reason)
     with (write_atomic(args.out) as raw,
           io.TextIOWrapper(raw, encoding="utf-8") as f):
-        f.write("setting\tmap_all\n")
-        for name, value in rows:
-            f.write(f"{name}\t{value!r}\n")
+        f.write("setting\tmap_all\tstop_reason\n")
+        for name, value, stop_reason in rows:
+            f.write(f"{name}\t{value!r}\t{stop_reason}\n")
     print(f"ablation sweep over {len(rows)} settings -> {args.out}")
     return 0
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import layers
-from .autodiff import Node, parameter
+from .autodiff import parameter
 
 FUSION_MODES = ("kronecker", "concat", "mfb")
 
@@ -170,13 +170,13 @@ def fuse_modalities(h_sk, h_im, params):
     return layers.fuse_mfb(h_sk, h_im, params.fusion)
 
 
-def forward_multimodal(batch, params, adj, eps, code_offset=None):
-    """Run the full training-time network on one batch.
+def forward_multimodal(batch, params, adj):
+    """Run the deterministic training-time network on one batch.
 
-    Returns (b, b_tilde, f_out, g_out): code probabilities [N, M] from the
-    multi-modal trunk, their sampled bits, and the two single-modality
-    encoder outputs.  ``code_offset`` replaces sampling with the additive
-    straight-through surrogate b + offset (gradient checking only).
+    Returns (b, f_out, g_out): code probabilities [N, M] from the
+    multi-modal trunk and the two single-modality encoder outputs.  None
+    of them depends on the sampling noise, so one pass serves every
+    Monte-Carlo draw.
     """
     h_sk = layers.attention_pool(batch.sketch_feats, params.attn_sk)
     h_im = layers.attention_pool(batch.image_feats, params.attn_im)
@@ -190,14 +190,9 @@ def forward_multimodal(batch, params, adj, eps, code_offset=None):
         hidden = layers.dense(fused, params.gcn1, layers.relu)
         b = layers.dense(hidden, params.gcn2, layers.sigmoid)
 
-    if code_offset is None:
-        b_tilde = layers.stochastic_neurons(b, eps)
-    else:
-        b_tilde = Node(b.data + code_offset, _parents=(b,), _bwd=lambda g: (g,))
-
     f_out = layers.encode_soft(h_im, params.enc_im)
     g_out = layers.encode_soft(h_sk, params.enc_sk)
-    return b, b_tilde, f_out, g_out
+    return b, f_out, g_out
 
 
 def encode_features(feat_maps, attn, enc):

@@ -102,13 +102,12 @@ def mc_total(draws):
                                decode_term=decode, code_reg_term=code_reg)
 
 
-def batch_loss(batch, params, adj, eps_draws, code_offset=None, frozen_bits=None):
-    """Total loss over a category-coherent batch, one stochastic draw set
-    per Monte-Carlo sample.
+def batch_loss(batch, params, adj, eps_draws):
+    """Total loss over a category-coherent batch: one trunk pass, then one
+    stochastic draw set per Monte-Carlo sample.
 
     ``eps_draws`` is [N, M] for a single draw or [K, N, M] for K draws
-    averaged.  ``code_offset``/``frozen_bits`` switch the sampler to its
-    straight-through linearization (gradient checking only).
+    averaged.
 
     Returns (loss node, LossBreakdown).
     """
@@ -118,18 +117,12 @@ def batch_loss(batch, params, adj, eps_draws, code_offset=None, frozen_bits=None
     eps_draws = np.asarray(eps_draws, dtype=np.float64)
     if eps_draws.ndim == 2:
         eps_draws = eps_draws[None]
-        if code_offset is not None:
-            code_offset = np.asarray(code_offset)[None]
-            frozen_bits = np.asarray(frozen_bits)[None]
 
+    b, f_out, g_out = forward_multimodal(batch, params, adj)
     draws = []
-    for draw in range(eps_draws.shape[0]):
-        offset = None if code_offset is None else code_offset[draw]
-        b, b_tilde, f_out, g_out = forward_multimodal(
-            batch, params, adj, eps_draws[draw], code_offset=offset
-        )
-        bits = b_tilde.data if offset is None else frozen_bits[draw]
-        draws.append(loss_terms(b, b_tilde, bits, f_out, g_out,
+    for eps in eps_draws:
+        b_tilde = layers.stochastic_neurons(b, eps)
+        draws.append(loss_terms(b, b_tilde, b_tilde.data, f_out, g_out,
                                 batch.semantics, params.dec, params.code_bits))
     return mc_total(draws)
 

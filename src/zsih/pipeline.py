@@ -94,7 +94,7 @@ def _coerce(key, raw):
 
 
 def _parse_lines(lines, where):
-    """The config held by numbered ``key = value`` lines (# starts a
+    """The values held by numbered ``key = value`` lines (# starts a
     comment); ``where(line_no)`` names a bad line in its error."""
     values = {}
     for line_no, line in lines:
@@ -110,12 +110,13 @@ def _parse_lines(lines, where):
             values[key] = _coerce(key, raw)
         except ValueError as err:
             raise ValueError(f"{where(line_no)}: {err}") from None
-    return ZsihConfig(**values).validate()
+    return values
 
 
 def parse_config(text):
     """Parse the flat ``key = value`` config format (# starts a comment)."""
-    return _parse_lines(enumerate(text.splitlines(), 1), "config line {}".format)
+    values = _parse_lines(enumerate(text.splitlines(), 1), "config line {}".format)
+    return ZsihConfig(**values).validate()
 
 
 def format_config(config):
@@ -131,7 +132,12 @@ def format_config(config):
 
 
 def load_config(path):
-    return _parse_lines(_text_lines(path), f"{path}:{{}}".format)
+    values = _parse_lines(_text_lines(path), f"{path}:{{}}".format)
+    try:
+        return ZsihConfig(**values).validate()
+    except ValueError as err:
+        # a value that parses but fails validation belongs to no one line
+        raise ValueError(f"{path}: {err}") from None
 
 
 def apply_overrides(config, overrides):
@@ -257,13 +263,23 @@ class Checkpoint:
 
     def build_params(self):
         """The model's weights, once ``params``, ``opt_m`` and ``opt_v``
-        are all checked against the parameter table of the config."""
+        are all checked against the parameter table of the config and
+        hold values a run can write: finite weights and first moments,
+        second moments >= 0 (v += (1 - beta2) g^2 may overflow to inf)."""
         try:
             params = params_from_arrays(self.config, self.params)
             check_shapes(params.shapes, self.opt_m, "opt_m")
             check_shapes(params.shapes, self.opt_v, "opt_v")
         except ValueError as err:
             raise FormatError(f"checkpoint does not match its config: {err}") from None
+        for field, flat, valid in (
+                ("params", params.theta, np.isfinite),
+                ("opt_m", params.flatten(self.opt_m), np.isfinite),
+                ("opt_v", params.flatten(self.opt_v), lambda v: v >= 0.0)):
+            bad = np.flatnonzero(~valid(flat))
+            if bad.size:
+                name, value = params.name_at(bad[0]), float(flat[bad[0]])
+                raise FormatError(f"checkpoint {field} weight {name!r} holds {value!r}")
         return params
 
     def build_opt_state(self, params):

@@ -58,7 +58,8 @@ def binarize(soft_codes, labels, modality="image"):
     soft = np.asarray(soft_codes, dtype=np.float64)
     if soft.ndim != 2:
         raise ValueError(f"soft codes must be [N, M], got shape {soft.shape}")
-    if np.any(soft < 0.0) or np.any(soft > 1.0):
+    # written so that NaN fails it, with no temporaries
+    if soft.size and not (soft.min() >= 0.0 and soft.max() <= 1.0):
         raise ValueError("soft codes must lie in [0, 1]")
     return CodeMatrix(
         # packbits takes the boolean mask as it is, with no uint8 copy

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zsih import model, pipeline
+from zsih import layers, model, objective, pipeline
 from zsih.autodiff import Node
 from zsih.data import synth_dataset
 
@@ -61,6 +61,33 @@ def shifted(node, offset):
     """node + offset with an identity gradient: the straight-through
     surrogate of the sampler once its bits are frozen."""
     return Node(node.data + offset, _parents=(node,), _bwd=lambda g: (g,))
+
+
+def check_full_objective(params, batch, adj, eps_draws):
+    """``batch_loss``'s straight-through gradient of every weight against
+    central differences of its surrogate.
+
+    The surrogate freezes each draw's sampled bits and stands b + (bits -
+    b), with an identity gradient, in for the sampler; the trunk, the
+    encoders and the loss stay live.  It is built from the public pieces:
+    ``forward_multimodal``, one ``loss_terms`` per draw, ``mc_total``.
+    ``eps_draws`` is [K, N, M].
+    """
+    b, _, _ = model.forward_multimodal(batch, params, adj)
+    bits = [layers.stochastic_neurons(b, eps).data for eps in eps_draws]
+    offsets = [draw - b.data for draw in bits]
+    loss, _ = objective.batch_loss(batch, params, adj, eps_draws)
+    ad_grads = params.split(objective.estimate_gradients(loss, params))
+
+    def surrogate():
+        b, f_out, g_out = model.forward_multimodal(batch, params, adj)
+        draws = [objective.loss_terms(b, shifted(b, offset), draw, f_out, g_out,
+                                      batch.semantics, params.dec, params.code_bits)
+                 for offset, draw in zip(offsets, bits)]
+        return objective.mc_total(draws)[0].item()
+
+    for name, node in params.nodes.items():
+        assert_grad_close(ad_grads[name], fd_grad(surrogate, node))
 
 
 def param_group(**arrays):

@@ -139,8 +139,8 @@ def _fuse(h_sk, h_im, w, mode):
     return np.maximum(0.0, raw @ w["fusion.w_proj"])
 
 
-def naive_forward(sketch_feats, image_feats, w, mode, adj, eps):
-    """The multi-modal forward, item by item: returns (b, b_tilde, f, g).
+def naive_forward(sketch_feats, image_feats, w, mode, adj):
+    """The multi-modal forward, item by item: returns (b, f, g).
 
     ``w`` maps parameter names to arrays; ``adj`` is None for the dense
     (no graph convolution) ablation.
@@ -155,10 +155,9 @@ def naive_forward(sketch_feats, image_feats, w, mode, adj, eps):
         prop = adj / np.sqrt(np.outer(deg, deg))
     hidden = np.maximum(0.0, prop @ fused @ w["gcn1.w_theta"])
     b = _sigmoid(prop @ hidden @ w["gcn2.w_theta"])
-    b_tilde = (b >= eps).astype(np.float64)
     f = _sigmoid(h_im @ w["enc_im.w"] + w["enc_im.b"])
     g = _sigmoid(h_sk @ w["enc_sk.w"] + w["enc_sk.b"])
-    return b, b_tilde, f, g
+    return b, f, g
 
 
 def _glorot(rng, fan_in, fan_out):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import assert_grad_close, fd_grad, param_group, shifted, square_sum, tiny_setup
+from conftest import (assert_grad_close, check_full_objective, fd_grad, param_group,
+                      shifted, square_sum, tiny_setup)
 from zsih import cli, data, layers, model, objective, pipeline, retrieval
 from zsih.autodiff import Node, constant
 
@@ -116,23 +117,6 @@ def _check_stochastic_path(rng):
         assert_grad_close(g, fd_grad(surrogate, n))
 
 
-def _check_full_objective(seed):
-    _, _, params, batch, adj, eps, _ = tiny_setup(seed=seed)
-    b, b_tilde, _, _ = model.forward_multimodal(batch, params, adj, eps)
-    bits = b_tilde.data.copy()
-    offset = bits - b.data
-    loss, _ = objective.batch_loss(batch, params, adj, eps)
-    ad_grads = params.split(objective.estimate_gradients(loss, params))
-
-    def surrogate():
-        value, _ = objective.batch_loss(batch, params, adj, eps,
-                                        code_offset=offset, frozen_bits=bits)
-        return value.item()
-
-    for name, node in params.nodes.items():
-        assert_grad_close(ad_grads[name], fd_grad(surrogate, node))
-
-
 def test_criterion_1_gradient_suite():
     with criterion(1, "gradient suite vs finite differences"):
         start = time.monotonic()
@@ -142,7 +126,8 @@ def test_criterion_1_gradient_suite():
                 _check(make_loss, nodes)
             _check_stochastic_path(rng)
         for trial in range(100):
-            _check_full_objective(seed=2000 + trial)
+            _, _, params, batch, adj, eps, _ = tiny_setup(seed=2000 + trial)
+            check_full_objective(params, batch, adj, eps[None])
         elapsed = time.monotonic() - start
         print(f"  gradient suite wall time: {elapsed:.1f}s")
         assert elapsed < 120.0

@@ -283,6 +283,15 @@ class TestEncode:
         assert "params weight 'enc_sk.w' has shape (3, 9), expected (3, 8)" in err
         assert not (workspace["dir"] / "x.zscb").exists()
 
+    def test_non_finite_weight_is_runtime_error(self, workspace, capsys):
+        def poison(ckpt):
+            ckpt.params["enc_im.w"][0, 0] = np.nan
+
+        assert self._encode_edited(workspace, poison) == 1
+        err = capsys.readouterr().err
+        assert "params weight 'enc_im.w' holds nan" in err
+        assert not (workspace["dir"] / "x.zscb").exists()
+
 
 class TestRetrieveAndEval:
     def _encode_both(self, workspace):
@@ -366,22 +375,34 @@ class TestRetrieveAndEval:
 
 
 class TestAblate:
-    def test_sweep_emits_one_map_per_setting(self, workspace):
+    def _sweep(self, workspace, *extra):
+        """Run the sweep and return its header and its rows, split."""
         out = workspace["dir"] / "ablation.tsv"
         code = run_cli(
             "ablate", "--sketches", workspace["sketches"],
             "--images", workspace["images"],
             "--semantics", workspace["semantics"],
-            "--split", workspace["split"], "--out", out, *TINY,
+            "--split", workspace["split"], "--out", out, *TINY, *extra,
         )
         assert code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "setting\tmap_all"
-        names = [l.split("\t")[0] for l in lines[1:]]
-        assert names == ["full", "fusion=concat", "fusion=mfb", "no_gcn",
-                         "t=1", "t=1e-6"]
-        for line in lines[1:]:
-            assert 0.0 <= float(line.split("\t")[1]) <= 1.0
+        return lines[0], [line.split("\t") for line in lines[1:]]
+
+    def test_sweep_emits_one_map_per_setting(self, workspace):
+        header, rows = self._sweep(workspace)
+        assert header == "setting\tmap_all\tstop_reason"
+        assert [row[0] for row in rows] == ["full", "fusion=concat", "fusion=mfb",
+                                            "no_gcn", "t=1", "t=1e-6"]
+        for _, map_all, stop_reason in rows:
+            assert 0.0 <= float(map_all) <= 1.0
+            assert stop_reason == "max_iters"
+
+    def test_sweep_says_which_runs_diverged(self, workspace):
+        # at lr=1e3 every setting's first update sends the next loss to inf;
+        # the row keeps the mAP of the last good state and says so
+        _, rows = self._sweep(workspace, "--set", "lr=1e3")
+        assert len(rows) == 6
+        assert {row[2] for row in rows} == {"diverged"}
 
 
 class TestParser:

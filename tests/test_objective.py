@@ -4,10 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import assert_grad_close, fd_grad, param_group, square_sum, tiny_setup
+from conftest import check_full_objective, param_group, square_sum, tiny_setup
 from zsih import layers, model, objective, pipeline
 from zsih.autodiff import Node, constant, parameter
-from zsih.model import forward_multimodal
 from zsih.objective import AdamState, adam_step, batch_loss, estimate_gradients
 
 
@@ -99,10 +98,11 @@ class TestBatchLoss:
         with pytest.raises(ValueError, match="at least 2"):
             batch_loss(batch, params, adj[:1, :1], eps[:1])
 
-    @pytest.mark.parametrize("draws, nodes", [(1, 12), (2, 23)])
+    @pytest.mark.parametrize("draws, nodes", [(1, 12), (2, 16)])
     def test_one_node_per_layer(self, monkeypatch, draws, nodes):
-        """A default step (Kronecker fusion, GCN) builds per draw one node
-        for each of the 11 layers, plus the one node over all draws."""
+        """A default step (Kronecker fusion, GCN) builds one node for each
+        of the 7 trunk layers, 4 per draw (sampler, log q, decoder, code
+        regression), and the one node over all draws."""
         _, _, params, batch, adj, eps, _ = tiny_setup()
         built = []
         init = Node.__init__
@@ -115,6 +115,24 @@ class TestBatchLoss:
         loss, _ = batch_loss(batch, params, adj, np.stack([eps] * draws))
         estimate_gradients(loss, params)
         assert len(built) == nodes
+
+    @pytest.mark.parametrize("draws", [1, 2, 3])
+    def test_one_trunk_pass_per_step(self, monkeypatch, draws):
+        """Only the sampler and the loss see the noise: the trunk, and so
+        each modality's attention pooling, runs once whatever K is."""
+        config, _, params, batch, adj, _, rng = tiny_setup()
+        calls = []
+        pool = layers.attention_pool
+
+        def counting_pool(*args):
+            calls.append(args)
+            return pool(*args)
+
+        monkeypatch.setattr(layers, "attention_pool", counting_pool)
+        eps = rng.random((draws, config.N_B, config.M))
+        loss, _ = batch_loss(batch, params, adj, eps)
+        estimate_gradients(loss, params)
+        assert len(calls) == 2
 
     def test_multi_draw_average_of_identical_draws(self):
         config, _, params, batch, adj, eps, _ = tiny_setup()
@@ -141,24 +159,13 @@ class TestEstimateGradients:
         assert grad.shape == params.theta.shape
         assert np.all(grad == 0.0)
 
-    def test_full_objective_matches_fd(self):
+    @pytest.mark.parametrize("draws", [1, 2])
+    def test_full_objective_matches_fd(self, draws):
         """Autodiff against central differences of the straight-through
-        surrogate, for every parameter group."""
-        _, _, params, batch, adj, eps, _ = tiny_setup()
-        b, b_tilde, _, _ = forward_multimodal(batch, params, adj, eps)
-        bits = b_tilde.data.copy()
-        offset = bits - b.data
-
-        loss, _ = batch_loss(batch, params, adj, eps)
-        ad_grads = params.split(estimate_gradients(loss, params))
-
-        def surrogate():
-            value, _ = batch_loss(batch, params, adj, eps,
-                                  code_offset=offset, frozen_bits=bits)
-            return value.item()
-
-        for name, node in params.nodes.items():
-            assert_grad_close(ad_grads[name], fd_grad(surrogate, node))
+        surrogate, for every parameter group, at one and at two draws."""
+        config, _, params, batch, adj, eps, rng = tiny_setup()
+        more = rng.random((draws - 1, config.N_B, config.M))
+        check_full_objective(params, batch, adj, np.concatenate([eps[None], more]))
 
 
 class TestAdam:

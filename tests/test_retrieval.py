@@ -39,6 +39,12 @@ class TestBinarize:
             binarize(np.array([[1.2, 0.5]]), [0])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             binarize(np.array([[-0.1, 0.5]]), [0])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            binarize(np.array([[np.nan, 0.7]]), [0])
+
+    def test_no_rows(self):
+        cm = binarize(np.zeros((0, 12)), [])
+        assert cm.codes.shape == (0, 2) and cm.n_bits == 12
 
     def test_requires_matrix(self):
         with pytest.raises(ValueError, match=r"\[N, M\]"):

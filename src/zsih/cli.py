@@ -225,19 +225,13 @@ def run_retrieve(args, parser):
         parser.error(f"--top must be positive, got {args.top}")
     queries = retrieval.load_codes(args.queries)
     gallery = retrieval.load_codes(args.gallery)
-    if queries.n_bits != gallery.n_bits:
-        raise ValueError(
-            f"code length mismatch: queries {queries.n_bits} bits, "
-            f"gallery {gallery.n_bits} bits"
-        )
+    ranked = retrieval.rank_rows(queries.codes, queries.n_bits, gallery)
     top = min(args.top, len(gallery))
     with (write_atomic(args.out) as raw,
           io.TextIOWrapper(raw, encoding="utf-8") as f):
         f.write("query\trank\tgallery_index\tdistance\n")
-        for qi, row in enumerate(queries.codes):
-            dist = retrieval.hamming_distances(row, gallery.codes)
-            # the same stable (radix) sort as hamming_rank: ties by index
-            order = np.argsort(dist, kind="stable")[:top]
+        for qi, (dist, order) in enumerate(ranked):
+            order = order[:top]
             for rank, (gi, d) in enumerate(zip(order, dist[order]), start=1):
                 f.write(f"{qi}\t{rank}\t{gi}\t{d}\n")
     print(f"ranked top-{top} of {len(gallery)} gallery items for "

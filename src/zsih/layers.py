@@ -9,9 +9,12 @@ All of them act on a whole batch at once: feature maps are [N, L, C], every
 later activation is an [N, d] matrix with one row per item, and the
 log-likelihoods sum over all rows.
 
-Each layer returns one graph ``Node``.  Its value is computed with plain
-numpy, and its ``_bwd`` is the layer's own vector-Jacobian product: the
-gradient of the layer's output in, one gradient per input node out.
+Each layer reads plain arrays and returns one ``autodiff.Node``: its value,
+computed with numpy, and its ``vjp``, the layer's own vector-Jacobian
+product.  ``vjp`` takes the gradient of the layer's output and returns one
+gradient per differentiable input; a layer with weights also takes its
+group's gradient views (``grads.w_theta``) and adds its weight gradients
+into them.
 """
 
 import math
@@ -96,22 +99,27 @@ def attention_pool(feats, params):
     rows = feats.reshape(-1, channels)
     # biases are added in place: at N = 20,000 a fresh [N, d] temporary costs
     # more than the addition itself
-    logits = rows @ sw.data
-    logits += sb.data
+    logits = rows @ sw
+    logits += sb
     weights = softmax_rows(logits.reshape(n, length))
     pooled = np.einsum("nl,nlc->nc", weights, feats)
-    z = pooled @ pw.data
-    z += pb.data
+    z = pooled @ pw
+    z += pb
     out = relu(z)
 
-    def bwd(g):
+    def vjp(g, grads):
+        # the feature maps are data: only the weights get gradients
         gz = g * (out > 0)
-        g_weights = np.einsum("nc,nlc->nl", gz @ pw.data.T, feats)
+        g_weights = np.einsum("nc,nlc->nl", gz @ pw.T, feats)
         g_logits = weights * (g_weights - (g_weights * weights).sum(axis=1, keepdims=True))
         g_logits = g_logits.reshape(-1, 1)
-        return (rows.T @ g_logits, g_logits.sum(axis=0), pooled.T @ gz, gz.sum(axis=0))
+        grads.score_weights += rows.T @ g_logits
+        grads.score_bias += g_logits.sum(axis=0)
+        grads.proj_weights += pooled.T @ gz
+        grads.proj_bias += gz.sum(axis=0)
+        return ()
 
-    return Node(out, _parents=(sw, sb, pw, pb), _bwd=bwd)
+    return Node(out, vjp)
 
 
 def _check_fusion_inputs(h_sk, h_im, d_f):
@@ -127,19 +135,20 @@ def fuse(h_sk, h_im, params):
     features: [N, d_f] x [N, d_f] -> [N, d_f^2]."""
     w_sk, w_im = params.w_sk, params.w_im
     _check_fusion_inputs(h_sk, h_im, w_sk.shape[0])
-    a = h_sk.data @ w_sk.data
-    b = h_im.data @ w_im.data
+    a = h_sk @ w_sk
+    b = h_im @ w_im
     (n, p), q = a.shape, b.shape[1]
     out = relu((a[:, :, None] * b[:, None, :]).reshape(n, p * q))
 
-    def bwd(g):
+    def vjp(g, grads):
         gm = (g * (out > 0)).reshape(n, p, q)
         g_a = np.einsum("npq,nq->np", gm, b)
         g_b = np.einsum("np,npq->nq", a, gm)
-        return (g_a @ w_sk.data.T, g_b @ w_im.data.T,
-                h_sk.data.T @ g_a, h_im.data.T @ g_b)
+        grads.w_sk += h_sk.T @ g_a
+        grads.w_im += h_im.T @ g_b
+        return (g_a @ w_sk.T, g_b @ w_im.T)
 
-    return Node(out, _parents=(h_sk, h_im, w_sk, w_im), _bwd=bwd)
+    return Node(out, vjp)
 
 
 def fuse_concat(h_sk, h_im, params):
@@ -148,15 +157,16 @@ def fuse_concat(h_sk, h_im, params):
     w_proj = params.w_proj
     d_f = w_proj.shape[0] // 2
     _check_fusion_inputs(h_sk, h_im, d_f)
-    raw = np.concatenate([h_sk.data, h_im.data], axis=1)
-    out = relu(raw @ w_proj.data)
+    raw = np.concatenate([h_sk, h_im], axis=1)
+    out = relu(raw @ w_proj)
 
-    def bwd(g):
+    def vjp(g, grads):
         gz = g * (out > 0)
-        g_raw = gz @ w_proj.data.T
-        return (g_raw[:, :d_f], g_raw[:, d_f:], raw.T @ gz)
+        g_raw = gz @ w_proj.T
+        grads.w_proj += raw.T @ gz
+        return (g_raw[:, :d_f], g_raw[:, d_f:])
 
-    return Node(out, _parents=(h_sk, h_im, w_proj), _bwd=bwd)
+    return Node(out, vjp)
 
 
 def fuse_mfb(h_sk, h_im, params):
@@ -166,19 +176,21 @@ def fuse_mfb(h_sk, h_im, params):
     u, v, w_proj = params.u, params.v, params.w_proj
     d_f, k = u.shape
     _check_fusion_inputs(h_sk, h_im, d_f)
-    a = h_sk.data @ u.data
-    b = h_im.data @ v.data
+    a = h_sk @ u
+    b = h_im @ v
     raw = (a * b).reshape(len(a), d_f, k // d_f).sum(axis=2)
-    out = relu(raw @ w_proj.data)
+    out = relu(raw @ w_proj)
 
-    def bwd(g):
+    def vjp(g, grads):
         gz = g * (out > 0)
-        g_prod = np.repeat(gz @ w_proj.data.T, k // d_f, axis=1)
+        g_prod = np.repeat(gz @ w_proj.T, k // d_f, axis=1)
         g_a, g_b = g_prod * b, g_prod * a
-        return (g_a @ u.data.T, g_b @ v.data.T,
-                h_sk.data.T @ g_a, h_im.data.T @ g_b, raw.T @ gz)
+        grads.u += h_sk.T @ g_a
+        grads.v += h_im.T @ g_b
+        grads.w_proj += raw.T @ gz
+        return (g_a @ u.T, g_b @ v.T)
 
-    return Node(out, _parents=(h_sk, h_im, u, v, w_proj), _bwd=bwd)
+    return Node(out, vjp)
 
 
 def normalized_adjacency(adj):
@@ -217,49 +229,54 @@ def graph_conv(h, a_norm, layer, act):
     ``a_norm`` is the batch's ``normalized_adjacency``, a plain array
     treated as a constant; no gradient flows through it.
     """
-    vjp = _activation_vjp(act)
+    act_vjp = _activation_vjp(act)
     w = layer.w_theta
     _check_rows(h, w, "graph_conv")
     if a_norm.shape != (h.shape[0], h.shape[0]):
         raise ValueError(
             f"adjacency size {a_norm.shape} does not match batch {h.shape[0]}"
         )
-    ah = a_norm @ h.data
-    out = act(ah @ w.data)
+    ah = a_norm @ h
+    out = act(ah @ w)
 
-    def bwd(g):
-        gz = vjp(g, out)
-        return (a_norm.T @ (gz @ w.data.T), ah.T @ gz)
+    def vjp(g, grads):
+        gz = act_vjp(g, out)
+        grads.w_theta += ah.T @ gz
+        return (a_norm.T @ (gz @ w.T),)
 
-    return Node(out, _parents=(h, w), _bwd=bwd)
+    return Node(out, vjp)
 
 
 def dense(h, layer, act):
     """The same transform as graph_conv without any graph coupling."""
-    vjp = _activation_vjp(act)
+    act_vjp = _activation_vjp(act)
     w = layer.w_theta
     _check_rows(h, w, "dense")
-    out = act(h.data @ w.data)
+    out = act(h @ w)
 
-    def bwd(g):
-        gz = vjp(g, out)
-        return (gz @ w.data.T, h.data.T @ gz)
+    def vjp(g, grads):
+        gz = act_vjp(g, out)
+        grads.w_theta += h.T @ gz
+        return (gz @ w.T,)
 
-    return Node(out, _parents=(h, w), _bwd=bwd)
+    return Node(out, vjp)
 
 
 def encode_soft(h, enc):
     """Sigmoid code probabilities [N, M] from attended features [N, d_f]."""
-    _check_rows(h, enc.w, "hash encoder")
-    z = h.data @ enc.w.data
-    z += enc.b.data
+    w = enc.w
+    _check_rows(h, w, "hash encoder")
+    z = h @ w
+    z += enc.b
     out = _sigmoid_into(z, z)
 
-    def bwd(g):
+    def vjp(g, grads):
         gz = g * out * (1.0 - out)
-        return (gz @ enc.w.data.T, h.data.T @ gz, gz.sum(axis=0))
+        grads.w += h.T @ gz
+        grads.b += gz.sum(axis=0)
+        return (gz @ w.T,)
 
-    return Node(out, _parents=(h, enc.w, enc.b), _bwd=bwd)
+    return Node(out, vjp)
 
 
 def stochastic_neurons(b, eps):
@@ -274,15 +291,15 @@ def stochastic_neurons(b, eps):
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != b.shape:
         raise ValueError(f"eps shape {eps.shape} does not match code shape {b.shape}")
-    if np.any(b.data < 0.0) or np.any(b.data > 1.0):
+    if np.any(b < 0.0) or np.any(b > 1.0):
         raise ValueError("code probabilities must lie in (0, 1)")
-    hard = (b.data >= eps).astype(np.float64)
-    mask = (b.data > PROB_EPS) & (b.data < 1.0 - PROB_EPS)
+    hard = (b >= eps).astype(np.float64)
+    mask = (b > PROB_EPS) & (b < 1.0 - PROB_EPS)
 
-    def bwd(g):
+    def vjp(g):
         return (g * mask,)
 
-    return Node(hard, _parents=(b,), _bwd=bwd)
+    return Node(hard, vjp)
 
 
 def log_q(b, b_tilde):
@@ -296,17 +313,17 @@ def log_q(b, b_tilde):
         raise ValueError(f"bit shape {b_tilde.shape} does not match code shape {b.shape}")
     if not np.all((b_tilde == 0.0) | (b_tilde == 1.0)):
         raise ValueError("sampled bits must be binary")
-    bc = np.clip(b.data, PROB_EPS, 1.0 - PROB_EPS)
-    value = (b_tilde * np.log(bc) + (1.0 - b_tilde) * np.log(1.0 - bc)).sum()
-    mask = (b.data > PROB_EPS) & (b.data < 1.0 - PROB_EPS)
+    bc = np.clip(b, PROB_EPS, 1.0 - PROB_EPS)
+    value = float((b_tilde * np.log(bc) + (1.0 - b_tilde) * np.log(1.0 - bc)).sum())
+    mask = (b > PROB_EPS) & (b < 1.0 - PROB_EPS)
 
-    def bwd(g):
+    def vjp(g):
         return ((g * b_tilde / bc - g * (1.0 - b_tilde) / (1.0 - bc)) * mask,)
 
-    return Node(value, _parents=(b,), _bwd=bwd)
+    return Node(value, vjp)
 
 
-def log_p_gaussian(s, b_tilde, dec):
+def log_p_gaussian(s, bits, dec):
     """Diagonal-Gaussian log-likelihood of semantics given sampled bits.
 
     -1/2 sum_j [ log(2 pi) + logvar_j + (s_j - mu_j)^2 / exp(logvar_j) ],
@@ -314,10 +331,9 @@ def log_p_gaussian(s, b_tilde, dec):
     """
     s = np.asarray(s, dtype=np.float64)
     w_mu, b_mu, w_lv, b_lv = dec.w_mu, dec.b_mu, dec.w_logvar, dec.b_logvar
-    _check_rows(b_tilde, w_mu, "decoder")
-    bits = b_tilde.data
-    mu = bits @ w_mu.data + b_mu.data
-    logvar = bits @ w_lv.data + b_lv.data
+    _check_rows(bits, w_mu, "decoder")
+    mu = bits @ w_mu + b_mu
+    logvar = bits @ w_lv + b_lv
     if s.shape != mu.shape:
         raise ValueError(f"semantic shape {s.shape} does not match decoder output {mu.shape}")
     diff = s - mu
@@ -325,12 +341,15 @@ def log_p_gaussian(s, b_tilde, dec):
     # overflow becomes inf and surfaces through the non-finite loss guard
     with np.errstate(over="ignore"):
         inv_var = np.exp(-logvar)
-    value = ((resid * inv_var + logvar) + LOG_2PI).sum() * -0.5
+    value = float(((resid * inv_var + logvar) + LOG_2PI).sum() * -0.5)
 
-    def bwd(g):
+    def vjp(g, grads):
         g_mu = g * inv_var * diff
         g_lv = 0.5 * (g * resid * inv_var - g)
-        return (g_mu @ w_mu.data.T + g_lv @ w_lv.data.T,
-                bits.T @ g_mu, g_mu.sum(axis=0), bits.T @ g_lv, g_lv.sum(axis=0))
+        grads.w_mu += bits.T @ g_mu
+        grads.b_mu += g_mu.sum(axis=0)
+        grads.w_logvar += bits.T @ g_lv
+        grads.b_logvar += g_lv.sum(axis=0)
+        return (g_mu @ w_mu.T + g_lv @ w_lv.T,)
 
-    return Node(value, _parents=(b_tilde, w_mu, b_mu, w_lv, b_lv), _bwd=bwd)
+    return Node(value, vjp)

@@ -4,13 +4,13 @@ encoding used for out-of-sample data.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import layers
-from .autodiff import parameter
 
 FUSION_MODES = ("kronecker", "concat", "mfb")
 
@@ -81,9 +81,9 @@ class ModelParams:
     architecture switches they imply.
 
     ``theta`` holds the weights back to back in table order and ``grad``
-    their gradients.  Each weight is a trainable Node whose data and grad
-    are views into those two buffers; ``nodes`` lists them by name, and
-    each is also reachable as ``params.<group>.<weight>``.
+    their gradients.  Each weight is a view into ``theta`` that the layers
+    read as ``params.<group>.<weight>``; ``grad_groups.<group>.<weight>``
+    is the matching view into ``grad``.
     """
 
     def __init__(self, config, shapes, arrays):
@@ -93,15 +93,9 @@ class ModelParams:
         self.use_gcn = bool(config.use_gcn)
         self.theta = self.flatten(arrays)
         self.grad = np.zeros_like(self.theta)
-        grads = self.split(self.grad)
-        self.nodes = {name: parameter(data, grads[name])
-                      for name, data in self.split(self.theta).items()}
-        groups = {}
-        for name, node in self.nodes.items():
-            group, weight = name.split(".")
-            groups.setdefault(group, {})[weight] = node
-        for group, weights in groups.items():
-            setattr(self, group, SimpleNamespace(**weights))
+        self.grad_groups = self.grouped(self.grad)
+        for group, weights in vars(self.grouped(self.theta)).items():
+            setattr(self, group, weights)
 
     def flatten(self, arrays):
         """A new flat float64 buffer holding ``arrays`` in table order."""
@@ -116,6 +110,16 @@ class ModelParams:
             views[name] = flat[start:stop].reshape(shape)
             start = stop
         return views
+
+    def grouped(self, flat):
+        """``split`` as one namespace per weight group, the form the layers
+        read: ``grouped(flat).gcn1.w_theta``."""
+        groups = {}
+        for name, view in self.split(flat).items():
+            group, weight = name.split(".")
+            groups.setdefault(group, {})[weight] = view
+        return SimpleNamespace(**{group: SimpleNamespace(**weights)
+                                  for group, weights in groups.items()})
 
     def name_at(self, index):
         """The name of the weight that holds flat element ``index``."""
@@ -161,6 +165,12 @@ def params_from_arrays(config, arrays):
     return ModelParams(config, shapes, arrays)
 
 
+# the layer nodes of one forward_multimodal pass, in forward order: the two
+# attended features, the fused rows, the hidden layer, the code probabilities
+# b and the image and sketch encoder outputs f(.) and g(.)
+Trunk = namedtuple("Trunk", "h_sk h_im fused hidden b f_out g_out")
+
+
 def fuse_modalities(h_sk, h_im, params):
     """Fused features [N, d_f^2] for any fusion mode, as one layer node."""
     if params.fusion_mode == "kronecker":
@@ -173,26 +183,26 @@ def fuse_modalities(h_sk, h_im, params):
 def forward_multimodal(batch, params, adj):
     """Run the deterministic training-time network on one batch.
 
-    Returns (b, f_out, g_out): code probabilities [N, M] from the
-    multi-modal trunk and the two single-modality encoder outputs.  None
-    of them depends on the sampling noise, so one pass serves every
-    Monte-Carlo draw.
+    Returns the ``Trunk`` of its layer nodes; its ``b`` holds the code
+    probabilities [N, M] and ``f_out`` and ``g_out`` the two
+    single-modality encoder outputs.  None of them depends on the
+    sampling noise, so one pass serves every Monte-Carlo draw.
     """
     h_sk = layers.attention_pool(batch.sketch_feats, params.attn_sk)
     h_im = layers.attention_pool(batch.image_feats, params.attn_im)
-    fused = fuse_modalities(h_sk, h_im, params)
+    fused = fuse_modalities(h_sk.data, h_im.data, params)
 
     if params.use_gcn:
         a_norm = layers.normalized_adjacency(adj)
-        hidden = layers.graph_conv(fused, a_norm, params.gcn1, layers.relu)
-        b = layers.graph_conv(hidden, a_norm, params.gcn2, layers.sigmoid)
+        hidden = layers.graph_conv(fused.data, a_norm, params.gcn1, layers.relu)
+        b = layers.graph_conv(hidden.data, a_norm, params.gcn2, layers.sigmoid)
     else:
-        hidden = layers.dense(fused, params.gcn1, layers.relu)
-        b = layers.dense(hidden, params.gcn2, layers.sigmoid)
+        hidden = layers.dense(fused.data, params.gcn1, layers.relu)
+        b = layers.dense(hidden.data, params.gcn2, layers.sigmoid)
 
-    f_out = layers.encode_soft(h_im, params.enc_im)
-    g_out = layers.encode_soft(h_sk, params.enc_sk)
-    return b, f_out, g_out
+    f_out = layers.encode_soft(h_im.data, params.enc_im)
+    g_out = layers.encode_soft(h_sk.data, params.enc_sk)
+    return Trunk(h_sk, h_im, fused, hidden, b, f_out, g_out)
 
 
 def encode_features(feat_maps, attn, enc):
@@ -202,4 +212,4 @@ def encode_features(feat_maps, attn, enc):
     if len(feat_maps) == 0:
         return np.zeros((0, enc.w.shape[1]))
     feats = np.asarray(feat_maps, dtype=np.float64)
-    return layers.encode_soft(layers.attention_pool(feats, attn), enc).data
+    return layers.encode_soft(layers.attention_pool(feats, attn).data, enc).data

@@ -283,12 +283,8 @@ class Checkpoint:
         return params
 
     def build_opt_state(self, params):
-        cfg = self.config
-        return AdamState(
-            step=self.opt_step,
-            m=params.flatten(self.opt_m), v=params.flatten(self.opt_v),
-            lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps_hat=cfg.eps_hat,
-        )
+        return replace(AdamState.init(params, self.config), step=self.opt_step,
+                       m=params.flatten(self.opt_m), v=params.flatten(self.opt_v))
 
 
 def _snapshot(config, params, opt_state, iteration, rng, stop_reason):
@@ -349,10 +345,7 @@ def train(config, dataset, metrics_out=None, resume=None):
     else:
         rng = np.random.default_rng(config.seed)
         params = init_params(config, channels, d_s, rng)
-        opt_state = AdamState.init(
-            params, lr=config.lr, beta1=config.beta1,
-            beta2=config.beta2, eps_hat=config.eps_hat,
-        )
+        opt_state = AdamState.init(params, config)
         start = 0
 
     close_metrics = False

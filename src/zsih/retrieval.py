@@ -40,6 +40,8 @@ class CodeMatrix:
             )
         if self.modality not in MODALITY_CODES:
             raise ValueError(f"unknown modality {self.modality!r}")
+        if self.n_bits < 1:
+            raise ValueError(f"codes must hold at least 1 bit, got {self.n_bits}")
 
     def __len__(self):
         return self.codes.shape[0]
@@ -93,31 +95,40 @@ def _scan(query, gallery):
     return dist
 
 
-def hamming_distances(query_row, codes):
-    """Hamming distances of one packed query row to every packed row of
-    ``codes``: uint8 while a row holds at most 255 bits, else uint16."""
-    query_row = np.ascontiguousarray(query_row, dtype=np.uint8)
-    codes = np.ascontiguousarray(codes, dtype=np.uint8)
-    if codes.ndim != 2 or query_row.shape != codes.shape[1:]:
+def rank_rows(rows, n_bits, gallery):
+    """Rank the gallery for each packed row of ``rows``, codes of
+    ``n_bits`` bits: yields (distances, gallery indices by ascending
+    distance, ties by ascending index) per row.
+
+    The gallery must be non-empty and hold codes of the same length; both
+    are checked before the first row is ranked.
+    """
+    if len(gallery) == 0:
+        raise ValueError("empty gallery")
+    if n_bits != gallery.n_bits:
         raise ValueError(
-            f"packed query {query_row.shape} does not match packed codes "
-            f"{codes.shape}"
+            f"code length mismatch: queries {n_bits} bits, "
+            f"gallery {gallery.n_bits} bits"
         )
-    return _scan(_words(query_row), _words(codes))
+    gallery_words = _words(gallery.codes)
+
+    def ranked():
+        for row in _words(rows):
+            dist = _scan(row, gallery_words)
+            # numpy radix-sorts 8- and 16-bit keys for kind="stable"
+            yield dist, dist.argsort(kind="stable")
+
+    return ranked()
 
 
 def hamming_rank(query_bits, gallery):
     """Gallery indices by ascending Hamming distance to the query bits,
     ties broken by ascending index."""
     query_bits = np.asarray(query_bits, dtype=np.uint8)
-    if query_bits.ndim != 1 or query_bits.shape[0] != gallery.n_bits:
-        raise ValueError(
-            f"query has {query_bits.shape} bits, gallery codes have "
-            f"{gallery.n_bits}"
-        )
-    dist = hamming_distances(pack_bits(query_bits), gallery.codes)
-    # numpy radix-sorts 8- and 16-bit keys for kind="stable"
-    return np.argsort(dist, kind="stable")
+    if query_bits.ndim != 1:
+        raise ValueError(f"query bits must be a vector, got shape {query_bits.shape}")
+    rows = pack_bits(query_bits)[None]
+    return next(rank_rows(rows, query_bits.size, gallery))[1]
 
 
 def _hit_metrics(hit0, ranks):
@@ -127,15 +138,6 @@ def _hit_metrics(hit0, ranks):
     # cumsum adds left to right, as a loop over the hits does; sum() adds
     # pairwise and would differ from the oracle in the last bits
     return hit_prec, hit_prec.cumsum()[-1] / hit0.size
-
-
-def average_precision(ranked_labels, query_label):
-    """AP over a fully ranked gallery; relevance is label equality."""
-    hit0 = np.flatnonzero(np.asarray(ranked_labels) == query_label)
-    if not hit0.size:
-        raise ValueError("query has no relevant gallery item")
-    ranks = np.arange(1, hit0[-1] + 2, dtype=np.float64)
-    return float(_hit_metrics(hit0, ranks)[1])
 
 
 @dataclass
@@ -156,15 +158,9 @@ def evaluate(queries, gallery, ks=(1, 10, 100)):
     item are excluded from the averages and surfaced through
     ``excluded_queries``.
     """
-    if len(gallery) == 0:
-        raise ValueError("empty gallery")
+    ranked = rank_rows(queries.codes, queries.n_bits, gallery)
     if len(queries) == 0:
         raise ValueError("no queries")
-    if queries.n_bits != gallery.n_bits:
-        raise ValueError(
-            f"code length mismatch: queries {queries.n_bits} bits, "
-            f"gallery {gallery.n_bits} bits"
-        )
     ks = sorted(set(int(k) for k in ks))
     if ks and ks[0] < 1:
         raise ValueError(f"precision@K needs K >= 1, got K = {ks[0]}")
@@ -178,9 +174,7 @@ def evaluate(queries, gallery, ks=(1, 10, 100)):
     raw_prec_sum = np.zeros(n)
     raw_rec_sum = np.zeros(n)
     excluded = 0
-    gallery_words = _words(gallery.codes)
-    for row, label in zip(_words(queries.codes), queries.labels):
-        order = _scan(row, gallery_words).argsort(kind="stable")
+    for (_, order), label in zip(ranked, queries.labels):
         hit0 = (gallery.labels == label)[order].nonzero()[0]
         r_total = hit0.size
         if not r_total:
@@ -265,6 +259,8 @@ def save_codes(code_matrix, path):
 def load_codes(path):
     with open(path, "rb") as f:
         count, n_bits, mod_code = read_header(f, CODE_MAGIC, _CODE_HEADER)
+        if n_bits < 1:
+            raise FormatError(f"codes must hold at least 1 bit, got {n_bits}")
         record = _record_dtype((n_bits + 7) // 8)
         # the records, then the u32 label trailer: 4 more bytes per record
         body = read_body(f, count, record.itemsize + 4)

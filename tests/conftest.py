@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from zsih import layers, model, objective, pipeline
-from zsih.autodiff import Node
 from zsih.data import synth_dataset
 
 FD_STEP = 1e-5
@@ -14,10 +13,11 @@ FD_RTOL = 1e-4
 FD_ATOL = 1e-8
 
 
-def fd_grad(f, node, h=FD_STEP):
-    """Central finite differences of scalar f() w.r.t. one node's data."""
-    grad = np.zeros_like(node.data)
-    flat = node.data.reshape(-1)
+def fd_grad(f, arr, h=FD_STEP):
+    """Central finite differences of scalar f() w.r.t. the float64 array
+    ``arr``, which is perturbed in place one entry at a time."""
+    grad = np.zeros_like(arr)
+    flat = arr.reshape(-1)
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
@@ -34,33 +34,53 @@ def assert_grad_close(ad_grad, fd, rtol=FD_RTOL, atol=FD_ATOL):
     np.testing.assert_allclose(ad_grad, fd, rtol=rtol, atol=atol)
 
 
-def check_node_grads(make_loss, nodes, rtol=FD_RTOL, atol=FD_ATOL):
-    """Compare autodiff and finite-difference gradients for each node.
+def zero_grads(group):
+    """Zero gradient buffers named like the weights of ``group``."""
+    return SimpleNamespace(**{name: np.zeros_like(arr) for name, arr in vars(group).items()})
 
-    ``make_loss`` rebuilds the loss graph from the nodes' current data and
-    returns the scalar loss node.
+
+def layer_loss(node):
+    """The scalar the layer checks reduce a node to: its value when it is
+    a scalar, else the sum of its squared entries."""
+    return float(node.data) if np.ndim(node.data) == 0 else float(np.sum(node.data * node.data))
+
+
+def vjp_grads(node, inputs=(), weights=None):
+    """The gradients of ``layer_loss(node)`` by the node's own VJP.
+
+    Returns ([(array, gradient)] for each distinct array of ``inputs``,
+    which lists the VJP's inputs in its order (an array listed twice gets
+    the sum of both), and {weight name: gradient} for the group
+    ``weights``)."""
+    g_out = 1.0 if np.ndim(node.data) == 0 else 2.0 * node.data
+    if weights is None:
+        g_inputs, grads = node.vjp(g_out), SimpleNamespace()
+    else:
+        grads = zero_grads(weights)
+        g_inputs = node.vjp(g_out, grads)
+    pairs = {}
+    for arr, g in zip(inputs, g_inputs, strict=True):
+        prev = pairs.get(id(arr))
+        pairs[id(arr)] = (arr, g if prev is None else prev[1] + g)
+    return list(pairs.values()), vars(grads)
+
+
+def check_vjp(make_node, inputs=(), weights=None, rtol=FD_RTOL, atol=FD_ATOL):
+    """A layer's VJP against central differences of ``layer_loss``, for
+    every array of ``inputs`` and every weight of ``weights``.
+
+    ``make_node()`` rebuilds the layer node from the current values of
+    those float64 arrays, which ``fd_grad`` perturbs in place.
     """
-    loss = make_loss()
-    for n in nodes:
-        n.zero_grad()
-    loss.backward()
-    ad_grads = [n.grad.copy() for n in nodes]
-    for n, ag in zip(nodes, ad_grads):
-        fd = fd_grad(lambda: make_loss().item(), n)
-        assert_grad_close(ag, fd, rtol=rtol, atol=atol)
+    input_grads, weight_grads = vjp_grads(make_node(), inputs, weights)
 
+    def loss():
+        return layer_loss(make_node())
 
-def square_sum(node):
-    """sum(x^2) over a node's value, as a scalar node: the loss the layer
-    tests reduce a layer's output to."""
-    return Node(np.sum(node.data * node.data), _parents=(node,),
-                _bwd=lambda g: (2.0 * g * node.data,))
-
-
-def shifted(node, offset):
-    """node + offset with an identity gradient: the straight-through
-    surrogate of the sampler once its bits are frozen."""
-    return Node(node.data + offset, _parents=(node,), _bwd=lambda g: (g,))
+    for arr, g in input_grads:
+        assert_grad_close(g, fd_grad(loss, arr), rtol=rtol, atol=atol)
+    for name, g in weight_grads.items():
+        assert_grad_close(g, fd_grad(loss, getattr(weights, name)), rtol=rtol, atol=atol)
 
 
 def check_full_objective(params, batch, adj, eps_draws):
@@ -68,34 +88,34 @@ def check_full_objective(params, batch, adj, eps_draws):
     central differences of its surrogate.
 
     The surrogate freezes each draw's sampled bits and stands b + (bits -
-    b), with an identity gradient, in for the sampler; the trunk, the
-    encoders and the loss stay live.  It is built from the public pieces:
-    ``forward_multimodal``, one ``loss_terms`` per draw, ``mc_total``.
-    ``eps_draws`` is [K, N, M].
+    b) in for the sampler; the trunk, the encoders and the loss stay live.
+    It is built from the public pieces: ``forward_multimodal``, one
+    ``loss_terms`` per draw, ``mc_total``.  ``eps_draws`` is [K, N, M].
     """
-    b, _, _ = model.forward_multimodal(batch, params, adj)
+    b = model.forward_multimodal(batch, params, adj).b.data
     bits = [layers.stochastic_neurons(b, eps).data for eps in eps_draws]
-    offsets = [draw - b.data for draw in bits]
+    offsets = [draw - b for draw in bits]
     loss, _ = objective.batch_loss(batch, params, adj, eps_draws)
     ad_grads = params.split(objective.estimate_gradients(loss, params))
 
     def surrogate():
-        b, f_out, g_out = model.forward_multimodal(batch, params, adj)
-        draws = [objective.loss_terms(b, shifted(b, offset), draw, f_out, g_out,
-                                      batch.semantics, params.dec, params.code_bits)
+        trunk = model.forward_multimodal(batch, params, adj)
+        b = trunk.b.data
+        draws = [objective.loss_terms(b, b + offset, draw, trunk.f_out.data,
+                                      trunk.g_out.data, batch.semantics, params.dec,
+                                      params.code_bits)
                  for offset, draw in zip(offsets, bits)]
-        return objective.mc_total(draws)[0].item()
+        return objective.mc_total(draws)[0].data
 
-    for name, node in params.nodes.items():
-        assert_grad_close(ad_grads[name], fd_grad(surrogate, node))
+    for name, weight in params.split(params.theta).items():
+        assert_grad_close(ad_grads[name], fd_grad(surrogate, weight))
 
 
 def param_group(**arrays):
-    """One layer's weights as the layers read them: a trainable Node per
-    attribute, each holding a float64 copy of its array."""
-    return SimpleNamespace(**{
-        name: Node(np.array(arr, dtype=np.float64), requires_grad=True)
-        for name, arr in arrays.items()})
+    """One layer's weights as the layers read them: a float64 copy of each
+    array, by attribute."""
+    return SimpleNamespace(**{name: np.array(arr, dtype=np.float64)
+                              for name, arr in arrays.items()})
 
 
 def tiny_config(**overrides):

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import (assert_grad_close, check_full_objective, fd_grad, param_group,
-                      shifted, square_sum, tiny_setup)
+from conftest import (assert_grad_close, check_full_objective, check_vjp, fd_grad,
+                      param_group, tiny_setup, zero_grads)
 from zsih import cli, data, layers, model, objective, pipeline, retrieval
-from zsih.autodiff import Node, constant
+from zsih.autodiff import Node
 
 
 @contextlib.contextmanager
@@ -28,69 +28,58 @@ def criterion(num, name):
     print(f"\nACCEPTANCE {num} ({name}): PASS")
 
 
-def _check(make_loss, nodes):
-    loss = make_loss()
-    for n in nodes:
-        n.zero_grad()
-    loss.backward()
-    for n in nodes:
-        assert_grad_close(n.grad.copy(), fd_grad(lambda: make_loss().item(), n))
-
-
 # ---------------------------------------------------------------------------
 # criterion 1: gradient suite
 
 
 def _layer_cases(rng):
-    """One randomized gradient-check case per layer node."""
+    """One randomized gradient-check case per layer node: (make the node,
+    its differentiable inputs in VJP order, its weight group or None)."""
     attn = param_group(
         score_weights=rng.normal(size=(4, 1)), score_bias=rng.normal(size=1),
         proj_weights=rng.normal(size=(4, 3)), proj_bias=rng.normal(size=3))
     feats = rng.normal(size=(2, 3, 4))
-    h_sk = Node(rng.normal(size=(2, 3)), requires_grad=True)
-    h_im = Node(rng.normal(size=(2, 3)), requires_grad=True)
+    h_sk = rng.normal(size=(2, 3))
+    h_im = rng.normal(size=(2, 3))
     kron = param_group(w_sk=rng.normal(size=(3, 3)), w_im=rng.normal(size=(3, 3)))
     concat = param_group(w_proj=rng.normal(size=(6, 9)))
     mfb = param_group(u=rng.normal(size=(3, 6)), v=rng.normal(size=(3, 6)),
                       w_proj=rng.normal(size=(3, 9)))
     gcn = param_group(w_theta=rng.normal(size=(3, 2)))
-    hidden = Node(rng.normal(size=(4, 3)), requires_grad=True)
+    hidden = rng.normal(size=(4, 3))
     sem = rng.normal(size=(4, 2))
     a_norm = layers.normalized_adjacency(pipeline.build_adjacency(sem, 0.8))
     enc = param_group(w=rng.normal(size=(4, 3)), b=rng.normal(size=3))
-    h_enc = Node(rng.normal(size=(2, 4)), requires_grad=True)
-    b_probs = Node(rng.uniform(0.15, 0.85, size=(2, 3)), requires_grad=True)
+    h_enc = rng.normal(size=(2, 4))
+    b_probs = rng.uniform(0.15, 0.85, size=(2, 3))
     bits = rng.integers(0, 2, size=(2, 3)).astype(float)
     dec = param_group(
         w_mu=rng.normal(size=(5, 3)), b_mu=rng.normal(size=3),
         w_logvar=rng.normal(size=(5, 3)) * 0.3, b_logvar=rng.normal(size=3) * 0.3)
-    dec_bits = Node(rng.integers(0, 2, size=(2, 5)).astype(float), requires_grad=True)
+    dec_bits = rng.integers(0, 2, size=(2, 5)).astype(float)
     s_rows = rng.normal(size=(2, 3))
-    f_out, g_out, b_tilde = (Node(rng.uniform(0.1, 0.9, size=(2, 3)), requires_grad=True)
-                             for _ in range(3))
-    terms = [Node(rng.normal(), requires_grad=True) for _ in range(6)]
+    f_out, g_out, b_tilde = (rng.uniform(0.1, 0.9, size=(2, 3)) for _ in range(3))
+    terms = [Node(np.array(rng.normal()), None) for _ in range(6)]
     return [
-        (lambda: square_sum(layers.attention_pool(feats, attn)),
-         [attn.score_weights, attn.score_bias, attn.proj_weights, attn.proj_bias]),
-        (lambda: square_sum(layers.fuse(h_sk, h_im, kron)), [h_sk, h_im, kron.w_sk, kron.w_im]),
-        (lambda: square_sum(layers.fuse_concat(h_sk, h_im, concat)),
-         [h_sk, h_im, concat.w_proj]),
-        (lambda: square_sum(layers.fuse_mfb(h_sk, h_im, mfb)),
-         [h_sk, h_im, mfb.u, mfb.v, mfb.w_proj]),
-        (lambda: square_sum(layers.graph_conv(hidden, a_norm, gcn, layers.sigmoid)),
-         [hidden, gcn.w_theta]),
-        (lambda: square_sum(layers.dense(hidden, gcn, layers.relu)), [hidden, gcn.w_theta]),
-        (lambda: square_sum(layers.encode_soft(h_enc, enc)), [h_enc, enc.w, enc.b]),
-        (lambda: layers.log_q(b_probs, bits), [b_probs]),
-        (lambda: layers.log_p_gaussian(s_rows, dec_bits, dec),
-         [dec.w_mu, dec.b_mu, dec.w_logvar, dec.b_logvar, dec_bits]),
-        (lambda: objective.code_regression(f_out, g_out, b_tilde, 3), [f_out, g_out, b_tilde]),
-        (lambda: objective.mc_total([terms[:3], terms[3:]])[0], terms),
+        (lambda: layers.attention_pool(feats, attn), [], attn),
+        (lambda: layers.fuse(h_sk, h_im, kron), [h_sk, h_im], kron),
+        (lambda: layers.fuse_concat(h_sk, h_im, concat), [h_sk, h_im], concat),
+        (lambda: layers.fuse_mfb(h_sk, h_im, mfb), [h_sk, h_im], mfb),
+        (lambda: layers.graph_conv(hidden, a_norm, gcn, layers.sigmoid), [hidden], gcn),
+        (lambda: layers.dense(hidden, gcn, layers.relu), [hidden], gcn),
+        (lambda: layers.encode_soft(h_enc, enc), [h_enc], enc),
+        (lambda: layers.log_q(b_probs, bits), [b_probs], None),
+        (lambda: layers.log_p_gaussian(s_rows, dec_bits, dec), [dec_bits], dec),
+        (lambda: objective.code_regression(f_out, g_out, b_tilde, 3),
+         [f_out, g_out, b_tilde, b_tilde], None),
+        (lambda: objective.mc_total([terms[:3], terms[3:]])[0],
+         [t.data for t in terms], None),
     ]
 
 
 def _check_stochastic_path(rng):
-    """Production straight-through gradients against finite differences of
+    """Production straight-through gradients, the VJPs of the encoder, the
+    sampler and the decoder chained by hand, against finite differences of
     the frozen-offset surrogate."""
     enc = param_group(w=rng.normal(size=(4, 3)), b=rng.normal(size=3))
     dec = param_group(
@@ -99,22 +88,21 @@ def _check_stochastic_path(rng):
     h = rng.normal(size=(2, 4))
     s = rng.normal(size=(2, 2))
     eps = rng.random((2, 3))
-    b0 = layers.encode_soft(constant(h), enc)
-    sampled = layers.stochastic_neurons(b0, eps)
+    b0 = layers.encode_soft(h, enc)
+    sampled = layers.stochastic_neurons(b0.data, eps)
     offset = sampled.data - b0.data
-    loss = layers.log_p_gaussian(s, sampled, dec)
-    nodes = [enc.w, enc.b]
-    for n in nodes:
-        n.zero_grad()
-    loss.backward()
-    grads = [n.grad.copy() for n in nodes]
+    loss = layers.log_p_gaussian(s, sampled.data, dec)
+    (g_bits,) = loss.vjp(1.0, zero_grads(dec))
+    (g_b,) = sampled.vjp(g_bits)
+    grads = zero_grads(enc)
+    b0.vjp(g_b, grads)
 
     def surrogate():
-        b = layers.encode_soft(constant(h), enc)
-        return layers.log_p_gaussian(s, shifted(b, offset), dec).item()
+        b = layers.encode_soft(h, enc)
+        return layers.log_p_gaussian(s, b.data + offset, dec).data
 
-    for n, g in zip(nodes, grads):
-        assert_grad_close(g, fd_grad(surrogate, n))
+    for name, g in vars(grads).items():
+        assert_grad_close(g, fd_grad(surrogate, getattr(enc, name)))
 
 
 def test_criterion_1_gradient_suite():
@@ -122,8 +110,8 @@ def test_criterion_1_gradient_suite():
         start = time.monotonic()
         for trial in range(100):
             rng = np.random.default_rng(1000 + trial)
-            for make_loss, nodes in _layer_cases(rng):
-                _check(make_loss, nodes)
+            for make_node, inputs, weights in _layer_cases(rng):
+                check_vjp(make_node, inputs, weights)
             _check_stochastic_path(rng)
         for trial in range(100):
             _, _, params, batch, adj, eps, _ = tiny_setup(seed=2000 + trial)
@@ -142,7 +130,7 @@ def test_criterion_2_gcn_equals_fc_under_identity():
             d_out = int(rng.integers(1, 7))
             act = layers.relu if rng.integers(2) else layers.sigmoid
             layer = param_group(w_theta=rng.normal(size=(d_in, d_out)))
-            h = constant(rng.normal(size=(n, d_in)) * 3.0)
+            h = rng.normal(size=(n, d_in)) * 3.0
             gcn = layers.graph_conv(h, np.eye(n), layer, act)
             fc = layers.dense(h, layer, act)
             assert np.max(np.abs(gcn.data - fc.data)) <= 1e-12

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from zsih import cli, pipeline, retrieval
 from zsih.data import load_split, save_split
+from zsih.formats import MODALITY_CODES, pack_header
 
 
 def run_cli(*args):
@@ -372,6 +373,34 @@ class TestRetrieveAndEval:
                        "--out", workspace["dir"] / "r.txt") == 1
         err = capsys.readouterr().err
         assert "8" in err and "16" in err
+
+    def test_zero_bit_codes_rejected(self, tmp_path, capsys):
+        # headers that declare 0-bit codes: each record is a bare label
+        labels = np.array([0, 1, 0], dtype="<u4").tobytes()
+        paths = []
+        for name, modality in (("q", "sketch"), ("g", "image")):
+            paths.append(tmp_path / f"{name}.zscb")
+            paths[-1].write_bytes(pack_header(
+                retrieval.CODE_MAGIC, retrieval._CODE_HEADER, 3, 0,
+                MODALITY_CODES[modality]) + labels + labels)
+        for verb in ("eval", "retrieve"):
+            out = tmp_path / f"{verb}.txt"
+            assert run_cli(verb, "--queries", paths[0], "--gallery", paths[1],
+                           "--out", out) == 1
+            assert "at least 1 bit" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["eval", "retrieve"])
+    def test_empty_gallery_rejected(self, tmp_path, capsys, verb):
+        q, g = tmp_path / "q.zscb", tmp_path / "g.zscb"
+        retrieval.save_codes(retrieval.CodeMatrix(
+            np.zeros((2, 1), dtype=np.uint8), [0, 1], 8, "sketch"), q)
+        retrieval.save_codes(retrieval.CodeMatrix(
+            np.zeros((0, 1), dtype=np.uint8), [], 8, "image"), g)
+        out = tmp_path / "out.txt"
+        assert run_cli(verb, "--queries", q, "--gallery", g, "--out", out) == 1
+        assert "empty gallery" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAblate:

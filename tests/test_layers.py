@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import (assert_grad_close, check_node_grads, fd_grad, param_group, shifted,
-                      square_sum)
+from conftest import (assert_grad_close, check_vjp, fd_grad, param_group, vjp_grads,
+                      zero_grads)
 from zsih import layers, model, pipeline
-from zsih.autodiff import Node, constant
 
 
 def make_attention(rng, channels, d_f):
@@ -23,8 +22,8 @@ def make_attention(rng, channels, d_f):
 def attention_weights(feats, params):
     """The row softmax of the attention logits: one weight per location."""
     n, length, channels = feats.shape
-    logits = (feats.reshape(n * length, channels) @ params.score_weights.data
-              + params.score_bias.data)
+    logits = (feats.reshape(n * length, channels) @ params.score_weights
+              + params.score_bias)
     return layers.softmax_rows(logits.reshape(n, length))
 
 
@@ -62,8 +61,8 @@ class TestKernels:
         # encode_soft runs the kernel in place over its pre-activation
         enc = param_group(w=rng.normal(size=(3, 64)) * 100.0, b=np.zeros(64))
         h = edge_grid(rng, (40, 3), [0.0, -0.0, np.inf, -np.inf])
-        z = h @ enc.w.data + enc.b.data
-        out = layers.encode_soft(constant(h), enc).data
+        z = h @ enc.w + enc.b
+        out = layers.encode_soft(h, enc).data
         assert out.tobytes() == oracles.two_branch_sigmoid(z).tobytes()
 
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
@@ -134,7 +133,7 @@ class TestAttentionPool:
     def test_full_scale_output_dim(self, rng):
         params = make_attention(rng, 256, 256)
         out = layers.attention_pool(rng.normal(size=(2, 9, 256)), params)
-        assert out.shape == (2, 256)
+        assert out.data.shape == (2, 256)
 
     def test_empty_input_rejected(self, rng):
         params = make_attention(rng, 4, 2)
@@ -151,57 +150,45 @@ class TestAttentionPool:
     def test_gradients_match_fd(self, rng):
         params = make_attention(rng, 4, 3)
         feats = rng.normal(size=(3, 5, 4))
-        nodes = [params.score_weights, params.score_bias,
-                 params.proj_weights, params.proj_bias]
-        check_node_grads(
-            lambda: square_sum(layers.attention_pool(feats, params)),
-            nodes,
-        )
+        check_vjp(lambda: layers.attention_pool(feats, params), [], params)
 
 
 class TestKroneckerFusion:
     def test_zero_sketch_annihilates(self, rng):
         params = param_group(w_sk=rng.normal(size=(4, 4)), w_im=rng.normal(size=(4, 4)))
-        out = layers.fuse(constant(np.zeros((2, 4))),
-                          constant(rng.normal(size=(2, 4))), params)
+        out = layers.fuse(np.zeros((2, 4)), rng.normal(size=(2, 4)), params)
         np.testing.assert_array_equal(out.data, np.zeros((2, 16)))
 
     def test_identity_weights_hand_case(self):
         params = param_group(w_sk=np.eye(2), w_im=np.eye(2))
-        out = layers.fuse(constant([[1.0, 0.0], [0.0, 1.0]]),
-                          constant([[0.0, 2.0], [3.0, 0.0]]), params)
+        out = layers.fuse(np.array([[1.0, 0.0], [0.0, 1.0]]),
+                          np.array([[0.0, 2.0], [3.0, 0.0]]), params)
         assert out.data.tolist() == [[0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 0.0]]
 
     def test_full_scale_output_dim(self, rng):
         params = param_group(w_sk=rng.normal(size=(256, 256)), w_im=rng.normal(size=(256, 256)))
-        out = layers.fuse(
-            constant(rng.normal(size=(2, 256))),
-            constant(rng.normal(size=(2, 256))), params
-        )
-        assert out.shape == (2, 65536)
+        out = layers.fuse(rng.normal(size=(2, 256)), rng.normal(size=(2, 256)), params)
+        assert out.data.shape == (2, 65536)
 
     def test_output_nonnegative(self, rng):
         params = param_group(w_sk=rng.normal(size=(5, 5)), w_im=rng.normal(size=(5, 5)))
-        out = layers.fuse(
-            constant(rng.normal(size=(3, 5))),
-            constant(rng.normal(size=(3, 5))), params
-        )
+        out = layers.fuse(rng.normal(size=(3, 5)), rng.normal(size=(3, 5)), params)
         assert np.all(out.data >= 0)
 
     def test_length_mismatch_rejected(self, rng):
         params = param_group(w_sk=np.eye(3), w_im=np.eye(3))
         with pytest.raises(ValueError, match="length 3"):
-            layers.fuse(constant(np.ones((1, 2))), constant(np.ones((1, 3))), params)
+            layers.fuse(np.ones((1, 2)), np.ones((1, 3)), params)
         with pytest.raises(ValueError, match="length 3"):
-            layers.fuse(constant(np.ones((1, 3))), constant(np.ones((2, 3))), params)
+            layers.fuse(np.ones((1, 3)), np.ones((2, 3)), params)
 
     def test_pre_activation_bilinear(self, rng):
         params = param_group(w_sk=rng.normal(size=(4, 4)), w_im=rng.normal(size=(4, 4)))
 
         def pre(h_sk, h_im):
             # relu(P) - relu(-P) = P, and negating h_sk negates P
-            return (layers.fuse(constant(h_sk), constant(h_im), params).data
-                    - layers.fuse(constant(-h_sk), constant(h_im), params).data)
+            return (layers.fuse(h_sk, h_im, params).data
+                    - layers.fuse(-h_sk, h_im, params).data)
 
         a, b, c = rng.normal(size=(3, 2, 4))
         alpha, beta = 0.7, -1.3
@@ -214,18 +201,15 @@ class TestKroneckerFusion:
 
     def test_gradients_match_fd(self, rng):
         params = param_group(w_sk=rng.normal(size=(3, 3)), w_im=rng.normal(size=(3, 3)))
-        h_sk = constant(rng.normal(size=(2, 3)))
-        h_im = constant(rng.normal(size=(2, 3)))
-        check_node_grads(
-            lambda: square_sum(layers.fuse(h_sk, h_im, params)),
-            [params.w_sk, params.w_im],
-        )
+        h_sk = rng.normal(size=(2, 3))
+        h_im = rng.normal(size=(2, 3))
+        check_vjp(lambda: layers.fuse(h_sk, h_im, params), [h_sk, h_im], params)
 
 
 class TestGraphConv:
     def test_identity_adjacency_equals_dense(self, rng):
         layer = param_group(w_theta=rng.normal(size=(5, 4)))
-        h = Node(rng.normal(size=(6, 5)), requires_grad=True)
+        h = rng.normal(size=(6, 5))
         gcn = layers.graph_conv(h, np.eye(6), layer, layers.relu)
         fc = layers.dense(h, layer, layers.relu)
         assert np.max(np.abs(gcn.data - fc.data)) <= 1e-12
@@ -233,21 +217,21 @@ class TestGraphConv:
     def test_full_scale_layer_dims(self, rng):
         relu_layer = param_group(w_theta=rng.normal(size=(32, 1024)) * 0.1)
         sig_layer = param_group(w_theta=rng.normal(size=(1024, 64)) * 0.01)
-        h = constant(rng.normal(size=(3, 32)))
+        h = rng.normal(size=(3, 32))
         adj = np.eye(3)
         hidden = layers.graph_conv(h, adj, relu_layer, layers.relu)
-        assert hidden.shape == (3, 1024)
-        out = layers.graph_conv(hidden, adj, sig_layer, layers.sigmoid)
-        assert out.shape == (3, 64)
+        assert hidden.data.shape == (3, 1024)
+        out = layers.graph_conv(hidden.data, adj, sig_layer, layers.sigmoid)
+        assert out.data.shape == (3, 64)
         assert np.all((out.data > 0) & (out.data < 1))
 
     def test_all_ones_adjacency_averages_rows(self, rng):
         layer = param_group(w_theta=rng.normal(size=(4, 3)))
         h = rng.normal(size=(3, 4))
-        out = layers.graph_conv(constant(h), layers.normalized_adjacency(np.ones((3, 3))),
+        out = layers.graph_conv(h, layers.normalized_adjacency(np.ones((3, 3))),
                                  layer, layers.relu)
         mean_row = h.mean(axis=0)
-        expected = np.maximum(0.0, mean_row @ layer.w_theta.data)
+        expected = np.maximum(0.0, mean_row @ layer.w_theta)
         for row in out.data:
             np.testing.assert_allclose(row, expected, rtol=1e-12)
 
@@ -269,11 +253,11 @@ class TestGraphConv:
     def test_adjacency_size_must_match_batch(self, rng):
         layer = param_group(w_theta=rng.normal(size=(2, 2)))
         with pytest.raises(ValueError, match="does not match batch 3"):
-            layers.graph_conv(constant(np.ones((3, 2))), np.eye(2), layer, layers.relu)
+            layers.graph_conv(np.ones((3, 2)), np.eye(2), layer, layers.relu)
 
     def test_unknown_activation_rejected(self, rng):
         layer = param_group(w_theta=rng.normal(size=(2, 2)))
-        h = constant(np.ones((2, 2)))
+        h = np.ones((2, 2))
         with pytest.raises(ValueError, match="activation"):
             layers.graph_conv(h, np.eye(2), layer, np.tanh)
         with pytest.raises(ValueError, match="activation"):
@@ -283,67 +267,61 @@ class TestGraphConv:
         layer = param_group(w_theta=rng.normal(size=(3, 2)))
         h = rng.normal(size=(4, 3))
         adj = pipeline.build_adjacency(rng.normal(size=(4, 2)), 0.8)
-        pre = layers.normalized_adjacency(adj) @ h @ layer.w_theta.data
-        out = layers.graph_conv(constant(h), layers.normalized_adjacency(adj), layer,
+        pre = layers.normalized_adjacency(adj) @ h @ layer.w_theta
+        out = layers.graph_conv(h, layers.normalized_adjacency(adj), layer,
                                  layers.sigmoid)
         np.testing.assert_allclose(out.data, 1.0 / (1.0 + np.exp(-pre)), rtol=1e-12)
 
     def test_gradients_match_fd(self, rng):
         layer = param_group(w_theta=rng.normal(size=(3, 2)))
-        h = Node(rng.normal(size=(4, 3)), requires_grad=True)
+        h = rng.normal(size=(4, 3))
         sem = rng.normal(size=(4, 2))
         sq = ((sem[:, None, :] - sem[None, :, :]) ** 2).sum(axis=2)
         adj = np.exp(-sq)
         np.fill_diagonal(adj, 1.0)
         a_norm = layers.normalized_adjacency(adj)
-        check_node_grads(
-            lambda: square_sum(layers.graph_conv(h, a_norm, layer, layers.sigmoid)),
-            [h, layer.w_theta],
-        )
+        check_vjp(lambda: layers.graph_conv(h, a_norm, layer, layers.sigmoid), [h], layer)
 
 
 class TestHashEncoder:
     def test_zero_weights_give_half(self):
         enc = param_group(w=np.zeros((3, 4)), b=np.zeros(4))
-        out = layers.encode_soft(constant(np.ones((1, 3))), enc)
+        out = layers.encode_soft(np.ones((1, 3)), enc)
         assert out.data.tolist() == [[0.5] * 4]
 
     def test_outputs_inside_unit_interval(self, rng):
         enc = param_group(w=rng.normal(size=(3, 4)), b=rng.normal(size=4))
-        out = layers.encode_soft(constant(rng.normal(size=(2, 3)) * 5), enc)
+        out = layers.encode_soft(rng.normal(size=(2, 3)) * 5, enc)
         assert np.all((out.data > 0) & (out.data < 1))
 
     def test_batch_path_matches_vector_path(self, rng):
         # every row of a batch equals the same row encoded on its own
         enc = param_group(w=rng.normal(size=(3, 4)), b=rng.normal(size=4))
         h = rng.normal(size=(5, 3))
-        batched = layers.encode_soft(constant(h), enc)
+        batched = layers.encode_soft(h, enc)
         for i in range(5):
-            single = layers.encode_soft(constant(h[i:i + 1]), enc)
+            single = layers.encode_soft(h[i:i + 1], enc)
             np.testing.assert_allclose(batched.data[i:i + 1], single.data, rtol=1e-14)
 
     def test_gradients_match_fd(self, rng):
         enc = param_group(w=rng.normal(size=(4, 3)), b=rng.normal(size=3))
-        h = Node(rng.normal(size=(2, 4)), requires_grad=True)
-        check_node_grads(
-            lambda: square_sum(layers.encode_soft(h, enc)),
-            [h, enc.w, enc.b],
-        )
+        h = rng.normal(size=(2, 4))
+        check_vjp(lambda: layers.encode_soft(h, enc), [h], enc)
 
 
 class TestStochasticNeurons:
     def test_extreme_probabilities(self):
-        b = constant([1.0 - 1e-9, 1e-9])
+        b = np.array([1.0 - 1e-9, 1e-9])
         out = layers.stochastic_neurons(b, np.array([0.9999, 0.0001]))
         assert out.data.tolist() == [1.0, 0.0]
 
     def test_threshold_rule(self):
-        b = constant([0.5, 0.5])
+        b = np.array([0.5, 0.5])
         out = layers.stochastic_neurons(b, np.array([0.3, 0.7]))
         assert out.data.tolist() == [1.0, 0.0]
 
     def test_boundary_resolves_to_one(self):
-        out = layers.stochastic_neurons(constant([0.25]), np.array([0.25]))
+        out = layers.stochastic_neurons(np.array([0.25]), np.array([0.25]))
         assert out.data.tolist() == [1.0]
 
     def test_empirical_mean_matches_probability(self, rng):
@@ -356,61 +334,61 @@ class TestStochasticNeurons:
 
     def test_domain_error_outside_unit_interval(self):
         with pytest.raises(ValueError, match="probabilities"):
-            layers.stochastic_neurons(constant([1.2]), np.array([0.5]))
+            layers.stochastic_neurons(np.array([1.2]), np.array([0.5]))
         with pytest.raises(ValueError, match="probabilities"):
-            layers.stochastic_neurons(constant([-0.1]), np.array([0.5]))
+            layers.stochastic_neurons(np.array([-0.1]), np.array([0.5]))
 
     def test_straight_through_gradient_is_identity(self, rng):
-        b = Node(rng.uniform(0.2, 0.8, size=6), requires_grad=True)
+        b = rng.uniform(0.2, 0.8, size=6)
         out = layers.stochastic_neurons(b, rng.random(6))
         w = rng.normal(size=6)
-        square_sum(shifted(out, w)).backward()
-        np.testing.assert_array_equal(b.grad, 2.0 * (out.data + w))
+        (g_b,) = out.vjp(2.0 * (out.data + w))
+        np.testing.assert_array_equal(g_b, 2.0 * (out.data + w))
 
     def test_gradient_zeroed_in_clamp_region(self):
-        b = Node([0.5, 1e-9, 1.0 - 1e-9], requires_grad=True)
+        b = np.array([0.5, 1e-9, 1.0 - 1e-9])
         out = layers.stochastic_neurons(b, np.full(3, 0.5))
-        square_sum(out).backward()
-        np.testing.assert_array_equal(b.grad, [2.0, 0.0, 0.0])
+        [(_, g_b)], _ = vjp_grads(out, [b])
+        np.testing.assert_array_equal(g_b, [2.0, 0.0, 0.0])
 
     def test_eps_shape_mismatch(self):
         with pytest.raises(ValueError, match="eps shape"):
-            layers.stochastic_neurons(constant([0.5, 0.5]), np.array([0.5]))
+            layers.stochastic_neurons(np.array([0.5, 0.5]), np.array([0.5]))
 
 
 class TestLogQ:
     def test_half_probabilities(self):
-        b = constant(np.full(6, 0.5))
+        b = np.full(6, 0.5)
         for bits in (np.zeros(6), np.ones(6), np.array([1, 0, 1, 0, 1, 0.0])):
             out = layers.log_q(b, bits)
-            assert abs(out.item() - 6 * math.log(0.5)) < 1e-12
+            assert abs(out.data - 6 * math.log(0.5)) < 1e-12
 
     def test_scalar_case(self):
-        out = layers.log_q(constant([0.9]), np.array([1.0]))
-        assert abs(out.item() - math.log(0.9)) < 1e-12
-        assert abs(out.item() + 0.10536) < 1e-4
+        out = layers.log_q(np.array([0.9]), np.array([1.0]))
+        assert abs(out.data - math.log(0.9)) < 1e-12
+        assert abs(out.data + 0.10536) < 1e-4
 
     def test_maximized_at_sampled_bits(self, rng):
         bits = rng.integers(0, 2, size=8).astype(float)
         best = np.clip(bits, layers.PROB_EPS, 1 - layers.PROB_EPS)
-        top = layers.log_q(constant(best), bits).item()
+        top = layers.log_q(best, bits).data
         for _ in range(50):
             other = rng.uniform(0.01, 0.99, size=8)
-            assert layers.log_q(constant(other), bits).item() <= top
+            assert layers.log_q(other, bits).data <= top
 
     def test_extreme_probabilities_are_clamped(self):
-        b = constant([1e-12, 1.0 - 1e-12])
+        b = np.array([1e-12, 1.0 - 1e-12])
         out = layers.log_q(b, np.array([0.0, 1.0]))
-        assert np.isfinite(out.item())
+        assert np.isfinite(out.data)
 
     def test_non_binary_bits_rejected(self):
         with pytest.raises(ValueError, match="binary"):
-            layers.log_q(constant([0.5]), np.array([0.4]))
+            layers.log_q(np.array([0.5]), np.array([0.4]))
 
     def test_gradients_match_fd(self, rng):
-        b = Node(rng.uniform(0.1, 0.9, size=7), requires_grad=True)
+        b = rng.uniform(0.1, 0.9, size=7)
         bits = rng.integers(0, 2, size=7).astype(float)
-        check_node_grads(lambda: layers.log_q(b, bits), [b])
+        check_vjp(lambda: layers.log_q(b, bits), [b])
 
 
 class TestLogPGaussian:
@@ -421,26 +399,26 @@ class TestLogPGaussian:
             w_mu=np.zeros((3, d_s)), b_mu=s[0].copy(),
             w_logvar=np.zeros((3, d_s)), b_logvar=np.zeros(d_s),
         )
-        out = layers.log_p_gaussian(s, constant(np.ones((1, 3))), dec)
-        assert abs(out.item() + 0.5 * d_s * math.log(2 * math.pi)) < 1e-12
+        out = layers.log_p_gaussian(s, np.ones((1, 3)), dec)
+        assert abs(out.data + 0.5 * d_s * math.log(2 * math.pi)) < 1e-12
 
     def test_scalar_miniature(self):
         dec = param_group(
             w_mu=np.zeros((2, 1)), b_mu=np.array([1.0]),
             w_logvar=np.zeros((2, 1)), b_logvar=np.array([0.0]),
         )
-        out = layers.log_p_gaussian(np.array([[0.0]]), constant(np.ones((1, 2))), dec)
+        out = layers.log_p_gaussian(np.array([[0.0]]), np.ones((1, 2)), dec)
         expected = -0.5 * (math.log(2 * math.pi) + 1.0)
-        assert abs(out.item() - expected) < 1e-12
-        assert abs(out.item() + 1.41894) < 1e-5
+        assert abs(out.data - expected) < 1e-12
+        assert abs(out.data + 1.41894) < 1e-5
 
     def test_monotone_in_residual(self):
         dec = param_group(
             w_mu=np.zeros((2, 1)), b_mu=np.array([0.0]),
             w_logvar=np.zeros((2, 1)), b_logvar=np.array([0.0]),
         )
-        bits = constant(np.ones((1, 2)))
-        values = [layers.log_p_gaussian(np.array([[mu_gap]]), bits, dec).item()
+        bits = np.ones((1, 2))
+        values = [layers.log_p_gaussian(np.array([[mu_gap]]), bits, dec).data
                   for mu_gap in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -450,7 +428,7 @@ class TestLogPGaussian:
             w_logvar=rng.normal(size=(2, 3)), b_logvar=np.zeros(3),
         )
         with pytest.raises(ValueError, match="semantic shape"):
-            layers.log_p_gaussian(np.zeros((1, 2)), constant(np.ones((1, 2))), dec)
+            layers.log_p_gaussian(np.zeros((1, 2)), np.ones((1, 2)), dec)
 
     def test_gradients_match_fd(self, rng):
         dec = param_group(
@@ -458,16 +436,13 @@ class TestLogPGaussian:
             w_logvar=rng.normal(size=(4, 3)) * 0.3, b_logvar=rng.normal(size=3) * 0.3,
         )
         s = rng.normal(size=(2, 3))
-        bits = Node(rng.integers(0, 2, size=(2, 4)).astype(float), requires_grad=True)
-        check_node_grads(
-            lambda: layers.log_p_gaussian(s, bits, dec),
-            [dec.w_mu, dec.b_mu, dec.w_logvar, dec.b_logvar, bits],
-        )
+        bits = rng.integers(0, 2, size=(2, 4)).astype(float)
+        check_vjp(lambda: layers.log_p_gaussian(s, bits, dec), [bits], dec)
 
 
 class TestStraightThroughPath:
     def test_ste_gradient_equals_linearized_fd(self, rng):
-        """The production backward through the sampler must match finite
+        """The production VJPs through the sampler must match finite
         differences of the frozen-offset surrogate b + (bits - b0)."""
         enc = param_group(w=rng.normal(size=(5, 4)), b=rng.normal(size=4))
         dec = param_group(
@@ -478,21 +453,20 @@ class TestStraightThroughPath:
         s = rng.normal(size=(1, 3))
         eps = rng.random((1, 4))
 
-        b0 = layers.encode_soft(constant(h), enc)
-        bits = layers.stochastic_neurons(b0, eps)
+        b0 = layers.encode_soft(h, enc)
+        bits = layers.stochastic_neurons(b0.data, eps)
         offset = bits.data - b0.data
 
-        # production gradients through the sampler
-        loss = layers.log_p_gaussian(s, bits, dec)
-        for n in (enc.w, enc.b):
-            n.zero_grad()
-        loss.backward()
-        ad_w, ad_b = enc.w.grad.copy(), enc.b.grad.copy()
+        # production gradients through the sampler: decoder, sampler, encoder
+        loss = layers.log_p_gaussian(s, bits.data, dec)
+        (g_bits,) = loss.vjp(1.0, zero_grads(dec))
+        (g_b,) = bits.vjp(g_bits)
+        grads = zero_grads(enc)
+        b0.vjp(g_b, grads)
 
         def surrogate():
-            b = layers.encode_soft(constant(h), enc)
-            relaxed = shifted(b, offset)
-            return layers.log_p_gaussian(s, relaxed, dec).item()
+            b = layers.encode_soft(h, enc)
+            return layers.log_p_gaussian(s, b.data + offset, dec).data
 
-        assert_grad_close(ad_w, fd_grad(surrogate, enc.w))
-        assert_grad_close(ad_b, fd_grad(surrogate, enc.b))
+        assert_grad_close(grads.w, fd_grad(surrogate, enc.w))
+        assert_grad_close(grads.b, fd_grad(surrogate, enc.b))

@@ -4,9 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import check_full_objective, param_group, square_sum, tiny_setup
+from conftest import check_full_objective, param_group, tiny_setup, tiny_config
 from zsih import layers, model, objective, pipeline
-from zsih.autodiff import Node, constant, parameter
+from zsih.autodiff import Node
 from zsih.objective import AdamState, adam_step, batch_loss, estimate_gradients
 
 
@@ -14,23 +14,23 @@ class TestBatchLoss:
     def test_decomposition_identity(self):
         _, _, params, batch, adj, eps, _ = tiny_setup()
         loss, bd = batch_loss(batch, params, adj, eps)
-        assert loss.item() == bd.total
+        assert loss.total.data == bd.total
         assert bd.total == bd.entropy_term + bd.decode_term + bd.code_reg_term
         assert bd.code_reg_term >= 0.0
 
     def test_half_probability_entropy(self):
         config, _, params, batch, adj, eps, _ = tiny_setup()
-        params.gcn2.w_theta.data[...] = 0.0  # code probabilities become 0.5
+        params.gcn2.w_theta[...] = 0.0  # code probabilities become 0.5
         _, bd = batch_loss(batch, params, adj, eps)
         expected = config.N_B * config.M * math.log(0.5)
         assert abs(bd.entropy_term - expected) < 1e-10
 
     def test_half_probability_code_regularizer(self):
         config, _, params, batch, adj, eps, _ = tiny_setup()
-        params.gcn2.w_theta.data[...] = 0.0
+        params.gcn2.w_theta[...] = 0.0
         for enc in (params.enc_im, params.enc_sk):
-            enc.w.data[...] = 0.0
-            enc.b.data[...] = 0.0
+            enc.w[...] = 0.0
+            enc.b[...] = 0.0
         eps = np.full((config.N_B, config.M), 0.25)  # all bits sample to 1
         _, bd = batch_loss(batch, params, adj, eps)
         # per item and encoder: |0.5 - 1|^2 summed over M, scaled by 1/(2M)
@@ -38,15 +38,14 @@ class TestBatchLoss:
 
     def test_regularizer_vanishes_when_encoders_hit_bits(self, rng):
         m = 4
-        b = constant(rng.uniform(0.3, 0.7, size=(2, m)))
+        b = rng.uniform(0.3, 0.7, size=(2, m))
         bits = rng.integers(0, 2, size=(2, m)).astype(float)
-        bits_node = constant(bits)
         dec = param_group(w_mu=np.zeros((m, 2)), b_mu=np.zeros(2),
                           w_logvar=np.zeros((m, 2)), b_logvar=np.zeros(2))
         _, _, code_reg = objective.loss_terms(
-            b, bits_node, bits, bits_node, bits_node, np.zeros((2, 2)), dec, m
+            b, bits, bits, bits, bits, np.zeros((2, 2)), dec, m
         )
-        assert code_reg.item() == 0.0
+        assert code_reg.data == 0.0
 
     def test_single_item_miniature_composes_layer_oracles(self, rng):
         # one item, M=1: total term values equal the hand-summed scalars
@@ -59,14 +58,10 @@ class TestBatchLoss:
         )
         f_val = np.array([[0.61]])
         g_val = np.array([[0.28]])
-        b = constant([[b_val]])
-        bits_node = constant(bit)
-        terms = objective.loss_terms(
-            b, bits_node, bit, constant(f_val), constant(g_val), s, dec, 1
-        )
+        terms = objective.loss_terms(np.array([[b_val]]), bit, bit, f_val, g_val, s, dec, 1)
         _, bd = objective.mc_total([terms])
         assert abs(bd.entropy_term - math.log(b_val)) < 1e-12
-        expected_decode = -layers.log_p_gaussian(s, constant(bit), dec).item()
+        expected_decode = -layers.log_p_gaussian(s, bit, dec).data
         assert abs(bd.decode_term - expected_decode) < 1e-12
         expected_reg = ((f_val[0, 0] - 1.0) ** 2 + (g_val[0, 0] - 1.0) ** 2) / 2.0
         assert abs(bd.code_reg_term - expected_reg) < 1e-12
@@ -75,7 +70,7 @@ class TestBatchLoss:
         """The sampled-code log-probability enters the total with a plus
         sign, so minimizing the total presses E[log q] down (entropy up)."""
         m = 6
-        b = constant(np.full((2, m), 0.7))
+        b = np.full((2, m), 0.7)
         # constant decoder: the decode term cannot distinguish the states
         dec = param_group(w_mu=np.zeros((m, 2)), b_mu=np.zeros(2),
                           w_logvar=np.zeros((m, 2)), b_logvar=np.zeros(2))
@@ -83,9 +78,8 @@ class TestBatchLoss:
         totals = {}
         for tag, bit in (("likely", 1.0), ("unlikely", 0.0)):
             bits = np.full((2, m), bit)
-            bits_node = constant(bits)
             _, bd = objective.mc_total([objective.loss_terms(
-                b, bits_node, bits, bits_node, bits_node, sem, dec, m)])
+                b, bits, bits, bits, bits, sem, dec, m)])
             totals[tag] = bd.total
         assert totals["unlikely"] < totals["likely"]
 
@@ -152,12 +146,29 @@ class TestEstimateGradients:
         assert g1.shape == params.theta.shape
         np.testing.assert_array_equal(g1, g2)
 
-    def test_constant_loss_gives_zero_gradients(self):
-        _, _, params, _, _, _, _ = tiny_setup()
-        loss = square_sum(constant([1.0, 2.0]))
+    def test_stale_gradient_buffer_is_reset(self):
+        _, _, params, batch, adj, eps, _ = tiny_setup()
+        loss, _ = batch_loss(batch, params, adj, eps)
+        clean = estimate_gradients(loss, params)
+        params.grad[...] = np.nan
+        np.testing.assert_array_equal(estimate_gradients(loss, params), clean)
+
+    def test_returns_a_copy_of_the_flat_gradient(self):
+        _, _, params, batch, adj, eps, _ = tiny_setup()
+        loss, _ = batch_loss(batch, params, adj, eps)
         grad = estimate_gradients(loss, params)
-        assert grad.shape == params.theta.shape
-        assert np.all(grad == 0.0)
+        np.testing.assert_array_equal(grad, params.grad)
+        assert not np.shares_memory(grad, params.grad)
+
+    def test_identical_draws_give_the_one_draw_gradient(self):
+        """Every draw's share reaches the trunk: K equal draws, each
+        weighted 1/K, sum back to the one-draw gradient."""
+        _, _, params, batch, adj, eps, _ = tiny_setup()
+        loss, _ = batch_loss(batch, params, adj, eps)
+        one = estimate_gradients(loss, params)
+        loss, _ = batch_loss(batch, params, adj, np.stack([eps] * 3))
+        np.testing.assert_allclose(estimate_gradients(loss, params), one,
+                                   rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("draws", [1, 2])
     def test_full_objective_matches_fd(self, draws):
@@ -170,9 +181,18 @@ class TestEstimateGradients:
 
 class TestAdam:
     def _params_and_state(self, rng):
-        config, _, params, _, _, _, _ = tiny_setup()
-        state = AdamState.init(params, lr=0.01)
+        config, _, params, _, _, _, _ = tiny_setup(lr=0.01)
+        state = AdamState.init(params, config)
         return params, state
+
+    def test_init_reads_the_config(self):
+        config, _, params, _, _, _, _ = tiny_setup(lr=0.02, beta1=0.8, beta2=0.99,
+                                                   eps_hat=1e-6)
+        state = AdamState.init(params, config)
+        assert (state.step, state.lr, state.beta1, state.beta2, state.eps_hat) == (
+            0, 0.02, 0.8, 0.99, 1e-6)
+        for moment in (state.m, state.v):
+            np.testing.assert_array_equal(moment, np.zeros_like(params.theta))
 
     def test_zero_gradient_leaves_params_unchanged(self, rng):
         params, state = self._params_and_state(rng)
@@ -190,20 +210,19 @@ class TestAdam:
         np.testing.assert_allclose(params.theta, expected, rtol=1e-9, atol=1e-12)
         # every weight is a view into theta, so it moved with it
         for name, view in params.split(expected).items():
-            np.testing.assert_allclose(params.nodes[name].data, view,
+            group, weight = name.split(".")
+            np.testing.assert_allclose(getattr(getattr(params, group), weight), view,
                                        rtol=1e-9, atol=1e-12)
 
     def test_quadratic_bowl_descends_monotonically(self):
-        holder = SimpleNamespace(theta=np.full(6, 2.0), grad=np.zeros(6))
-        theta = parameter(holder.theta, holder.grad)
-        state = AdamState.init(holder, lr=0.01)
+        # sum(theta^2), whose gradient is 2 theta
+        holder = SimpleNamespace(theta=np.full(6, 2.0))
+        state = AdamState.init(holder, tiny_config(lr=0.01))
         losses = []
         for _ in range(100):
-            loss = square_sum(theta)
-            losses.append(loss.item())
-            grad = estimate_gradients(loss, holder)
-            adam_step(holder, grad, state)
-        losses.append(float(np.sum(theta.data ** 2)))
+            losses.append(float(np.sum(holder.theta ** 2)))
+            adam_step(holder, 2.0 * holder.theta, state)
+        losses.append(float(np.sum(holder.theta ** 2)))
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
     def test_non_finite_gradient_aborts(self, rng):
@@ -231,10 +250,10 @@ class TestAdam:
     def test_flat_update_equals_per_name_reference(self, mode, grad_clip):
         """train_step's one update over the flat buffers gives the same
         bits as Adam run weight by weight on per-name arrays."""
-        config, dataset, params, _, _, _, rng = tiny_setup(fusion_mode=mode)
+        config, dataset, params, _, _, _, rng = tiny_setup(fusion_mode=mode, lr=0.05)
         ref_params = model.params_from_arrays(config, params.split(params.theta))
-        state = AdamState.init(params, lr=0.05)
-        ref = {name: node.data for name, node in ref_params.nodes.items()}
+        state = AdamState.init(params, config)
+        ref = ref_params.split(ref_params.theta)
         ref_m = {name: np.zeros(shape) for name, shape in params.shapes.items()}
         ref_v = {name: np.zeros(shape) for name, shape in params.shapes.items()}
         b1, b2, lr, eps_hat = state.beta1, state.beta2, state.lr, state.eps_hat
@@ -257,8 +276,8 @@ class TestAdam:
                 ref[name] -= lr * (m / (1.0 - b1 ** t)) / (
                     np.sqrt(v / (1.0 - b2 ** t)) + eps_hat)
             pipeline.train_step(batch, params, state, adj, eps, grad_clip=grad_clip)
-            for name, node in params.nodes.items():
-                np.testing.assert_array_equal(node.data, ref[name])
+            for name, weight in params.split(params.theta).items():
+                np.testing.assert_array_equal(weight, ref[name])
                 np.testing.assert_array_equal(params.split(state.m)[name], ref_m[name])
                 np.testing.assert_array_equal(params.split(state.v)[name], ref_v[name])
         assert clipped == (grad_clip > 0.0)
@@ -272,7 +291,7 @@ class TestToyDescent:
                 seed=seed, n_classes=2, per_class=4, length=1, channels=6,
                 d_s=3, N_B=8, M=8, d_f=3, gcn_hidden=4,
             )
-            state = AdamState.init(params, lr=config.lr)
+            state = AdamState.init(params, config)
             first = last = None
             for _ in range(300):
                 batch = pipeline.sample_batch(dataset, config.N_B, rng)

@@ -9,7 +9,6 @@ import pytest
 import oracles
 from conftest import tiny_config, tiny_setup
 from zsih import model, objective, pipeline
-from zsih.autodiff import constant
 from zsih.data import FormatError, synth_dataset
 from zsih.pipeline import (
     Checkpoint,
@@ -228,7 +227,7 @@ class TestForwardMultimodal:
         eye = np.eye(len(batch))
         out_gcn = model.forward_multimodal(batch, p_gcn, eye)
         out_fc = model.forward_multimodal(batch, p_fc, eye)
-        for a, b in zip(out_gcn, out_fc):
+        for a, b in zip(out_gcn, out_fc, strict=True):
             assert np.max(np.abs(a.data - b.data)) <= 1e-12
 
     @pytest.mark.parametrize("use_gcn", [True, False])
@@ -239,26 +238,27 @@ class TestForwardMultimodal:
         arrays = params.split(params.theta)
         ref = oracles.naive_forward(batch.sketch_feats, batch.image_feats, arrays,
                                     mode, adj if use_gcn else None)
-        out = model.forward_multimodal(batch, params, adj)
-        for got, want in zip(out, ref):
-            assert got.shape == want.shape
+        trunk = model.forward_multimodal(batch, params, adj)
+        for got, want in zip((trunk.b, trunk.f_out, trunk.g_out), ref, strict=True):
+            assert got.data.shape == want.shape
             np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
     def test_fusion_raw_dimensions(self, rng):
         # concat and MFB re-project their raw rows through w_proj
         n, d_f = 2, 3
-        h_sk = constant(rng.normal(size=(n, d_f)))
-        h_im = constant(rng.normal(size=(n, d_f)))
+        h_sk = rng.normal(size=(n, d_f))
+        h_im = rng.normal(size=(n, d_f))
         raw_width = {"kronecker": None, "concat": 2 * d_f, "mfb": d_f}
         for mode, width in raw_width.items():
             params = model.init_params(tiny_config(d_f=d_f, fusion_mode=mode), 6, 3, rng)
             if width is not None:
                 assert params.shapes["fusion.w_proj"] == (width, d_f * d_f)
-            assert model.fuse_modalities(h_sk, h_im, params).shape == (n, d_f * d_f)
+            assert model.fuse_modalities(h_sk, h_im, params).data.shape == (n, d_f * d_f)
 
     def test_code_probabilities_in_unit_interval(self):
         _, _, params, batch, adj, _, _ = tiny_setup()
-        b, f_out, g_out = model.forward_multimodal(batch, params, adj)
+        trunk = model.forward_multimodal(batch, params, adj)
+        b, f_out, g_out = trunk.b, trunk.f_out, trunk.g_out
         assert np.all((b.data > 0) & (b.data < 1))
         assert np.all((f_out.data > 0) & (f_out.data < 1))
         assert np.all((g_out.data > 0) & (g_out.data < 1))
@@ -269,8 +269,8 @@ class TestForwardMultimodal:
         p_gcn = model.params_from_arrays(config, arrays)
         p_fc = model.params_from_arrays(config, arrays)
         p_fc.use_gcn = False
-        s_gcn = objective.AdamState.init(p_gcn, lr=config.lr)
-        s_fc = objective.AdamState.init(p_fc, lr=config.lr)
+        s_gcn = objective.AdamState.init(p_gcn, config)
+        s_fc = objective.AdamState.init(p_fc, config)
         rng1 = np.random.default_rng(3)
         rng2 = np.random.default_rng(3)
         eye = np.eye(config.N_B)
@@ -291,29 +291,43 @@ class TestParamTable:
         config = tiny_config(fusion_mode=mode, d_f=3, gcn_hidden=5, M=4)
         params = model.init_params(config, 6, 3, np.random.default_rng(9))
         ref = oracles.naive_init(mode, 6, 3, 5, 4, 3, np.random.default_rng(9))
-        assert list(params.nodes) == list(ref)
+        weights = params.split(params.theta)
+        assert list(weights) == list(ref)
         assert params.shapes == model.param_shapes(config, 6, 3)
         for name, arr in ref.items():
-            assert params.nodes[name].shape == arr.shape
-            np.testing.assert_array_equal(params.nodes[name].data, arr)
+            assert weights[name].shape == arr.shape
+            np.testing.assert_array_equal(weights[name], arr)
         np.testing.assert_array_equal(
             params.theta, np.concatenate([a.ravel() for a in ref.values()]))
 
     def test_weights_are_views_into_the_flat_buffers(self):
         _, _, params, _, _, _, _ = tiny_setup()
-        for name, node in params.nodes.items():
-            assert np.shares_memory(node.data, params.theta)
-            assert np.shares_memory(node.grad, params.grad)
-        assert params.attn_sk.score_bias is params.nodes["attn_sk.score_bias"]
+        for name in params.shapes:
+            group, weight = name.split(".")
+            assert np.shares_memory(getattr(getattr(params, group), weight), params.theta)
+            assert np.shares_memory(getattr(getattr(params.grad_groups, group), weight),
+                                    params.grad)
         params.theta[...] = 1.5
-        assert np.all(params.dec.w_mu.data == 1.5)
+        assert np.all(params.dec.w_mu == 1.5)
+        params.grad[...] = 2.5
+        assert np.all(params.grad_groups.dec.w_mu == 2.5)
+
+    def test_grouped_views_match_the_table(self):
+        _, _, params, _, _, _, _ = tiny_setup()
+        flat = np.arange(params.theta.size, dtype=np.float64)
+        groups = params.grouped(flat)
+        for name, view in params.split(flat).items():
+            group, weight = name.split(".")
+            got = getattr(getattr(groups, group), weight)
+            assert np.shares_memory(got, flat)
+            np.testing.assert_array_equal(got, view)
 
     def test_arrays_are_copied_not_aliased(self):
         config, _, params, _, _, _, _ = tiny_setup()
         arrays = {k: v.copy() for k, v in params.split(params.theta).items()}
         rebuilt = model.params_from_arrays(config, arrays)
         rebuilt.theta += 1.0
-        np.testing.assert_array_equal(arrays["enc_sk.w"], params.enc_sk.w.data)
+        np.testing.assert_array_equal(arrays["enc_sk.w"], params.enc_sk.w)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda a: a.pop("fusion.w_sk"), "lacks weight 'fusion.w_sk'"),
@@ -360,8 +374,8 @@ class TestTrain:
         rng = np.random.default_rng(config.seed)
         fresh = model.init_params(config, dataset.feat_shape[1],
                                   dataset.semantic_dim, rng)
-        for name, node in fresh.nodes.items():
-            np.testing.assert_array_equal(ckpt.params[name], node.data)
+        for name, weight in fresh.split(fresh.theta).items():
+            np.testing.assert_array_equal(ckpt.params[name], weight)
 
     def test_toy_loss_decreases(self):
         config, dataset, _, _, _, _, _ = tiny_setup(
@@ -464,7 +478,7 @@ class TestTrain:
             return grad
 
         monkeypatch.setattr(pipeline, "estimate_gradients", with_inf)
-        state = objective.AdamState.init(params)
+        state = objective.AdamState.init(params, config)
         before = params.theta.copy()
         with pytest.raises(FloatingPointError, match="'attn_sk.score_weights'"):
             train_step(batch, params, state, adj, eps[None], grad_clip=config.grad_clip)
@@ -656,6 +670,17 @@ class TestCheckpoint:
         ckpt.opt_v["enc_im.w"] = np.full_like(ckpt.opt_v["enc_im.w"], np.inf)
         params = ckpt.build_params()
         assert np.isinf(ckpt.build_opt_state(params).v).sum() == ckpt.opt_v["enc_im.w"].size
+
+    def test_build_opt_state_reads_the_config(self):
+        config, dataset, _, _, _, _, _ = tiny_setup(max_iters=3, lr=0.02, beta1=0.8,
+                                                    beta2=0.99, eps_hat=1e-6)
+        ckpt = train(config, dataset)
+        params = ckpt.build_params()
+        state = ckpt.build_opt_state(params)
+        assert (state.step, state.lr, state.beta1, state.beta2, state.eps_hat) == (
+            3, 0.02, 0.8, 0.99, 1e-6)
+        np.testing.assert_array_equal(state.m, params.flatten(ckpt.opt_m))
+        np.testing.assert_array_equal(state.v, params.flatten(ckpt.opt_v))
 
     def test_build_params_rejects_another_fusion_mode(self):
         ckpt = self._make()

@@ -9,6 +9,12 @@ All of them act on a whole batch at once: feature maps are [N, L, C], every
 later activation is an [N, d] matrix with one row per item, and the
 log-likelihoods sum over all rows.
 
+The sampler and the loss layers also take K Monte-Carlo draws as a
+leading axis: the trunk's [N, M] arrays broadcast against [K, N, M] noise
+or bits, and each draw gets its own value and input gradient.  The loss
+layers' VJPs take one scalar ``g`` for every draw, as the Monte-Carlo mean
+weighs them alike.
+
 Each layer reads plain arrays and returns one ``autodiff.Node``: its value,
 computed with numpy, and its ``vjp``, the layer's own vector-Jacobian
 product.  ``vjp`` takes the gradient of the layer's output and returns one
@@ -71,6 +77,17 @@ def softmax_rows(x):
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
+
+
+def draw_sum(x):
+    """``x`` summed over its leading axis in index order, x[0] + x[1] + ...,
+    the order in which K separate calls would add into one buffer."""
+    return sum(x[1:], x[0])
+
+
+def _per_draw(x, ndim):
+    """``x`` added over its draws, if it has a draw axis before ``ndim``."""
+    return draw_sum(x) if x.ndim > ndim else x
 
 
 def _check_rows(h, w, what):
@@ -282,14 +299,15 @@ def encode_soft(h, enc):
 def stochastic_neurons(b, eps):
     """Threshold code probabilities against uniform noise: bit = [b >= eps].
 
+    ``eps`` is [N, M] like ``b``, or [K, N, M] for K draws at once.
     Backward applies the straight-through rule (identity), zeroed where
-    the probability sits in the clamp region outside [PROB_EPS, 1-PROB_EPS].
-    Probabilities rounded to exactly 0 or 1 by a saturated sigmoid are
-    treated as clamped boundary values; anything beyond [0, 1] is a
-    domain error.
+    the probability sits in the clamp region outside [PROB_EPS, 1-PROB_EPS];
+    it returns one gradient of ``b`` per draw.  Probabilities rounded to
+    exactly 0 or 1 by a saturated sigmoid are treated as clamped boundary
+    values; anything beyond [0, 1] is a domain error.
     """
     eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != b.shape:
+    if eps.shape[-2:] != b.shape:
         raise ValueError(f"eps shape {eps.shape} does not match code shape {b.shape}")
     if np.any(b < 0.0) or np.any(b > 1.0):
         raise ValueError("code probabilities must lie in (0, 1)")
@@ -307,14 +325,15 @@ def log_q(b, b_tilde):
 
     sum_m [ b~ log b + (1 - b~) log(1 - b) ], with b clamped away from
     {0, 1} before the logs; the gradient is zero where the clamp acted.
+    [K, N, M] bits give one value and one gradient of b per draw.
     """
     b_tilde = np.asarray(b_tilde, dtype=np.float64)
-    if b_tilde.shape != b.shape:
+    if b_tilde.shape[-2:] != b.shape:
         raise ValueError(f"bit shape {b_tilde.shape} does not match code shape {b.shape}")
     if not np.all((b_tilde == 0.0) | (b_tilde == 1.0)):
         raise ValueError("sampled bits must be binary")
     bc = np.clip(b, PROB_EPS, 1.0 - PROB_EPS)
-    value = float((b_tilde * np.log(bc) + (1.0 - b_tilde) * np.log(1.0 - bc)).sum())
+    value = (b_tilde * np.log(bc) + (1.0 - b_tilde) * np.log(1.0 - bc)).sum(axis=(-2, -1))
     mask = (b > PROB_EPS) & (b < 1.0 - PROB_EPS)
 
     def vjp(g):
@@ -327,29 +346,33 @@ def log_p_gaussian(s, bits, dec):
     """Diagonal-Gaussian log-likelihood of semantics given sampled bits.
 
     -1/2 sum_j [ log(2 pi) + logvar_j + (s_j - mu_j)^2 / exp(logvar_j) ],
-    summed over the rows of the [N, M] bits and [N, d_s] semantics.
+    summed over the rows of the [N, M] bits and [N, d_s] semantics, once
+    for each draw of [K, N, M] bits.
     """
     s = np.asarray(s, dtype=np.float64)
     w_mu, b_mu, w_lv, b_lv = dec.w_mu, dec.b_mu, dec.w_logvar, dec.b_logvar
-    _check_rows(bits, w_mu, "decoder")
+    if bits.ndim not in (2, 3) or bits.shape[-1] != w_mu.shape[0]:
+        raise ValueError(f"decoder input must be [N, {w_mu.shape[0]}] or "
+                         f"[K, N, {w_mu.shape[0]}], got {bits.shape}")
     mu = bits @ w_mu + b_mu
     logvar = bits @ w_lv + b_lv
-    if s.shape != mu.shape:
+    if s.shape != mu.shape[-2:]:
         raise ValueError(f"semantic shape {s.shape} does not match decoder output {mu.shape}")
     diff = s - mu
     resid = diff * diff
     # overflow becomes inf and surfaces through the non-finite loss guard
     with np.errstate(over="ignore"):
         inv_var = np.exp(-logvar)
-    value = float(((resid * inv_var + logvar) + LOG_2PI).sum() * -0.5)
+    value = ((resid * inv_var + logvar) + LOG_2PI).sum(axis=(-2, -1)) * -0.5
 
     def vjp(g, grads):
         g_mu = g * inv_var * diff
         g_lv = 0.5 * (g * resid * inv_var - g)
-        grads.w_mu += bits.T @ g_mu
-        grads.b_mu += g_mu.sum(axis=0)
-        grads.w_logvar += bits.T @ g_lv
-        grads.b_logvar += g_lv.sum(axis=0)
+        bits_t = bits.swapaxes(-1, -2)
+        grads.w_mu += _per_draw(bits_t @ g_mu, 2)
+        grads.b_mu += _per_draw(g_mu.sum(axis=-2), 1)
+        grads.w_logvar += _per_draw(bits_t @ g_lv, 2)
+        grads.b_logvar += _per_draw(g_lv.sum(axis=-2), 1)
         return (g_mu @ w_mu.T + g_lv @ w_lv.T,)
 
     return Node(value, vjp)

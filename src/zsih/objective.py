@@ -47,27 +47,28 @@ class AdamState:
         )
 
 
-# what batch_loss keeps for the reverse pass: the trunk's layer nodes, each
-# draw's sampler node and its three loss nodes (log q, log p, code
-# regression), and the node over all draws
-ForwardPass = namedtuple("ForwardPass", "trunk samplers draws total")
+# what batch_loss keeps for the reverse pass: the trunk's layer nodes, then
+# the sampler and the three loss nodes (log q, log p, code regression), each
+# over all K draws at once
+ForwardPass = namedtuple("ForwardPass", "trunk sampler log_q log_p reg")
 
 
 def code_regression(f_out, g_out, b_tilde, m_bits):
     """The encoders' L2 regression onto the sampled codes as one node:
-    (|f - b~|^2 + |g - b~|^2) / (2M), summed over the batch.
+    (|f - b~|^2 + |g - b~|^2) / (2M), summed over the batch, once for each
+    draw of [K, N, M] codes ``b_tilde``.
 
-    Its VJP returns the gradients of f, g and then b~ twice, once for each
-    difference it enters; ``estimate_gradients`` sums the two.
+    Its VJP returns the per-draw gradients of f, g and then b~ twice, once
+    for each difference it enters; ``estimate_gradients`` sums the two.
     """
     for out in (f_out, g_out):
-        if out.shape != b_tilde.shape:
+        if out.shape != b_tilde.shape[-2:]:
             raise ValueError(f"encoder output shape {out.shape} does not "
                              f"match code shape {b_tilde.shape}")
     d_f = f_out - b_tilde
     d_g = g_out - b_tilde
     scale = 1.0 / (2.0 * m_bits)
-    value = float(((d_f * d_f).sum() + (d_g * d_g).sum()) * scale)
+    value = ((d_f * d_f).sum(axis=(-2, -1)) + (d_g * d_g).sum(axis=(-2, -1))) * scale
 
     def vjp(g):
         g_f = 2.0 * g * scale * d_f
@@ -77,50 +78,13 @@ def code_regression(f_out, g_out, b_tilde, m_bits):
     return Node(value, vjp)
 
 
-def loss_terms(b, b_tilde, bits, f_out, g_out, semantics, dec, m_bits):
-    """One draw's three loss nodes: log q(bits), log p(s | b~) and the
-    code regression.
-
-    ``bits`` enters the entropy term as sampled values; ``b_tilde`` feeds
-    the decoder and the L2 regressions.  Training passes the sampled bits
-    for both; a straight-through surrogate passes b + (bits - b) as
-    ``b_tilde``.
-    """
-    return (layers.log_q(b, bits), layers.log_p_gaussian(semantics, b_tilde, dec),
-            code_regression(f_out, g_out, b_tilde, m_bits))
-
-
-def mc_total(draws):
-    """The loss node over K draws of ``loss_terms``: each term averaged
-    over the draws, the decode term being -log p, and the three summed.
-
-    Returns (loss node, LossBreakdown).
-    """
-    scale = 1.0 / len(draws)
-
-    def mc_mean(values):
-        # summed in draw order, then scaled; x * 1.0 == x, so one draw is exact
-        return sum(values[1:], values[0]) * scale
-
-    entropy = mc_mean([log_q.data for log_q, _, _ in draws])
-    decode = mc_mean([-log_p.data for _, log_p, _ in draws])
-    code_reg = mc_mean([reg.data for _, _, reg in draws])
-    total = entropy + decode + code_reg
-
-    def vjp(g):
-        g_k = g * scale
-        return (g_k, -g_k, g_k) * len(draws)
-
-    return Node(total, vjp), LossBreakdown(total=total, entropy_term=entropy,
-                                           decode_term=decode, code_reg_term=code_reg)
-
-
 def batch_loss(batch, params, adj, eps_draws):
-    """Total loss over a category-coherent batch: one trunk pass, then one
-    stochastic draw set per Monte-Carlo sample.
+    """Total loss over a category-coherent batch: one trunk pass, then the
+    sampler and the loss over all Monte-Carlo draws at once.
 
     ``eps_draws`` is [N, M] for a single draw or [K, N, M] for K draws
-    averaged.
+    averaged.  Each term is its per-draw values added in draw order, then
+    scaled by 1/K; the decode term is -log p, and the total sums the three.
 
     Returns (ForwardPass, LossBreakdown).
     """
@@ -133,15 +97,18 @@ def batch_loss(batch, params, adj, eps_draws):
 
     trunk = forward_multimodal(batch, params, adj)
     b = trunk.b.data
-    samplers, draws = [], []
-    for eps in eps_draws:
-        sampler = layers.stochastic_neurons(b, eps)
-        samplers.append(sampler)
-        draws.append(loss_terms(b, sampler.data, sampler.data, trunk.f_out.data,
-                                trunk.g_out.data, batch.semantics, params.dec,
-                                params.code_bits))
-    total, breakdown = mc_total(draws)
-    return ForwardPass(trunk, samplers, draws, total), breakdown
+    sampler = layers.stochastic_neurons(b, eps_draws)
+    bits = sampler.data
+    log_q = layers.log_q(b, bits)
+    log_p = layers.log_p_gaussian(batch.semantics, bits, params.dec)
+    reg = code_regression(trunk.f_out.data, trunk.g_out.data, bits, params.code_bits)
+    scale = 1.0 / len(bits)
+    # x * 1.0 == x, so one draw is exact
+    entropy, decode, code_reg = (float(layers.draw_sum(values) * scale)
+                                 for values in (log_q.data, -log_p.data, reg.data))
+    total = entropy + decode + code_reg
+    return ForwardPass(trunk, sampler, log_q, log_p, reg), LossBreakdown(
+        total=total, entropy_term=entropy, decode_term=decode, code_reg_term=code_reg)
 
 
 def estimate_gradients(loss, params):
@@ -150,31 +117,31 @@ def estimate_gradients(loss, params):
     its view of ``params.grad``.  Returns a copy of the flat gradient, laid
     out like ``params.theta``.
 
-    A value that feeds several layers gets their gradients summed in one
-    fixed order, so the result is deterministic given (params, batch, eps).
+    A value that feeds several layers or draws gets their gradients summed
+    in one fixed order, so the result is deterministic given (params,
+    batch, eps).
     """
     params.grad[...] = 0.0
     grads = params.grad_groups
     trunk = loss.trunk
-    term_grads = loss.total.vjp(1.0)
-    b_parts, f_parts, g_parts = [], [], []
-    for k, (sampler, (log_q, log_p, reg)) in enumerate(zip(loss.samplers, loss.draws)):
-        g_log_q, g_log_p, g_reg = term_grads[3 * k:3 * k + 3]
-        (g_b_q,) = log_q.vjp(g_log_q)
-        (g_bits_p,) = log_p.vjp(g_log_p, grads.dec)
-        g_f, g_g, g_bits_f, g_bits_g = reg.vjp(g_reg)
-        # b~ feeds the decoder (its mu and logvar) and both regressions
-        (g_b_s,) = sampler.vjp((g_bits_p + g_bits_f) + g_bits_g)
-        b_parts += (g_b_q, g_b_s)
-        f_parts.append(g_f)
-        g_parts.append(g_g)
+    # every draw's three terms enter the total with weight 1/K, log p negated
+    scale = 1.0 / len(loss.sampler.data)
+    (g_b_q,) = loss.log_q.vjp(scale)
+    (g_bits_p,) = loss.log_p.vjp(-scale, grads.dec)
+    g_f, g_g, g_bits_f, g_bits_g = loss.reg.vjp(scale)
+    # b~ feeds the decoder (its mu and logvar) and both regressions
+    (g_b_s,) = loss.sampler.vjp((g_bits_p + g_bits_f) + g_bits_g)
 
-    # b feeds every draw's log q and sampler, f and g every draw's regression
-    (g_hidden,) = trunk.b.vjp(sum(b_parts[1:], b_parts[0]), grads.gcn2)
+    # b feeds each draw's log q and sampler, whose gradients are added as
+    # log q1, sampler1, log q2, sampler2, ...: joined along the rows, each
+    # draw's block holds its log q part, then its sampler part.  f and g
+    # feed each draw's regression.
+    pairs = np.concatenate((g_b_q, g_b_s), axis=1).reshape((-1,) + trunk.b.data.shape)
+    (g_hidden,) = trunk.b.vjp(layers.draw_sum(pairs), grads.gcn2)
     (g_fused,) = trunk.hidden.vjp(g_hidden, grads.gcn1)
     g_sk_fused, g_im_fused = trunk.fused.vjp(g_fused, grads.fusion)
-    (g_sk_enc,) = trunk.g_out.vjp(sum(g_parts[1:], g_parts[0]), grads.enc_sk)
-    (g_im_enc,) = trunk.f_out.vjp(sum(f_parts[1:], f_parts[0]), grads.enc_im)
+    (g_sk_enc,) = trunk.g_out.vjp(layers.draw_sum(g_g), grads.enc_sk)
+    (g_im_enc,) = trunk.f_out.vjp(layers.draw_sum(g_f), grads.enc_im)
     # each attended feature feeds the fusion and its modality's encoder
     trunk.h_sk.vjp(g_sk_enc + g_sk_fused, grads.attn_sk)
     trunk.h_im.vjp(g_im_enc + g_im_fused, grads.attn_im)

@@ -146,7 +146,10 @@ def apply_overrides(config, overrides):
     for key, raw in overrides.items():
         if key not in _CONFIG_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        updates[key] = _coerce(key, raw)
+        try:
+            updates[key] = _coerce(key, raw)
+        except ValueError as err:
+            raise ValueError(f"--set {key}: {err}") from None
     return replace(config, **updates).validate()
 
 
@@ -458,6 +461,8 @@ def load_checkpoint(path):
                 name = raw_name.decode("utf-8")
             except UnicodeDecodeError as err:
                 raise FormatError(f"bad parameter name: {err}") from None
+            if name in params:
+                raise FormatError(f"checkpoint repeats weight {name!r}")
             params[name] = _read_array(f)
         (opt_step,) = struct.unpack("<Q", read_exact(f, 8, "optimizer step"))
         opt_m, opt_v = {}, {}

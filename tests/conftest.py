@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zsih import layers, model, objective, pipeline
+from zsih.autodiff import Node
 from zsih.data import synth_dataset
 
 FD_STEP = 1e-5
@@ -43,6 +44,13 @@ def layer_loss(node):
     """The scalar the layer checks reduce a node to: its value when it is
     a scalar, else the sum of its squared entries."""
     return float(node.data) if np.ndim(node.data) == 0 else float(np.sum(node.data * node.data))
+
+
+def draws_summed(node):
+    """A draw-axis loss node as the sum of its per-draw values: the sum
+    passes its scalar gradient to every draw alike, which is the ``g``
+    those VJPs take."""
+    return Node(float(np.sum(node.data)), node.vjp)
 
 
 def vjp_grads(node, inputs=(), weights=None):
@@ -87,25 +95,27 @@ def check_full_objective(params, batch, adj, eps_draws):
     """``batch_loss``'s straight-through gradient of every weight against
     central differences of its surrogate.
 
-    The surrogate freezes each draw's sampled bits and stands b + (bits -
-    b) in for the sampler; the trunk, the encoders and the loss stay live.
-    It is built from the public pieces: ``forward_multimodal``, one
-    ``loss_terms`` per draw, ``mc_total``.  ``eps_draws`` is [K, N, M].
+    The surrogate freezes the sampled bits of every draw and stands
+    b + (bits - b) in for the sampler; the trunk, the encoders and the loss
+    stay live.  It is built from the public pieces: ``forward_multimodal``
+    and the three loss layers over all draws at once, averaged over the
+    draws.  ``eps_draws`` is [K, N, M].
     """
     b = model.forward_multimodal(batch, params, adj).b.data
-    bits = [layers.stochastic_neurons(b, eps).data for eps in eps_draws]
-    offsets = [draw - b for draw in bits]
+    bits = layers.stochastic_neurons(b, eps_draws).data
+    offsets = bits - b
     loss, _ = objective.batch_loss(batch, params, adj, eps_draws)
     ad_grads = params.split(objective.estimate_gradients(loss, params))
 
     def surrogate():
         trunk = model.forward_multimodal(batch, params, adj)
         b = trunk.b.data
-        draws = [objective.loss_terms(b, b + offset, draw, trunk.f_out.data,
-                                      trunk.g_out.data, batch.semantics, params.dec,
-                                      params.code_bits)
-                 for offset, draw in zip(offsets, bits)]
-        return objective.mc_total(draws)[0].data
+        b_tilde = b + offsets
+        terms = (layers.log_q(b, bits).data
+                 - layers.log_p_gaussian(batch.semantics, b_tilde, params.dec).data
+                 + objective.code_regression(trunk.f_out.data, trunk.g_out.data, b_tilde,
+                                             params.code_bits).data)
+        return float(np.mean(terms))
 
     for name, weight in params.split(params.theta).items():
         assert_grad_close(ad_grads[name], fd_grad(surrogate, weight))

@@ -8,14 +8,9 @@ layer that now carries that piece of math, through the layer's own VJP.
 import numpy as np
 import pytest
 
-from conftest import (assert_grad_close, check_vjp, fd_grad, layer_loss, param_group,
-                      vjp_grads)
+from conftest import (assert_grad_close, check_vjp, draws_summed, fd_grad, layer_loss,
+                      param_group, vjp_grads)
 from zsih import layers, objective
-from zsih.autodiff import Node
-
-
-def _scalar_nodes(rng, count):
-    return [Node(np.array(rng.normal()), None) for _ in range(count)]
 
 
 def _regression_case(rng):
@@ -121,11 +116,11 @@ class TestElementwise:
     def test_log_domain_error(self):
         # log_q clamps before its logs: probabilities of exactly 0 and 1
         # give a finite value and no gradient
-        b = np.array([0.0, 1.0])
-        out = layers.log_q(b, np.array([1.0, 0.0]))
+        b = np.array([[0.0, 1.0]])
+        out = layers.log_q(b, np.array([[1.0, 0.0]]))
         assert np.isfinite(out.data)
         (g_b,) = out.vjp(1.0)
-        np.testing.assert_array_equal(g_b, [0.0, 0.0])
+        np.testing.assert_array_equal(g_b, [[0.0, 0.0]])
 
     @pytest.mark.parametrize("op", ["relu", "sigmoid", "exp", "square"])
     def test_unary_gradients(self, op, rng):
@@ -153,10 +148,13 @@ class TestElementwise:
     @pytest.mark.parametrize("op", ["add", "sub", "mul"])
     def test_binary_gradients(self, op, rng):
         if op == "add":
-            # the loss node sums the three terms of every draw
-            nodes = _scalar_nodes(rng, 6)
-            check_vjp(lambda: objective.mc_total([nodes[:3], nodes[3:]])[0],
-                      [n.data for n in nodes])
+            # the decoder adds each draw's weight gradients over the draws
+            dec = param_group(w_mu=rng.normal(size=(3, 2)), b_mu=rng.normal(size=2),
+                              w_logvar=rng.normal(size=(3, 2)) * 0.3,
+                              b_logvar=rng.normal(size=2) * 0.3)
+            bits = rng.integers(0, 2, size=(2, 4, 3)).astype(float)
+            s = rng.normal(size=(4, 2))
+            check_vjp(lambda: draws_summed(layers.log_p_gaussian(s, bits, dec)), [bits], dec)
         elif op == "sub":
             check_vjp(*_regression_case(rng))
         else:
@@ -168,7 +166,9 @@ class TestElementwise:
 
 
 class TestBroadcasting:
-    """No layer broadcasts one input over another: shapes must agree."""
+    """No layer broadcasts one input over another, except over a leading
+    draw axis: the trunk's [N, M] matrices against [K, N, M] draws.  Every
+    other pair of shapes must agree."""
 
     def test_scalar_with_array(self, rng):
         # the one scalar left is the regression's 1/(2M) weight, which
@@ -219,11 +219,16 @@ class TestReduce:
         ones, zeros = np.ones((2, 3)), np.zeros((2, 3))
         assert objective.code_regression(ones, zeros, zeros, 3).data == 1.0
 
-    def test_sum_gradient_is_ones(self, rng):
-        # the total is log q - log p + regression, each a sum of its terms
-        nodes = _scalar_nodes(rng, 3)
-        total, _ = objective.mc_total([nodes])
-        assert list(total.vjp(1.0)) == [1.0, -1.0, 1.0]
+    def test_sum_gradient_is_ones(self):
+        # each draw's value sums its terms: with |f - b~| = 1 and 1/(2M) = 1/2
+        # every entry of every draw gets a gradient of 1
+        ones, zeros = np.ones((3, 1)), np.zeros((2, 3, 1))
+        reg = objective.code_regression(ones, zeros[0], zeros, 1)
+        assert reg.data.tolist() == [1.5, 1.5]
+        g_f, g_g, g_bits_f, g_bits_g = reg.vjp(1.0)
+        np.testing.assert_array_equal(g_f, np.ones((2, 3, 1)))
+        np.testing.assert_array_equal(g_bits_f, -np.ones((2, 3, 1)))
+        assert not g_g.any() and not g_bits_g.any()
 
     def test_axis_reduction_gradients(self, rng):
         # MFB sum-pools the factor products over groups of columns
@@ -329,9 +334,9 @@ class TestStructureOps:
             layers.attention_pool(np.ones((2, 4, 5)), self._attention(rng))
 
     def test_clip_gradient_mask(self):
-        b = np.array([0.2, -0.5, 1.5])
-        (g_b,) = layers.log_q(b, np.ones(3)).vjp(1.0)
-        np.testing.assert_array_equal(g_b, [1.0 / 0.2, 0.0, 0.0])
+        b = np.array([[0.2, -0.5, 1.5]])
+        (g_b,) = layers.log_q(b, np.ones((1, 3))).vjp(1.0)
+        np.testing.assert_array_equal(g_b, [[1.0 / 0.2, 0.0, 0.0]])
 
     def test_concat_gradients(self, rng):
         a = rng.normal(size=(2, 3))

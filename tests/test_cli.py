@@ -129,6 +129,18 @@ class TestTrain:
         assert code == 1
         assert "error: lr must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair, message", [
+        ("M=abc", "error: --set M: invalid literal for int() with base 10: 'abc'"),
+        ("lr=fast", "error: --set lr: could not convert string to float: 'fast'"),
+        ("use_gcn=maybe", "error: --set use_gcn: config key 'use_gcn' expects a boolean"),
+    ], ids=["int", "float", "bool"])
+    def test_bad_override_value_names_its_key(self, workspace, capsys, pair, message):
+        code = train_workspace(workspace, extra=["--set", pair])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err
+        assert "Traceback" not in err
+
     def test_semantics_not_utf8_is_runtime_error(self, workspace, capsys):
         raw = workspace["semantics"].read_bytes()
         workspace["semantics"].write_bytes(raw + b"\xff 1.0\n")

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import (assert_grad_close, check_vjp, fd_grad, param_group, vjp_grads,
-                      zero_grads)
-from zsih import layers, model, pipeline
+from conftest import (assert_grad_close, check_vjp, draws_summed, fd_grad, param_group,
+                      vjp_grads, zero_grads)
+from zsih import layers, model, objective, pipeline
 
 
 def make_attention(rng, channels, d_f):
@@ -358,27 +358,27 @@ class TestStochasticNeurons:
 
 class TestLogQ:
     def test_half_probabilities(self):
-        b = np.full(6, 0.5)
-        for bits in (np.zeros(6), np.ones(6), np.array([1, 0, 1, 0, 1, 0.0])):
+        b = np.full((1, 6), 0.5)
+        for bits in (np.zeros((1, 6)), np.ones((1, 6)), np.array([[1, 0, 1, 0, 1, 0.0]])):
             out = layers.log_q(b, bits)
             assert abs(out.data - 6 * math.log(0.5)) < 1e-12
 
     def test_scalar_case(self):
-        out = layers.log_q(np.array([0.9]), np.array([1.0]))
+        out = layers.log_q(np.array([[0.9]]), np.array([[1.0]]))
         assert abs(out.data - math.log(0.9)) < 1e-12
         assert abs(out.data + 0.10536) < 1e-4
 
     def test_maximized_at_sampled_bits(self, rng):
-        bits = rng.integers(0, 2, size=8).astype(float)
+        bits = rng.integers(0, 2, size=(1, 8)).astype(float)
         best = np.clip(bits, layers.PROB_EPS, 1 - layers.PROB_EPS)
         top = layers.log_q(best, bits).data
         for _ in range(50):
-            other = rng.uniform(0.01, 0.99, size=8)
+            other = rng.uniform(0.01, 0.99, size=(1, 8))
             assert layers.log_q(other, bits).data <= top
 
     def test_extreme_probabilities_are_clamped(self):
-        b = np.array([1e-12, 1.0 - 1e-12])
-        out = layers.log_q(b, np.array([0.0, 1.0]))
+        b = np.array([[1e-12, 1.0 - 1e-12]])
+        out = layers.log_q(b, np.array([[0.0, 1.0]]))
         assert np.isfinite(out.data)
 
     def test_non_binary_bits_rejected(self):
@@ -386,8 +386,8 @@ class TestLogQ:
             layers.log_q(np.array([0.5]), np.array([0.4]))
 
     def test_gradients_match_fd(self, rng):
-        b = rng.uniform(0.1, 0.9, size=7)
-        bits = rng.integers(0, 2, size=7).astype(float)
+        b = rng.uniform(0.1, 0.9, size=(1, 7))
+        bits = rng.integers(0, 2, size=(1, 7)).astype(float)
         check_vjp(lambda: layers.log_q(b, bits), [b])
 
 
@@ -470,3 +470,105 @@ class TestStraightThroughPath:
 
         assert_grad_close(grads.w, fd_grad(surrogate, enc.w))
         assert_grad_close(grads.b, fd_grad(surrogate, enc.b))
+
+
+class TestDrawAxis:
+    """The sampler and the three loss layers take K Monte-Carlo draws as a
+    leading axis: the trunk's [N, M] arrays broadcast against [K, N, M]
+    noise or bits, and each draw gets the same bits that a separate
+    [N, M] call gives it."""
+
+    N, M, D_S = 4, 5, 3
+
+    def _codes(self, rng, draws):
+        b = rng.uniform(0.05, 0.95, size=(self.N, self.M))
+        b[0, :2] = (1e-9, 1.0 - 1e-9)   # the clamp region, where gradients stop
+        bits = (b >= rng.random((draws, self.N, self.M))).astype(float)
+        return b, bits
+
+    def _decoder(self, rng):
+        return param_group(
+            w_mu=rng.normal(size=(self.M, self.D_S)), b_mu=rng.normal(size=self.D_S),
+            w_logvar=rng.normal(size=(self.M, self.D_S)) * 0.3,
+            b_logvar=rng.normal(size=self.D_S) * 0.3)
+
+    @staticmethod
+    def _assert_values(out, singles):
+        assert out.data.shape == (len(singles),)
+        for value, one in zip(out.data, singles):
+            assert np.ndim(one.data) == 0
+            assert value == one.data
+
+    @pytest.mark.parametrize("draws", [1, 2, 3])
+    def test_sampler_matches_separate_calls(self, rng, draws):
+        b, _ = self._codes(rng, draws)
+        eps = rng.random((draws, self.N, self.M))
+        out = layers.stochastic_neurons(b, eps)
+        g = rng.normal(size=eps.shape)
+        (g_b,) = out.vjp(g)
+        assert out.data.shape == g_b.shape == eps.shape
+        for k in range(draws):
+            one = layers.stochastic_neurons(b, eps[k])
+            np.testing.assert_array_equal(out.data[k], one.data)
+            np.testing.assert_array_equal(g_b[k], one.vjp(g[k])[0])
+
+    @pytest.mark.parametrize("draws", [1, 2, 3])
+    def test_log_q_matches_separate_calls(self, rng, draws):
+        b, bits = self._codes(rng, draws)
+        out = layers.log_q(b, bits)
+        singles = [layers.log_q(b, bits[k]) for k in range(draws)]
+        self._assert_values(out, singles)
+        (g_b,) = out.vjp(0.37)
+        for k, one in enumerate(singles):
+            np.testing.assert_array_equal(g_b[k], one.vjp(0.37)[0])
+
+    @pytest.mark.parametrize("draws", [1, 2, 3])
+    def test_decoder_matches_separate_calls(self, rng, draws):
+        """Values, bit gradients and weight gradients: each weight gets
+        the draws' gradients added in draw order, as K separate calls
+        adding into one buffer would."""
+        _, bits = self._codes(rng, draws)
+        dec = self._decoder(rng)
+        s = rng.normal(size=(self.N, self.D_S))
+        out = layers.log_p_gaussian(s, bits, dec)
+        singles = [layers.log_p_gaussian(s, bits[k], dec) for k in range(draws)]
+        self._assert_values(out, singles)
+        grads, separate = zero_grads(dec), zero_grads(dec)
+        (g_bits,) = out.vjp(-0.37, grads)
+        for k, one in enumerate(singles):
+            np.testing.assert_array_equal(g_bits[k], one.vjp(-0.37, separate)[0])
+        for name, g_w in vars(grads).items():
+            np.testing.assert_array_equal(g_w, getattr(separate, name))
+
+    @pytest.mark.parametrize("draws", [1, 2, 3])
+    def test_code_regression_matches_separate_calls(self, rng, draws):
+        _, bits = self._codes(rng, draws)
+        f_out, g_out = rng.uniform(0.1, 0.9, size=(2, self.N, self.M))
+        out = objective.code_regression(f_out, g_out, bits, self.M)
+        singles = [objective.code_regression(f_out, g_out, bits[k], self.M)
+                   for k in range(draws)]
+        self._assert_values(out, singles)
+        batched = out.vjp(0.37)
+        for k, one in enumerate(singles):
+            for g_draws, g_one in zip(batched, one.vjp(0.37), strict=True):
+                np.testing.assert_array_equal(g_draws[k], g_one)
+
+    def test_decoder_gradients_match_fd(self, rng):
+        _, bits = self._codes(rng, 3)
+        dec = self._decoder(rng)
+        s = rng.normal(size=(self.N, self.D_S))
+        check_vjp(lambda: draws_summed(layers.log_p_gaussian(s, bits, dec)), [bits], dec)
+
+    def test_trailing_shapes_must_match(self, rng):
+        b, bits = self._codes(rng, 2)
+        with pytest.raises(ValueError, match="eps shape"):
+            layers.stochastic_neurons(b, np.ones((2, self.N + 1, self.M)))
+        with pytest.raises(ValueError, match="does not match code shape"):
+            layers.log_q(b, bits[:, 1:])
+        with pytest.raises(ValueError, match="does not match code shape"):
+            objective.code_regression(b, b, bits[:, :, 1:], self.M)
+        dec = self._decoder(rng)
+        with pytest.raises(ValueError, match="semantic shape"):
+            layers.log_p_gaussian(np.zeros((self.N + 1, self.D_S)), bits, dec)
+        with pytest.raises(ValueError, match="decoder input"):
+            layers.log_p_gaussian(np.zeros((self.N, self.D_S)), bits[None], dec)

@@ -10,11 +10,17 @@ from zsih.autodiff import Node
 from zsih.objective import AdamState, adam_step, batch_loss, estimate_gradients
 
 
+def _terms(b, bits, f_out, g_out, s, dec, m_bits):
+    """One draw's three loss terms as ``batch_loss`` adds them: log q,
+    -log p and the code regression."""
+    return (layers.log_q(b, bits).data, -layers.log_p_gaussian(s, bits, dec).data,
+            objective.code_regression(f_out, g_out, bits, m_bits).data)
+
+
 class TestBatchLoss:
     def test_decomposition_identity(self):
         _, _, params, batch, adj, eps, _ = tiny_setup()
-        loss, bd = batch_loss(batch, params, adj, eps)
-        assert loss.total.data == bd.total
+        _, bd = batch_loss(batch, params, adj, eps)
         assert bd.total == bd.entropy_term + bd.decode_term + bd.code_reg_term
         assert bd.code_reg_term >= 0.0
 
@@ -38,14 +44,8 @@ class TestBatchLoss:
 
     def test_regularizer_vanishes_when_encoders_hit_bits(self, rng):
         m = 4
-        b = rng.uniform(0.3, 0.7, size=(2, m))
         bits = rng.integers(0, 2, size=(2, m)).astype(float)
-        dec = param_group(w_mu=np.zeros((m, 2)), b_mu=np.zeros(2),
-                          w_logvar=np.zeros((m, 2)), b_logvar=np.zeros(2))
-        _, _, code_reg = objective.loss_terms(
-            b, bits, bits, bits, bits, np.zeros((2, 2)), dec, m
-        )
-        assert code_reg.data == 0.0
+        assert objective.code_regression(bits, bits, bits, m).data == 0.0
 
     def test_single_item_miniature_composes_layer_oracles(self, rng):
         # one item, M=1: total term values equal the hand-summed scalars
@@ -58,13 +58,16 @@ class TestBatchLoss:
         )
         f_val = np.array([[0.61]])
         g_val = np.array([[0.28]])
-        terms = objective.loss_terms(np.array([[b_val]]), bit, bit, f_val, g_val, s, dec, 1)
-        _, bd = objective.mc_total([terms])
-        assert abs(bd.entropy_term - math.log(b_val)) < 1e-12
-        expected_decode = -layers.log_p_gaussian(s, bit, dec).data
-        assert abs(bd.decode_term - expected_decode) < 1e-12
+        entropy, decode, code_reg = _terms(np.array([[b_val]]), bit, f_val, g_val, s, dec, 1)
+        assert abs(entropy - math.log(b_val)) < 1e-12
+        # the one bit is on: mu and logvar are the decoder's first row plus bias
+        mu = dec.w_mu[0] + dec.b_mu
+        logvar = dec.w_logvar[0] + dec.b_logvar
+        expected_decode = 0.5 * np.sum(math.log(2.0 * math.pi) + logvar
+                                       + (s[0] - mu) ** 2 / np.exp(logvar))
+        assert abs(decode - expected_decode) < 1e-12
         expected_reg = ((f_val[0, 0] - 1.0) ** 2 + (g_val[0, 0] - 1.0) ** 2) / 2.0
-        assert abs(bd.code_reg_term - expected_reg) < 1e-12
+        assert abs(code_reg - expected_reg) < 1e-12
 
     def test_total_orders_with_code_entropy(self, rng):
         """The sampled-code log-probability enters the total with a plus
@@ -78,9 +81,7 @@ class TestBatchLoss:
         totals = {}
         for tag, bit in (("likely", 1.0), ("unlikely", 0.0)):
             bits = np.full((2, m), bit)
-            _, bd = objective.mc_total([objective.loss_terms(
-                b, bits, bits, bits, bits, sem, dec, m)])
-            totals[tag] = bd.total
+            totals[tag] = sum(_terms(b, bits, bits, bits, sem, dec, m))
         assert totals["unlikely"] < totals["likely"]
 
     def test_batch_too_small(self):
@@ -92,11 +93,11 @@ class TestBatchLoss:
         with pytest.raises(ValueError, match="at least 2"):
             batch_loss(batch, params, adj[:1, :1], eps[:1])
 
-    @pytest.mark.parametrize("draws, nodes", [(1, 12), (2, 16)])
-    def test_one_node_per_layer(self, monkeypatch, draws, nodes):
+    @pytest.mark.parametrize("draws", [1, 2, 3])
+    def test_one_node_per_layer(self, monkeypatch, draws):
         """A default step (Kronecker fusion, GCN) builds one node for each
-        of the 7 trunk layers, 4 per draw (sampler, log q, decoder, code
-        regression), and the one node over all draws."""
+        of the 7 trunk layers and 4 over all draws at once (sampler, log q,
+        decoder, code regression), whatever K is."""
         _, _, params, batch, adj, eps, _ = tiny_setup()
         built = []
         init = Node.__init__
@@ -108,7 +109,7 @@ class TestBatchLoss:
         monkeypatch.setattr(Node, "__init__", counting_init)
         loss, _ = batch_loss(batch, params, adj, np.stack([eps] * draws))
         estimate_gradients(loss, params)
-        assert len(built) == nodes
+        assert len(built) == 11
 
     @pytest.mark.parametrize("draws", [1, 2, 3])
     def test_one_trunk_pass_per_step(self, monkeypatch, draws):

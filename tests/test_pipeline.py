@@ -600,6 +600,15 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=message):
             load_checkpoint(path)
 
+    def test_repeated_weight_name_rejected(self, tmp_path):
+        # a name of the same length: every length and offset stays valid
+        raw = checkpoint_bytes(self._make(max_iters=2))
+        assert raw.count(b"enc_sk.w") == 1
+        path = tmp_path / "model.zsih"
+        path.write_bytes(raw.replace(b"enc_sk.w", b"enc_im.w"))
+        with pytest.raises(FormatError, match="checkpoint repeats weight 'enc_im.w'"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("dims, message", [
         (struct.pack("<B65I", 65, *[1] * 65), "maximum supported dimension"),
         (struct.pack("<B3I", 3, 0, 2 ** 32 - 1, 2 ** 32 - 1),

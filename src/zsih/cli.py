@@ -121,8 +121,10 @@ def run_synth(args, parser):
     for flag, value in counts.items():
         if value <= 0:
             parser.error(f"{flag} must be positive, got {value}")
-    if args.noise < 0:
-        parser.error(f"--noise must be non-negative, got {args.noise}")
+    if not (np.isfinite(args.noise) and args.noise >= 0):
+        parser.error(f"--noise must be finite and non-negative, got {args.noise}")
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     store, table = data.synth_dataset(
         args.classes, args.per_class, args.locations, args.channels,
         args.semantic_dim, args.noise, args.seed,
@@ -140,6 +142,8 @@ def run_synth(args, parser):
 
 
 def run_split(args, parser):
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     store = data.load_features(args.features)
     classes = store.classes()
     if not 0 < args.n_unseen < len(classes):

@@ -137,6 +137,8 @@ def read_semantic_file(path):
             raise FormatError(
                 f"{path}:{line_no}: non-numeric semantic component"
             ) from None
+        if not np.all(np.isfinite(vec)):
+            raise FormatError(f"{path}:{line_no}: non-finite semantic component")
         if vec.size == 0:
             raise FormatError(f"{path}:{line_no}: class {name!r} has no vector")
         if name in table:
@@ -274,8 +276,8 @@ def synth_dataset(n_classes, per_class, length, channels, d_s, noise, seed):
     """
     if min(n_classes, per_class, length, channels, d_s) <= 0:
         raise ValueError("all generator counts must be positive")
-    if noise < 0:
-        raise ValueError("noise must be non-negative")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
     rng = np.random.default_rng(seed)
     sem = rng.normal(size=(n_classes, d_s))
     sem /= np.linalg.norm(sem, axis=1, keepdims=True)

@@ -233,20 +233,17 @@ def normalized_adjacency(adj):
     return adj * d_isqrt[:, None] * d_isqrt[None, :]
 
 
-def _activation_vjp(act):
-    if act not in _ACTIVATION_VJPS:
-        raise ValueError(f"unknown activation {act!r}; expected layers.relu or layers.sigmoid")
-    return _ACTIVATION_VJPS[act]
-
-
 def graph_conv(h, a_norm, layer, act):
     """One propagation step: act(A_norm H W), W = layer.w_theta, with
     ``act`` layers.relu or layers.sigmoid.
 
-    ``a_norm`` is the batch's ``normalized_adjacency``, a plain array
-    treated as a constant; no gradient flows through it.
+    ``a_norm`` is the batch's ``normalized_adjacency``, or the identity for
+    a layer with no graph coupling; it is a plain array treated as a
+    constant, and no gradient flows through it.
     """
-    act_vjp = _activation_vjp(act)
+    if act not in _ACTIVATION_VJPS:
+        raise ValueError(f"unknown activation {act!r}; expected layers.relu or layers.sigmoid")
+    act_vjp = _ACTIVATION_VJPS[act]
     w = layer.w_theta
     _check_rows(h, w, "graph_conv")
     if a_norm.shape != (h.shape[0], h.shape[0]):
@@ -260,21 +257,6 @@ def graph_conv(h, a_norm, layer, act):
         gz = act_vjp(g, out)
         grads.w_theta += ah.T @ gz
         return (a_norm.T @ (gz @ w.T),)
-
-    return Node(out, vjp)
-
-
-def dense(h, layer, act):
-    """The same transform as graph_conv without any graph coupling."""
-    act_vjp = _activation_vjp(act)
-    w = layer.w_theta
-    _check_rows(h, w, "dense")
-    out = act(h @ w)
-
-    def vjp(g, grads):
-        gz = act_vjp(g, out)
-        grads.w_theta += h.T @ gz
-        return (gz @ w.T,)
 
     return Node(out, vjp)
 

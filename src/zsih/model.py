@@ -192,13 +192,10 @@ def forward_multimodal(batch, params, adj):
     h_im = layers.attention_pool(batch.image_feats, params.attn_im)
     fused = fuse_modalities(h_sk.data, h_im.data, params)
 
-    if params.use_gcn:
-        a_norm = layers.normalized_adjacency(adj)
-        hidden = layers.graph_conv(fused.data, a_norm, params.gcn1, layers.relu)
-        b = layers.graph_conv(hidden.data, a_norm, params.gcn2, layers.sigmoid)
-    else:
-        hidden = layers.dense(fused.data, params.gcn1, layers.relu)
-        b = layers.dense(hidden.data, params.gcn2, layers.sigmoid)
+    # the no-GCN ablation propagates over the identity: no row mixes with another
+    a_norm = layers.normalized_adjacency(adj) if params.use_gcn else np.eye(len(batch))
+    hidden = layers.graph_conv(fused.data, a_norm, params.gcn1, layers.relu)
+    b = layers.graph_conv(hidden.data, a_norm, params.gcn2, layers.sigmoid)
 
     f_out = layers.encode_soft(h_im.data, params.enc_im)
     g_out = layers.encode_soft(h_sk.data, params.enc_sk)

@@ -63,6 +63,8 @@ class ZsihConfig:
             raise ValueError("layer widths must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.fusion_mode not in FUSION_MODES:
             raise ValueError(f"unknown fusion_mode {self.fusion_mode!r}")
         if self.lr <= 0:

@@ -142,8 +142,8 @@ def _fuse(h_sk, h_im, w, mode):
 def naive_forward(sketch_feats, image_feats, w, mode, adj):
     """The multi-modal forward, item by item: returns (b, f, g).
 
-    ``w`` maps parameter names to arrays; ``adj`` is None for the dense
-    (no graph convolution) ablation.
+    ``w`` maps parameter names to arrays; ``adj`` is None for the no-GCN
+    ablation, which propagates over the identity adjacency.
     """
     h_sk = np.stack([_attend(f, w, "attn_sk") for f in sketch_feats])
     h_im = np.stack([_attend(f, w, "attn_im") for f in image_feats])

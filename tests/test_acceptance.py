@@ -67,7 +67,7 @@ def _layer_cases(rng):
         (lambda: layers.fuse_concat(h_sk, h_im, concat), [h_sk, h_im], concat),
         (lambda: layers.fuse_mfb(h_sk, h_im, mfb), [h_sk, h_im], mfb),
         (lambda: layers.graph_conv(hidden, a_norm, gcn, layers.sigmoid), [hidden], gcn),
-        (lambda: layers.dense(hidden, gcn, layers.relu), [hidden], gcn),
+        (lambda: layers.graph_conv(hidden, np.eye(4), gcn, layers.relu), [hidden], gcn),
         (lambda: layers.encode_soft(h_enc, enc), [h_enc], enc),
         (lambda: layers.log_q(b_probs, bits), [b_probs], None),
         (lambda: layers.log_p_gaussian(s_rows, dec_bits, dec), [dec_bits], dec),
@@ -131,8 +131,10 @@ def test_criterion_2_gcn_equals_fc_under_identity():
             layer = param_group(w_theta=rng.normal(size=(d_in, d_out)))
             h = rng.normal(size=(n, d_in)) * 3.0
             gcn = layers.graph_conv(h, np.eye(n), layer, act)
-            fc = layers.dense(h, layer, act)
-            assert np.max(np.abs(gcn.data - fc.data)) <= 1e-12
+            # the dense reference: the activation of H W with no propagation
+            oracle = oracles.masked_relu if act is layers.relu else oracles.two_branch_sigmoid
+            fc = oracle(h @ layer.w_theta)
+            assert np.max(np.abs(gcn.data - fc)) <= 1e-12
 
 
 def test_criterion_3_stochastic_neuron_statistics():

@@ -21,32 +21,32 @@ def _regression_case(rng):
 
 
 class TestMatmul:
-    """The products H W inside ``dense`` and ``graph_conv``."""
+    """The products H W inside ``graph_conv``, here over the identity adjacency."""
 
     def test_identity(self):
         x = np.arange(6.0).reshape(2, 3)
-        out = layers.dense(x, param_group(w_theta=np.eye(3)), layers.relu)
+        out = layers.graph_conv(x, np.eye(2), param_group(w_theta=np.eye(3)), layers.relu)
         np.testing.assert_array_equal(out.data, x)
 
     def test_hand_case(self):
-        out = layers.dense(np.array([[1.0, 2.0]]), param_group(w_theta=[[3.0], [4.0]]),
-                           layers.relu)
+        out = layers.graph_conv(np.array([[1.0, 2.0]]), np.eye(1),
+                                param_group(w_theta=[[3.0], [4.0]]), layers.relu)
         assert out.data.tolist() == [[11.0]]
 
     def test_gradients_match_fd(self, rng):
         a = rng.normal(size=(4, 3))
         layer = param_group(w_theta=rng.normal(size=(3, 2)))
-        check_vjp(lambda: layers.dense(a, layer, layers.sigmoid), [a], layer)
+        check_vjp(lambda: layers.graph_conv(a, np.eye(4), layer, layers.sigmoid), [a], layer)
 
     def test_inner_dim_mismatch(self):
         layer = param_group(w_theta=np.ones((2, 3)))
         with pytest.raises(ValueError, match=r"input must be \[N, 2\]"):
-            layers.dense(np.ones((2, 3)), layer, layers.relu)
+            layers.graph_conv(np.ones((2, 3)), np.eye(2), layer, layers.relu)
 
     def test_requires_matrices(self):
         layer = param_group(w_theta=np.ones((3, 2)))
         with pytest.raises(ValueError, match=r"input must be \[N, 3\]"):
-            layers.dense(np.ones(3), layer, layers.relu)
+            layers.graph_conv(np.ones(3), np.eye(3), layer, layers.relu)
 
 
 class TestAffine:
@@ -94,23 +94,27 @@ class TestElementwise:
         assert layers.relu(np.array([-1.5, 2.0, 0.0])).tolist() == [0.0, 2.0, 0.0]
 
     def test_sigmoid_at_zero(self):
-        out = layers.dense(np.ones((1, 2)), param_group(w_theta=np.zeros((2, 1))),
-                           layers.sigmoid)
+        out = layers.graph_conv(np.ones((1, 2)), np.eye(1),
+                                param_group(w_theta=np.zeros((2, 1))), layers.sigmoid)
         assert out.data.tolist() == [[0.5]]
 
     def test_sigmoid_gradient_at_zero(self):
         # d/dx sigmoid(x)^2 = 2 s s' = 2 * 0.5 * 0.25 at x = 0
         x = np.array([[0.0]])
         layer = param_group(w_theta=[[1.0]])
-        [(_, g_x)], _ = vjp_grads(layers.dense(x, layer, layers.sigmoid), [x], layer)
-        fd = fd_grad(lambda: layer_loss(layers.dense(x, layer, layers.sigmoid)), x)
+
+        def conv():
+            return layers.graph_conv(x, np.eye(1), layer, layers.sigmoid)
+
+        [(_, g_x)], _ = vjp_grads(conv(), [x], layer)
+        fd = fd_grad(lambda: layer_loss(conv()), x)
         assert abs(g_x[0, 0] - 0.25) < 1e-12
         assert_grad_close(g_x, fd)
 
     def test_sigmoid_saturates_without_overflow(self):
         with np.errstate(over="raise"):
-            out = layers.dense(np.array([[-1e4], [1e4]]), param_group(w_theta=[[1.0]]),
-                               layers.sigmoid)
+            out = layers.graph_conv(np.array([[-1e4], [1e4]]), np.eye(2),
+                                    param_group(w_theta=[[1.0]]), layers.sigmoid)
         assert out.data.tolist() == [[0.0], [1.0]]
 
     def test_log_domain_error(self):
@@ -128,7 +132,7 @@ class TestElementwise:
             x = rng.normal(size=(3, 4)) + 0.01
             layer = param_group(w_theta=rng.normal(size=(4, 2)))
             act = getattr(layers, op)
-            check_vjp(lambda: layers.dense(x, layer, act), [x], layer)
+            check_vjp(lambda: layers.graph_conv(x, np.eye(3), layer, act), [x], layer)
         elif op == "exp":
             # the decoder's precision exp(-logvar)
             dec = param_group(w_mu=rng.normal(size=(3, 2)), b_mu=rng.normal(size=2),

@@ -90,6 +90,28 @@ class TestSynth:
                        "--images", tmp_path / "i", "--semantics", tmp_path / "m")
         assert code == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        code = run_cli("synth", "--seed", -1, "--sketches", tmp_path / "s",
+                       "--images", tmp_path / "i", "--semantics", tmp_path / "m")
+        assert code == 2
+        assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_is_usage_error(self, tmp_path, capsys, noise):
+        code = run_cli("synth", "--seed", 1, "--noise", noise, "--sketches", tmp_path / "s",
+                       "--images", tmp_path / "i", "--semantics", tmp_path / "m")
+        assert code == 2
+        assert f"--noise must be finite and non-negative, got {noise}" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+
+class TestSplit:
+    def test_negative_seed_is_usage_error(self, workspace, capsys):
+        code = run_cli("split", "--features", workspace["sketches"], "--n-unseen", 2,
+                       "--seed", -1, "--out", workspace["dir"] / "neg.txt")
+        assert code == 2
+        assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_zero_iterations_writes_initial_checkpoint(self, workspace):
@@ -150,6 +172,26 @@ class TestTrain:
         assert code == 1
         assert f"semantics.txt:{line}: not UTF-8" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_semantics_is_runtime_error(self, workspace, capsys, value):
+        lines = workspace["semantics"].read_text().splitlines(keepends=True)
+        name, _, *rest = lines[0].split(" ")
+        lines[0] = " ".join([name, value, *rest])
+        workspace["semantics"].write_text("".join(lines))
+        code = train_workspace(workspace)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "semantics.txt:1: non-finite semantic component" in err
+
+    @pytest.mark.parametrize("extra", [["--seed", "-1"], ["--set", "seed=-1"]],
+                             ids=["flag", "override"])
+    def test_negative_seed_is_named(self, workspace, capsys, extra):
+        code = train_workspace(workspace, extra=extra)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "seed must be non-negative, got -1" in err
+        assert not workspace["checkpoint"].exists()
 
     def test_config_not_utf8_is_runtime_error(self, workspace, capsys):
         config = workspace["dir"] / "bad.cfg"

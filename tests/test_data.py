@@ -319,6 +319,13 @@ class TestSemantics:
         with pytest.raises(FormatError, match="non-numeric"):
             read_semantic_file(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_component(self, tmp_path, value):
+        path = tmp_path / "sem.txt"
+        path.write_text(f"cat 1.0 2.0\ndog 0.5 {value}\n")
+        with pytest.raises(FormatError, match=r"sem\.txt:2: non-finite semantic component"):
+            read_semantic_file(path)
+
 
 @pytest.mark.parametrize("read, raw", [
     (read_semantic_file, b"cat 1.0\n\xff 2.0\n"),
@@ -467,3 +474,8 @@ class TestSynth:
             synth_dataset(0, 1, 1, 1, 1, 0.1, 0)
         with pytest.raises(ValueError, match="noise"):
             synth_dataset(2, 1, 1, 1, 1, -0.5, 0)
+
+    @pytest.mark.parametrize("noise", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise must be finite and non-negative"):
+            synth_dataset(2, 1, 1, 1, 1, noise, 0)

@@ -70,6 +70,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ZsihConfig(**kwargs).validate()
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            ZsihConfig(seed=-1).validate()
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            parse_config("seed = -1\n")
+
     @pytest.mark.parametrize("text", [
         "lr = nan", "t = inf", "eps_hat = nan", "grad_clip = nan", "beta1 = -inf",
         "lr = nan\nt = inf\neps_hat = nan\ngrad_clip = nan"])
@@ -228,7 +234,7 @@ class TestForwardMultimodal:
         out_gcn = model.forward_multimodal(batch, p_gcn, eye)
         out_fc = model.forward_multimodal(batch, p_fc, eye)
         for a, b in zip(out_gcn, out_fc, strict=True):
-            assert np.max(np.abs(a.data - b.data)) <= 1e-12
+            assert np.array_equal(a.data, b.data)
 
     @pytest.mark.parametrize("use_gcn", [True, False])
     @pytest.mark.parametrize("mode", model.FUSION_MODES)

@@ -6,7 +6,6 @@ import io
 import logging
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -26,22 +25,19 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _parse_overrides(pairs):
-    out = {}
-    for pair in pairs or []:
+def _load_config(args):
+    """The config file's settings, or the defaults, then each ``--set``
+    in order and ``--seed`` last."""
+    config = pipeline.load_config(args.config) if args.config else pipeline.ZsihConfig()
+    entries = []
+    for pair in args.set or []:
         if "=" not in pair:
             raise ValueError(f"--set expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        out[key.strip()] = value
-    return out
-
-
-def _load_config(args):
-    config = pipeline.load_config(args.config) if args.config else pipeline.ZsihConfig()
-    config = pipeline.apply_overrides(config, _parse_overrides(args.set))
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, seed=args.seed)
-    return config.validate()
+        key, raw = pair.split("=", 1)
+        entries.append((f"--set {key.strip()}", key.strip(), raw))
+    if args.seed is not None:
+        entries.append(("--seed", "seed", str(args.seed)))
+    return pipeline.read_config(entries, config)
 
 
 def _build_parser():
@@ -224,11 +220,21 @@ def run_encode(args, parser):
     return 0
 
 
+def _load_query_gallery(args):
+    """The query and gallery codes, which must come from the two modalities."""
+    queries = retrieval.load_codes(args.queries)
+    gallery = retrieval.load_codes(args.gallery)
+    if queries.modality == gallery.modality:
+        raise ValueError(
+            f"query codes are {queries.modality} and gallery codes are "
+            f"{gallery.modality}: retrieval ranks one modality against the other")
+    return queries, gallery
+
+
 def run_retrieve(args, parser):
     if args.top < 1:
         parser.error(f"--top must be positive, got {args.top}")
-    queries = retrieval.load_codes(args.queries)
-    gallery = retrieval.load_codes(args.gallery)
+    queries, gallery = _load_query_gallery(args)
     ranked = retrieval.rank_rows(queries.codes, queries.n_bits, gallery)
     top = min(args.top, len(gallery))
     with (write_atomic(args.out) as raw,
@@ -244,8 +250,7 @@ def run_retrieve(args, parser):
 
 
 def run_eval(args, parser):
-    queries = retrieval.load_codes(args.queries)
-    gallery = retrieval.load_codes(args.gallery)
+    queries, gallery = _load_query_gallery(args)
     ks = args.k or [1, 10, 100]
     if any(k < 1 for k in ks):
         parser.error("--k values must be positive")
@@ -281,7 +286,8 @@ def run_ablate(args, parser):
             raise ValueError("no unseen-class data to evaluate the ablation on")
     rows = []
     for name, overrides in ABLATION_SETTINGS:
-        config = pipeline.apply_overrides(base, overrides)
+        config = pipeline.read_config(
+            [(f"ablate {name}", key, raw) for key, raw in overrides.items()], base)
         ckpt = pipeline.train(config, dataset)
         params = ckpt.build_params()
         q = _encode(params, unseen["sketch"], "sketch")

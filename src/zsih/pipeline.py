@@ -95,10 +95,9 @@ def _coerce(key, raw):
     return raw
 
 
-def _parse_lines(lines, where):
-    """The values held by numbered ``key = value`` lines (# starts a
-    comment); ``where(line_no)`` names a bad line in its error."""
-    values = {}
+def _config_entries(lines, where):
+    """The ``(where, key, raw)`` entries of numbered ``key = value`` lines
+    (# starts a comment); ``where(line_no)`` names each line."""
     for line_no, line in lines:
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -106,19 +105,27 @@ def _parse_lines(lines, where):
         if "=" not in line:
             raise ValueError(f"{where(line_no)}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_TYPES:
-            raise ValueError(f"{where(line_no)}: unknown key {key!r}")
+        yield where(line_no), key, raw
+
+
+def read_config(entries, config):
+    """``config`` with each ``(where, key, raw)`` entry applied in order.
+    Each step starts from a valid config and sets one key, so a bad value
+    is a ValueError that starts with the ``where`` of its own entry."""
+    for where, key, raw in entries:
         try:
-            values[key] = _coerce(key, raw)
+            if key not in _CONFIG_TYPES:
+                raise ValueError(f"unknown key {key!r}")
+            config = replace(config, **{key: _coerce(key, raw)}).validate()
         except ValueError as err:
-            raise ValueError(f"{where(line_no)}: {err}") from None
-    return values
+            raise ValueError(f"{where}: {err}") from None
+    return config
 
 
 def parse_config(text):
     """Parse the flat ``key = value`` config format (# starts a comment)."""
-    values = _parse_lines(enumerate(text.splitlines(), 1), "config line {}".format)
-    return ZsihConfig(**values).validate()
+    entries = _config_entries(enumerate(text.splitlines(), 1), "config line {}".format)
+    return read_config(entries, ZsihConfig())
 
 
 def format_config(config):
@@ -134,25 +141,8 @@ def format_config(config):
 
 
 def load_config(path):
-    values = _parse_lines(_text_lines(path), f"{path}:{{}}".format)
-    try:
-        return ZsihConfig(**values).validate()
-    except ValueError as err:
-        # a value that parses but fails validation belongs to no one line
-        raise ValueError(f"{path}: {err}") from None
-
-
-def apply_overrides(config, overrides):
-    """Return a config with string key=value overrides applied."""
-    updates = {}
-    for key, raw in overrides.items():
-        if key not in _CONFIG_TYPES:
-            raise ValueError(f"unknown config key {key!r}")
-        try:
-            updates[key] = _coerce(key, raw)
-        except ValueError as err:
-            raise ValueError(f"--set {key}: {err}") from None
-    return replace(config, **updates).validate()
+    entries = _config_entries(_text_lines(path), f"{path}:{{}}".format)
+    return read_config(entries, ZsihConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +297,14 @@ def _snapshot(config, params, opt_state, iteration, rng, stop_reason):
 
 def _open_metrics(path, start):
     """Open a metrics log for a run going on from iteration ``start``; lines
-    past it, from a run that stopped before saving, would repeat."""
+    past it, from a run that stopped before saving, would repeat, and a last
+    line with no newline is a row cut short by a killed writer."""
     kept = []
     if start and os.path.exists(path):
         with open(path, "rb") as f:
             for line_no, line in enumerate(f, 1):
+                if not line.endswith(b"\n"):
+                    break
                 try:
                     step = int(line.split(b"\t", 1)[0])
                     text = line.decode("utf-8")

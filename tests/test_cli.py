@@ -142,20 +142,40 @@ class TestTrain:
         assert code == 1
         assert "zero-shot contract" in capsys.readouterr().err
 
-    def test_unknown_config_key_is_runtime_error(self, workspace):
+    def test_unknown_config_key_is_runtime_error(self, workspace, capsys):
         code = train_workspace(workspace, extra=["--set", "bogus=1"])
         assert code == 1
+        assert "error: --set bogus: unknown key 'bogus'" in capsys.readouterr().err
 
     def test_non_finite_override_is_runtime_error(self, workspace, capsys):
         code = train_workspace(workspace, extra=["--set", "lr=nan"])
         assert code == 1
-        assert "error: lr must be finite" in capsys.readouterr().err
+        assert "error: --set lr: lr must be finite" in capsys.readouterr().err
+
+    def test_every_set_value_is_checked(self, workspace, capsys):
+        # a later --set of the same key does not hide a bad earlier one
+        code = train_workspace(workspace, extra=["--set", "M=abc", "--set", "M=8"])
+        assert code == 1
+        assert ("error: --set M: invalid literal for int() with base 10: 'abc'"
+                in capsys.readouterr().err)
+        assert not workspace["checkpoint"].exists()
+
+    def test_config_bad_value_names_file_and_line(self, workspace, capsys):
+        config = workspace["dir"] / "bad.cfg"
+        config.write_text("M = 4\nbeta2 = 2\n")
+        code = train_workspace(workspace, extra=["--config", config])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {config}:2: betas must lie in [0, 1)" in err
+        assert not workspace["checkpoint"].exists()
 
     @pytest.mark.parametrize("pair, message", [
         ("M=abc", "error: --set M: invalid literal for int() with base 10: 'abc'"),
         ("lr=fast", "error: --set lr: could not convert string to float: 'fast'"),
         ("use_gcn=maybe", "error: --set use_gcn: config key 'use_gcn' expects a boolean"),
-    ], ids=["int", "float", "bool"])
+        ("M=0", "error: --set M: M must be at least 1"),
+        ("beta1=1.5", "error: --set beta1: betas must lie in [0, 1)"),
+    ], ids=["int", "float", "bool", "int-range", "float-range"])
     def test_bad_override_value_names_its_key(self, workspace, capsys, pair, message):
         code = train_workspace(workspace, extra=["--set", pair])
         err = capsys.readouterr().err
@@ -190,7 +210,8 @@ class TestTrain:
         code = train_workspace(workspace, extra=extra)
         err = capsys.readouterr().err
         assert code == 1
-        assert "seed must be non-negative, got -1" in err
+        where = "--seed" if extra[0] == "--seed" else "--set seed"
+        assert f"error: {where}: seed must be non-negative, got -1" in err
         assert not workspace["checkpoint"].exists()
 
     def test_config_not_utf8_is_runtime_error(self, workspace, capsys):
@@ -253,6 +274,19 @@ class TestTrain:
         for _ in range(2):
             assert train_workspace(workspace, extra=[*tiny_20, "--resume", ck10]) == 0
             assert workspace["metrics"].read_bytes() == straight
+
+    def test_resume_drops_a_row_cut_short(self, workspace):
+        """A writer killed in the middle of a row leaves a last line with no
+        newline; resuming must drop it, not glue the next row onto it."""
+        tiny_20 = ["--set", "max_iters=20"]
+        assert train_workspace(workspace, extra=tiny_20) == 0
+        straight = workspace["metrics"].read_bytes()
+        ck10 = workspace["dir"] / "ck10.zsih"
+        assert train_workspace(dict(workspace, checkpoint=ck10),
+                               extra=["--set", "max_iters=10"]) == 0
+        workspace["metrics"].write_bytes(straight + b"2")
+        assert train_workspace(workspace, extra=[*tiny_20, "--resume", ck10]) == 0
+        assert workspace["metrics"].read_bytes() == straight
 
     @pytest.mark.parametrize("bad_line", [b"xx\t0.3\n", b"2\t0.3\xff\n"])
     def test_resume_with_malformed_metrics_line_names_it(self, workspace, capsys, bad_line):
@@ -454,6 +488,20 @@ class TestRetrieveAndEval:
         out = tmp_path / "out.txt"
         assert run_cli(verb, "--queries", q, "--gallery", g, "--out", out) == 1
         assert "empty gallery" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("modality", ["sketch", "image"])
+    @pytest.mark.parametrize("verb", ["eval", "retrieve"])
+    def test_same_modality_rejected(self, tmp_path, capsys, verb, modality):
+        codes = tmp_path / "codes.zscb"
+        retrieval.save_codes(retrieval.CodeMatrix(
+            np.zeros((2, 1), dtype=np.uint8), [0, 1], 8, modality), codes)
+        out = tmp_path / "out.txt"
+        assert run_cli(verb, "--queries", codes, "--gallery", codes, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert (f"error: query codes are {modality} and gallery codes are {modality}"
+                in err)
         assert not out.exists()
 
 

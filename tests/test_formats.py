@@ -1,7 +1,10 @@
 """Seeded corruption of the three binary formats: a single-bit flip at
 every byte and a cut at every offset of small ZSFT, ZSCB and ZSIH files.
 Each corrupt file must either load or raise ``FormatError``; a few go
-through the CLI too, which must exit 1 with no traceback."""
+through the CLI too, which must exit 1 with no traceback.  The text
+config gets the same corruptions, and each must load or name its line."""
+
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +96,23 @@ def test_every_corruption_loads_or_raises_format_error(fmt, tmp_path):
     flips, cuts = result[:n_bytes], result[n_bytes:]
     assert {out for _, _, out in cuts} == {"FormatError"}
     assert {out for _, _, out in flips[:4]} == {"FormatError"}   # the magic
+
+
+def test_every_config_corruption_loads_or_names_its_line(tmp_path):
+    raw = pipeline.format_config(pipeline.ZsihConfig()).encode("utf-8")
+    path = tmp_path / "corrupt.cfg"
+    named = re.compile(rf"^{re.escape(str(path))}:\d+: ")
+    loaded, unnamed = 0, {}
+    for name, corrupt in corruptions(raw):
+        path.write_bytes(corrupt)
+        try:
+            pipeline.load_config(path)
+            loaded += 1
+        except ValueError as err:
+            if not named.match(str(err)):
+                unnamed[name] = str(err)
+    assert unnamed == {}
+    assert 0 < loaded < 2 * len(raw)
 
 
 def _rejected_flips(fmt, tmp_path, n):

@@ -14,13 +14,13 @@ from zsih.pipeline import (
     Checkpoint,
     PairedDataset,
     ZsihConfig,
-    apply_overrides,
     build_adjacency,
     checkpoint_bytes,
     format_config,
     load_config,
     load_checkpoint,
     parse_config,
+    read_config,
     sample_batch,
     save_checkpoint,
     train,
@@ -56,9 +56,7 @@ class TestConfig:
     def test_config_file_error_names_path_and_line(self, tmp_path, line, message):
         path = tmp_path / "bad.cfg"
         path.write_text(f"M = 4\n{line}\n")
-        # a value that parses but fails validation belongs to no one line
-        where = "" if line == "M = 0" else "2:"
-        with pytest.raises(ValueError, match=rf"bad\.cfg:{where} {message}"):
+        with pytest.raises(ValueError, match=rf"bad\.cfg:2: {message}"):
             load_config(path)
 
     @pytest.mark.parametrize(
@@ -84,12 +82,13 @@ class TestConfig:
             parse_config(text)
 
     def test_overrides_win(self):
-        config = apply_overrides(ZsihConfig(M=8), {"M": "16", "use_gcn": "false"})
+        config = read_config([("--set M", "M", "16"), ("--set use_gcn", "use_gcn", "false")],
+                             ZsihConfig(M=8))
         assert config.M == 16 and config.use_gcn is False
 
     def test_override_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown config key"):
-            apply_overrides(ZsihConfig(), {"widht": "3"})
+        with pytest.raises(ValueError, match=r"^--set widht: unknown key 'widht'$"):
+            read_config([("--set widht", "widht", "3")], ZsihConfig())
 
 
 class TestBuildAdjacency:
@@ -594,8 +593,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("old, new, message", [
         (b"M = 4", b"M = \xff", "bad checkpoint config: 'utf-8' codec"),
         (b"fusion_mode", b"fusiOn_mode", "bad checkpoint config: config line 9: unknown key"),
-        (b"max_iters = 4", b"max_iters = -4", "bad checkpoint config: max_iters"),
-        (b"t = 0.5", b"t = inf", "bad checkpoint config: t must be finite"),
+        (b"max_iters = 4", b"max_iters = -4",
+         "bad checkpoint config: config line 7: max_iters must be non-negative"),
+        (b"t = 0.5", b"t = inf", "bad checkpoint config: config line 4: t must be finite"),
         (b"enc_im.b", b"enc_\xe9m.b", "bad parameter name: 'utf-8' codec"),
     ])
     def test_corrupt_text_raises_format_error(self, tmp_path, old, new, message):

@@ -121,14 +121,13 @@ def run_synth(args, parser):
         parser.error(f"--noise must be finite and non-negative, got {args.noise}")
     if args.seed < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")
-    store, table = data.synth_dataset(
+    store, semantics = data.synth_dataset(
         args.classes, args.per_class, args.locations, args.channels,
         args.semantic_dim, args.noise, args.seed,
     )
     data.save_features(store, args.sketches, "sketch")
     data.save_features(store, args.images, "image")
-    names = {store.class_names[cid]: vec for cid, vec in sorted(table.vectors.items())}
-    data.write_semantic_file(names, args.semantics)
+    data.write_semantic_file(semantics, args.semantics)
     print(
         f"synthesized {args.classes} classes, {args.per_class} items per class "
         f"per modality, feature maps {args.locations}x{args.channels}, "
@@ -141,7 +140,7 @@ def run_split(args, parser):
     if args.seed < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")
     store = data.load_features(args.features)
-    classes = store.classes()
+    classes = store.classes
     if not 0 < args.n_unseen < len(classes):
         parser.error(
             f"--n-unseen must be in (0, {len(classes)}), got {args.n_unseen}"
@@ -153,26 +152,28 @@ def run_split(args, parser):
     return 0
 
 
+def _load_records(path, modality):
+    """The ``modality`` records of a ZSFT file, which must hold some."""
+    records = data.load_features(path).records[modality]
+    if not len(records):
+        raise ValueError(f"feature file {path} holds no {modality} items (modality mismatch)")
+    return records
+
+
 def _training_inputs(args):
-    """The seen-class training view, and the stores and split behind it."""
-    sketch_store = data.load_features(args.sketches)
-    image_store = data.load_features(args.images)
-    class_names = {**sketch_store.class_names, **image_store.class_names}
-    semantics = data.load_semantics(args.semantics, class_names, args.synonyms)
+    """The seen-class training view, each modality's records and the split.
+    Only the training classes need a semantic vector."""
+    records = {"sketch": _load_records(args.sketches, "sketch"),
+               "image": _load_records(args.images, "image")}
     split = data.load_split(args.split)
-    present = set(sketch_store.classes("sketch")) & set(image_store.classes("image"))
-    train_classes = sorted(present & split.seen)
+    present = np.intersect1d(records["sketch"]["class_id"], records["image"]["class_id"])
+    train_classes = [c for c in present.tolist() if c in split.seen]
     if not train_classes:
         raise ValueError("no seen classes with data in both modalities")
-    leaked = set(train_classes) & split.unseen
-    if leaked:
-        raise ValueError(
-            f"zero-shot contract violated: unseen classes {sorted(leaked)} "
-            "selected for training"
-        )
-    dataset = pipeline.PairedDataset.from_stores(
-        sketch_store, image_store, semantics, classes=train_classes)
-    return dataset, sketch_store, image_store, split
+    semantics = data.load_semantics(args.semantics, train_classes, args.synonyms)
+    dataset = pipeline.PairedDataset(records["sketch"], records["image"], semantics,
+                                     classes=train_classes)
+    return dataset, records, split
 
 
 def run_train(args, parser):
@@ -202,12 +203,7 @@ def _encode(params, records, modality):
 def run_encode(args, parser):
     ckpt = pipeline.load_checkpoint(args.checkpoint)
     params = ckpt.build_params()
-    records = data.load_features(args.features).records[args.modality]
-    if not len(records):
-        raise ValueError(
-            f"feature file {args.features} holds no {args.modality} items "
-            "(modality mismatch)"
-        )
+    records = _load_records(args.features, args.modality)
     if records["feat"].shape[2] != params.feat_channels:
         raise ValueError(
             f"feature channels {records['feat'].shape[2]} do not match "
@@ -277,11 +273,10 @@ ABLATION_SETTINGS = (
 
 def run_ablate(args, parser):
     base = _load_config(args)
-    dataset, sketch_store, image_store, split = _training_inputs(args)
+    dataset, records, split = _training_inputs(args)
     unseen = {}
-    for modality, store in (("sketch", sketch_store), ("image", image_store)):
-        records = store.records[modality]
-        unseen[modality] = records[np.isin(records["class_id"], sorted(split.unseen))]
+    for modality, rec in records.items():
+        unseen[modality] = rec[np.isin(rec["class_id"], sorted(split.unseen))]
         if not len(unseen[modality]):
             raise ValueError("no unseen-class data to evaluate the ablation on")
     rows = []

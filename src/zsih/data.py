@@ -37,11 +37,11 @@ def feature_dtype(length, channels):
 @dataclass
 class FeatureStore:
     """Feature maps as one ZSFT record array per modality (``feature_dtype``
-    fields ``item_id``, ``class_id`` and ``feat``), plus the class names.
-    A modality the store lacks is an empty array."""
+    fields ``item_id``, ``class_id`` and ``feat``).  A modality the store
+    lacks is an empty array."""
 
     records: dict = field(default_factory=dict)  # modality -> record array
-    class_names: dict = field(default_factory=dict)
+    classes: list = field(init=False)  # sorted ids with items in either modality
 
     def __post_init__(self):
         for modality in self.records:
@@ -49,15 +49,8 @@ class FeatureStore:
                 raise ValueError(f"unknown modality {modality!r}")
         empty = np.empty(0, feature_dtype(0, 0))
         self.records = {m: self.records.get(m, empty) for m in MODALITY_CODES}
-        unnamed = [c for c in self.classes() if c not in self.class_names]
-        if unnamed:
-            raise ValueError(f"class id {unnamed[0]} has no name")
-
-    def classes(self, modality=None):
-        """Sorted ids of the classes with items in ``modality`` (or in any)."""
-        modalities = MODALITY_CODES if modality is None else (modality,)
-        return np.unique(np.concatenate(
-            [self.records[m]["class_id"] for m in modalities])).tolist()
+        self.classes = np.unique(np.concatenate(
+            [r["class_id"] for r in self.records.values()])).tolist()
 
     def modality_items(self, modality):
         """One modality as per-item views, built on each call.  Kept only for
@@ -78,12 +71,7 @@ def save_features(store, path, modality):
 
 
 def load_features(path):
-    """Read a ZSFT feature file into a store.
-
-    Class names are not stored in the file; they default to the decimal
-    class id and may be remapped through the synonym file when resolving
-    semantics.
-    """
+    """Read a ZSFT feature file into a store."""
     with open(path, "rb") as f:
         mod_code, length, channels, count = read_header(f, FEATURE_MAGIC, _FEATURE_HEADER)
         # id u64, class u32 and L*C f32, sized before numpy sees L and C
@@ -92,22 +80,11 @@ def load_features(path):
         record = feature_dtype(length, channels)
     except ValueError as err:
         raise FormatError(f"feature maps of {length} x {channels}: {err}") from None
-    records = np.frombuffer(body, dtype=record)
-    names = {c: str(c) for c in np.unique(records["class_id"]).tolist()}
-    return FeatureStore({modality_name(mod_code): records}, names)
+    return FeatureStore({modality_name(mod_code): np.frombuffer(body, dtype=record)})
 
 
 # ---------------------------------------------------------------------------
 # semantic vectors
-
-
-@dataclass
-class SemanticTable:
-    vectors: dict  # class id -> [d_s] float64
-
-    @property
-    def dim(self):
-        return len(next(iter(self.vectors.values())))
 
 
 def _text_lines(path):
@@ -124,7 +101,7 @@ def _text_lines(path):
 
 
 def read_semantic_file(path):
-    """Parse a word-vector text file into name -> vector, last entry wins."""
+    """Parse a word-vector text file into key -> vector, last entry wins."""
     table = {}
     for line_no, line in _text_lines(path):
         parts = line.split()
@@ -154,11 +131,11 @@ def write_semantic_file(table, path):
     with (write_atomic(path) as raw,
           io.TextIOWrapper(raw, encoding="utf-8") as f):
         for name, vec in table.items():
-            f.write(name + " " + " ".join(repr(float(x)) for x in vec) + "\n")
+            f.write(f"{name} " + " ".join(repr(float(x)) for x in vec) + "\n")
 
 
 def read_synonyms(path):
-    """Tab-separated missing_name -> substitute_name mapping."""
+    """Tab-separated missing key -> substitute key mapping."""
     out = {}
     for line_no, line in _text_lines(path):
         line = line.rstrip("\n")
@@ -174,28 +151,23 @@ def read_synonyms(path):
     return out
 
 
-def load_semantics(path, class_names, synonyms_path=None):
-    """Resolve a semantic vector for every dataset class.
+def load_semantics(path, class_ids, synonyms_path=None):
+    """class id -> semantic vector for each of ``class_ids``.
 
-    Names missing from the vector file are retried through the synonym
-    mapping; anything still unresolved is reported in one error.
+    A class's vector is the line keyed by its decimal id, or else the line
+    of the word the synonym file maps that id to; every class still
+    unresolved is reported in one error.
     """
     raw = read_semantic_file(path)
     synonyms = read_synonyms(synonyms_path) if synonyms_path else {}
-    vectors = {}
-    missing = []
-    for class_id, name in sorted(class_names.items()):
-        key = name if name in raw else synonyms.get(name)
-        if key is None or key not in raw:
-            missing.append(name)
-            continue
-        vectors[class_id] = raw[key]
+    keys = {c: str(c) if str(c) in raw else synonyms.get(str(c)) for c in sorted(class_ids)}
+    missing = [str(c) for c, key in keys.items() if key not in raw]
     if missing:
         raise ValueError(
             "no semantic vector for classes (after synonym mapping): "
-            + ", ".join(sorted(missing))
+            + ", ".join(missing)
         )
-    return SemanticTable(vectors=vectors)
+    return {c: raw[key] for c, key in keys.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +206,8 @@ def save_split(split, path):
 
 
 def load_split(path):
+    """Read a split file; a class listed as both seen and unseen is a
+    FormatError naming its second listing."""
     seed = 0
     seen, unseen = set(), set()
     for line_no, line in _text_lines(path):
@@ -254,12 +228,12 @@ def load_split(path):
             cid = int(cid)
         except ValueError:
             raise FormatError(f"{path}:{line_no}: expected 'seen|unseen<TAB>id'") from None
-        if kind == "seen":
-            seen.add(cid)
-        elif kind == "unseen":
-            unseen.add(cid)
-        else:
+        if kind not in ("seen", "unseen"):
             raise FormatError(f"{path}:{line_no}: unknown split kind {kind!r}")
+        listed, other = (seen, unseen) if kind == "seen" else (unseen, seen)
+        if cid in other:
+            raise FormatError(f"{path}:{line_no}: class {cid} is both seen and unseen")
+        listed.add(cid)
     return ZeroShotSplit(seen=frozenset(seen), unseen=frozenset(unseen), seed=seed)
 
 
@@ -268,7 +242,8 @@ def load_split(path):
 
 
 def synth_dataset(n_classes, per_class, length, channels, d_s, noise, seed):
-    """Random desk-scale dataset with informative semantic structure.
+    """Random desk-scale dataset with informative semantic structure: a
+    store and the class id -> semantic vector dict.
 
     Semantic vectors are drawn on the unit sphere; class latents are a
     shared linear map of them, so semantically near classes get near
@@ -282,8 +257,7 @@ def synth_dataset(n_classes, per_class, length, channels, d_s, noise, seed):
     sem = rng.normal(size=(n_classes, d_s))
     sem /= np.linalg.norm(sem, axis=1, keepdims=True)
     store = synth_from_semantics(sem, per_class, length, channels, noise, rng)
-    table = SemanticTable(vectors={i: sem[i].copy() for i in range(n_classes)})
-    return store, table
+    return store, {i: sem[i].copy() for i in range(n_classes)}
 
 
 def synth_from_semantics(sem, per_class, length, channels, noise, rng):
@@ -318,4 +292,4 @@ def synth_from_semantics(sem, per_class, length, channels, noise, rng):
         for m, rec in enumerate(records.values()):
             jitter = rng.normal(size=(per_class, length, channels))
             rec["feat"][rows] = protos[m][cid] + noise * jitter / np.sqrt(channels)
-    return FeatureStore(records, {i: str(i) for i in range(n_classes)})
+    return FeatureStore(records)

@@ -152,7 +152,7 @@ def load_config(path):
 class PairedDataset:
     """The training view of one sketch and one image record array: each
     modality's maps, their rows grouped by class, and one semantic row
-    per class."""
+    per class from the class id -> vector dict ``semantics``."""
 
     def __init__(self, sketches, images, semantics, classes=None):
         if classes is None:
@@ -173,10 +173,10 @@ class PairedDataset:
         missing = np.array(self.classes)[np.any(self.counts == 0, axis=1)]
         if missing.size:
             raise ValueError(f"classes missing a modality: {missing.tolist()}")
-        absent = [c for c in self.classes if c not in semantics.vectors]
+        absent = [c for c in self.classes if c not in semantics]
         if absent:
             raise ValueError(f"classes without semantics: {absent}")
-        self.semantics = np.stack([semantics.vectors[c] for c in self.classes])
+        self.semantics = np.stack([semantics[c] for c in self.classes])
         shapes = sorted({f.shape[1:] for f in self.feats})
         if len(shapes) != 1:
             raise ValueError(f"inconsistent feature shapes: {shapes}")

@@ -207,7 +207,7 @@ def e2e_runs():
     elapsed_default = 0.0
     for seed in E2E_SEEDS:
         store, table = data.synth_dataset(seed=seed, **E2E_SYNTH)
-        split = data.make_split(store.classes(), 5, seed=seed)
+        split = data.make_split(store.classes, 5, seed=seed)
         dataset = pipeline.PairedDataset.from_stores(
             store, store, table, classes=sorted(split.seen))
         start = time.monotonic()
@@ -309,13 +309,11 @@ def test_criterion_8_format_round_trips(tmp_path):
             length = int(rng.integers(1, 4))
             channels = int(rng.integers(1, 6))
             rows = []
-            names = {}
             for i in range(int(rng.integers(1, 12))):
                 cid = int(rng.integers(0, 4))
                 rows.append((i, cid, rng.normal(size=(length, channels)).astype(np.float32)))
-                names[cid] = str(cid)
             records = np.array(rows, dtype=data.feature_dtype(length, channels))
-            store = data.FeatureStore({"image": records}, class_names=names)
+            store = data.FeatureStore({"image": records})
             f_path = tmp_path / f"f{trial}.zsft"
             data.save_features(store, f_path, "image")
             raw = f_path.read_bytes()

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from zsih import cli, pipeline, retrieval
-from zsih.data import load_split, save_split
+from zsih.data import load_split
 from zsih.formats import MODALITY_CODES, pack_header
 
 
@@ -51,6 +51,15 @@ def train_workspace(paths, extra=()):
         "--checkpoint", paths["checkpoint"], "--metrics", paths["metrics"],
         *TINY, *extra,
     )
+
+
+def keep_seen_semantics(paths):
+    """Rewrite the semantics file with the seen classes' lines only."""
+    seen = {str(c) for c in load_split(paths["split"]).seen}
+    lines = paths["semantics"].read_text().splitlines(keepends=True)
+    kept = [line for line in lines if line.split()[0] in seen]
+    assert 0 < len(kept) < len(lines)
+    paths["semantics"].write_text("".join(kept))
 
 
 class TestSynth:
@@ -134,13 +143,40 @@ class TestTrain:
         assert workspace["checkpoint"].read_bytes() != default_bytes
 
     def test_overlapping_split_is_runtime_error(self, workspace, capsys):
-        split = load_split(workspace["split"])
-        bad = type(split)(seen=split.seen | {next(iter(split.unseen))},
-                          unseen=split.unseen, seed=split.seed)
-        save_split(bad, workspace["split"])
+        lines = workspace["split"].read_text().splitlines(keepends=True)
+        unseen = min(load_split(workspace["split"]).unseen)
+        lines.append(f"seen\t{unseen}\n")
+        workspace["split"].write_text("".join(lines))
         code = train_workspace(workspace)
         assert code == 1
-        assert "zero-shot contract" in capsys.readouterr().err
+        assert (f"split.txt:{len(lines)}: class {unseen} is both seen and unseen"
+                in capsys.readouterr().err)
+
+    def test_semantics_of_seen_classes_suffice(self, workspace):
+        assert train_workspace(workspace) == 0
+        full = workspace["checkpoint"].read_bytes(), workspace["metrics"].read_bytes()
+        keep_seen_semantics(workspace)
+        assert train_workspace(workspace) == 0
+        assert (workspace["checkpoint"].read_bytes(), workspace["metrics"].read_bytes()) == full
+
+    def test_missing_seen_class_semantics_is_named(self, workspace, capsys):
+        seen = min(load_split(workspace["split"]).seen)
+        lines = workspace["semantics"].read_text().splitlines(keepends=True)
+        workspace["semantics"].write_text(
+            "".join(line for line in lines if line.split()[0] != str(seen)))
+        assert train_workspace(workspace) == 1
+        assert capsys.readouterr().err == (
+            f"error: no semantic vector for classes (after synonym mapping): {seen}\n")
+
+    @pytest.mark.parametrize("given, swapped, modality", [
+        ("sketches", "images", "sketch"), ("images", "sketches", "image")])
+    def test_features_of_the_wrong_modality_are_named(self, workspace, capsys,
+                                                       given, swapped, modality):
+        paths = dict(workspace, **{given: workspace[swapped]})
+        assert train_workspace(paths) == 1
+        assert capsys.readouterr().err == (
+            f"error: feature file {workspace[swapped]} holds no {modality} items "
+            "(modality mismatch)\n")
 
     def test_unknown_config_key_is_runtime_error(self, workspace, capsys):
         code = train_workspace(workspace, extra=["--set", "bogus=1"])
@@ -527,6 +563,11 @@ class TestAblate:
         for _, map_all, stop_reason in rows:
             assert 0.0 <= float(map_all) <= 1.0
             assert stop_reason == "max_iters"
+
+    def test_semantics_of_seen_classes_suffice(self, workspace):
+        full = self._sweep(workspace)
+        keep_seen_semantics(workspace)
+        assert self._sweep(workspace) == full
 
     def test_sweep_says_which_runs_diverged(self, workspace):
         # at lr=1e3 every setting's first update sends the next loss to inf;

@@ -22,7 +22,6 @@ from zsih.data import (
     read_synonyms,
     save_features,
     save_split,
-    SemanticTable,
     synth_dataset,
     synth_from_semantics,
     write_semantic_file,
@@ -40,14 +39,14 @@ def random_store(rng, n_classes=3, per_class=2, length=2, channels=4):
                 item_id += 1
     records = {m: np.array(r, dtype=feature_dtype(length, channels))
                for m, r in rows.items()}
-    return FeatureStore(records, class_names={c: str(c) for c in range(n_classes)})
+    return FeatureStore(records)
 
 
 def class_feats(store, modality):
     """class id -> that class's [n, L, C] maps, in store order."""
     records = store.records[modality]
     return {c: records["feat"][records["class_id"] == c]
-            for c in store.classes(modality)}
+            for c in np.unique(records["class_id"]).tolist()}
 
 
 class TestFeatureFiles:
@@ -131,15 +130,9 @@ class TestFeatureFiles:
         store = FeatureStore({
             "sketch": np.array([(0, 0, rng.normal(size=(2, 3)))], dtype=feature_dtype(2, 3)),
             "image": np.array([(1, 0, rng.normal(size=(2, 4)))], dtype=feature_dtype(2, 4)),
-        }, class_names={0: "0"})
-        table = SemanticTable(vectors={0: np.zeros(3)})
+        })
         with pytest.raises(ValueError, match="inconsistent feature shape"):
-            pipeline.PairedDataset.from_stores(store, store, table)
-
-    def test_unnamed_class_rejected(self, rng):
-        records = np.array([(0, 5, np.zeros((1, 2)))], dtype=feature_dtype(1, 2))
-        with pytest.raises(ValueError, match="no name"):
-            FeatureStore({"image": records}, class_names={})
+            pipeline.PairedDataset.from_stores(store, store, {0: np.zeros(3)})
 
     def test_modality_items_is_a_per_item_view(self, rng):
         store = random_store(rng, n_classes=2, per_class=3)
@@ -278,26 +271,35 @@ class TestSemantics:
             np.testing.assert_array_equal(loaded[name], table[name])
 
     def test_all_names_resolve(self, rng, tmp_path):
+        # a class's vector is the line keyed by its decimal id
         path = tmp_path / "sem.txt"
-        write_semantic_file({"cat": rng.normal(size=3), "dog": rng.normal(size=3)}, path)
-        table = load_semantics(path, {0: "cat", 1: "dog"})
-        assert sorted(table.vectors) == [0, 1]
-        assert table.dim == 3
+        path.write_text("0 1.0 2.0 3.0\n1 4.0 5.0 6.0\ncat 7.0 8.0 9.0\n")
+        table = load_semantics(path, [1, 0])
+        assert list(table) == [0, 1]
+        assert table[0].tolist() == [1.0, 2.0, 3.0]
+        assert table[1].tolist() == [4.0, 5.0, 6.0]
 
     def test_synonym_fallback(self, rng, tmp_path):
         sem_path = tmp_path / "sem.txt"
-        write_semantic_file({"truck": rng.normal(size=3)}, sem_path)
+        write_semantic_file({"truck": rng.normal(size=3), 1: rng.normal(size=3)}, sem_path)
         syn_path = tmp_path / "syn.txt"
-        syn_path.write_text("pickup_truck\ttruck\n")
-        table = load_semantics(sem_path, {0: "pickup_truck"}, synonyms_path=syn_path)
-        np.testing.assert_array_equal(
-            table.vectors[0], read_semantic_file(sem_path)["truck"])
+        syn_path.write_text("0\ttruck\n1\ttruck\n")
+        table = load_semantics(sem_path, [0, 1], synonyms_path=syn_path)
+        raw = read_semantic_file(sem_path)
+        np.testing.assert_array_equal(table[0], raw["truck"])
+        # an id's own line wins over its synonym
+        np.testing.assert_array_equal(table[1], raw["1"])
 
     def test_unresolved_names_listed(self, rng, tmp_path):
         path = tmp_path / "sem.txt"
-        write_semantic_file({"cat": rng.normal(size=3)}, path)
-        with pytest.raises(ValueError, match="aardvark.*zebra"):
-            load_semantics(path, {0: "aardvark", 1: "cat", 2: "zebra"})
+        write_semantic_file({1: rng.normal(size=3), "cat": rng.normal(size=3)}, path)
+        with pytest.raises(ValueError, match=r"after synonym mapping\): 0, 2$"):
+            load_semantics(path, [0, 1, 2])
+
+    def test_only_the_asked_classes_need_a_vector(self, rng, tmp_path):
+        path = tmp_path / "sem.txt"
+        write_semantic_file({3: rng.normal(size=2)}, path)
+        assert list(load_semantics(path, [3])) == [3]
 
     def test_duplicate_line_last_wins_with_warning(self, tmp_path, caplog):
         path = tmp_path / "sem.txt"
@@ -373,6 +375,18 @@ class TestSplit:
         save_split(split, path)
         assert load_split(path) == split
 
+    @pytest.mark.parametrize("lines, line_no", [
+        ("seen\t0\nseen\t1\nunseen\t0\n", 3),
+        ("# seed 2\nunseen\t4\nseen\t4\n", 3),
+        ("seen\t0\nseen\t0\nunseen\t1\nunseen\t0\n", 4),
+    ])
+    def test_class_both_seen_and_unseen_names_the_line(self, tmp_path, lines, line_no):
+        path = tmp_path / "split.txt"
+        path.write_text(lines)
+        with pytest.raises(FormatError,
+                           match=rf"split\.txt:{line_no}: class \d is both seen and unseen"):
+            load_split(path)
+
     def test_non_integer_seed_names_the_line(self, tmp_path):
         path = tmp_path / "split.txt"
         path.write_text("# seed x\nseen\t1\n")
@@ -428,7 +442,7 @@ class TestSynth:
         sem_d, lat_d = [], []
         for i in range(10):
             for j in range(i + 1, 10):
-                sem_d.append(np.sum((table.vectors[i] - table.vectors[j]) ** 2))
+                sem_d.append(np.sum((table[i] - table[j]) ** 2))
                 lat_d.append(np.sum((protos[i] - protos[j]) ** 2))
 
         def ranks(x):
@@ -467,7 +481,6 @@ class TestSynth:
             np.testing.assert_array_equal(records["item_id"], [i[0] for i in ref])
             np.testing.assert_array_equal(records["class_id"], [i[1] for i in ref])
             np.testing.assert_array_equal(records["feat"], np.stack([i[3] for i in ref]))
-        assert store.class_names == {c: str(c) for c in range(n_classes)}
 
     def test_invalid_args(self):
         with pytest.raises(ValueError, match="positive"):

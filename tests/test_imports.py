@@ -1,5 +1,6 @@
 """The runtime stays numpy-only: every module of the package imports only
-the standard library, numpy and the package itself."""
+the standard library, numpy and the package itself, and reads every name
+it imports."""
 
 import ast
 import sys
@@ -21,6 +22,16 @@ def imported_roots(tree):
             yield node.module.split(".")[0]
 
 
+def unused_imports(tree):
+    """The sorted names that an import in ``tree`` binds and no expression
+    reads (``import a.b`` binds ``a``)."""
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
 def test_sources_found():
     assert "objective.py" in {path.name for path in SOURCES}
 
@@ -35,3 +46,16 @@ def test_a_foreign_import_is_caught():
     tree = ast.parse("import os\nimport scipy.linalg\nfrom . import layers\n"
                      "from numpy import linalg\nfrom torch import nn\n")
     assert sorted(set(imported_roots(tree)) - ALLOWED) == ["scipy", "torch"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert unused_imports(tree) == []
+
+
+def test_an_unused_import_is_caught():
+    tree = ast.parse("import os.path\nimport numpy as np\nfrom . import data, layers\n"
+                     "from .formats import FormatError as FE, pack_header\n"
+                     "x = np.zeros(layers.N)\nraise FE(os)\n")
+    assert unused_imports(tree) == ["data", "pack_header"]

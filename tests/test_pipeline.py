@@ -139,7 +139,7 @@ class TestPairedDataset:
 
     def test_missing_semantics_rejected(self):
         store, table = synth_dataset(3, 2, 1, 4, 3, 0.0, seed=0)
-        del table.vectors[2]
+        del table[2]
         with pytest.raises(ValueError, match="without semantics"):
             PairedDataset.from_stores(store, store, table)
 
@@ -213,7 +213,7 @@ class TestSampleBatch:
         for _ in range(30):
             batch = sample_batch(ds, 7, fast)
             sk, im, sem, labels = oracles.naive_sample_batch(
-                *per_class, table.vectors, 7, slow)
+                *per_class, table, 7, slow)
             np.testing.assert_array_equal(batch.sketch_feats, sk)
             np.testing.assert_array_equal(batch.image_feats, im)
             np.testing.assert_array_equal(batch.semantics, sem)

@@ -162,10 +162,16 @@ def _load_records(path, modality):
 
 def _training_inputs(args):
     """The seen-class training view, each modality's records and the split.
-    Only the training classes need a semantic vector."""
+    Every class the split lists must have items in a feature file, and
+    only the training classes need a semantic vector."""
     records = {"sketch": _load_records(args.sketches, "sketch"),
                "image": _load_records(args.images, "image")}
     split = data.load_split(args.split)
+    absent = sorted((split.seen | split.unseen).difference(
+        np.union1d(records["sketch"]["class_id"], records["image"]["class_id"]).tolist()))
+    if absent:
+        raise ValueError(f"split {args.split} lists classes with no items in "
+                         f"{args.sketches} or {args.images}: {absent}")
     present = np.intersect1d(records["sketch"]["class_id"], records["image"]["class_id"])
     train_classes = [c for c in present.tolist() if c in split.seen]
     if not train_classes:
@@ -274,11 +280,13 @@ ABLATION_SETTINGS = (
 def run_ablate(args, parser):
     base = _load_config(args)
     dataset, records, split = _training_inputs(args)
-    unseen = {}
-    for modality, rec in records.items():
-        unseen[modality] = rec[np.isin(rec["class_id"], sorted(split.unseen))]
-        if not len(unseen[modality]):
-            raise ValueError("no unseen-class data to evaluate the ablation on")
+    unseen = {modality: rec[np.isin(rec["class_id"], sorted(split.unseen))]
+              for modality, rec in records.items()}
+    scored = np.intersect1d(unseen["sketch"]["class_id"], unseen["image"]["class_id"])
+    if len(scored) < 2:
+        # a one-class gallery makes every retrieval relevant: mAP 1.0 whatever the model
+        raise ValueError("the ablation needs at least 2 unseen classes with data in both "
+                         f"modalities; split {args.split} gives {len(scored)}")
     rows = []
     for name, overrides in ABLATION_SETTINGS:
         config = pipeline.read_config(

@@ -210,36 +210,14 @@ def fuse_mfb(h_sk, h_im, params):
     return Node(out, vjp)
 
 
-def normalized_adjacency(adj):
-    """Symmetrically normalize a self-connected adjacency matrix.
-
-    Returns D^{-1/2} A D^{-1/2} with D = diag(A 1).  The input must be
-    square, symmetric, unit-diagonal, with entries in [0, 1] and strictly
-    positive row sums.
-    """
-    adj = np.asarray(adj, dtype=np.float64)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError(f"adjacency must be square, got {adj.shape}")
-    if not np.array_equal(adj, adj.T):
-        raise ValueError("adjacency must be symmetric")
-    if np.any(adj < 0.0) or np.any(adj > 1.0):
-        raise ValueError("adjacency entries must lie in [0, 1]")
-    if not np.all(np.diag(adj) == 1.0):
-        raise ValueError("adjacency diagonal must be exactly 1 (self-connected)")
-    deg = adj.sum(axis=1)
-    if np.any(deg <= 0.0):
-        raise ValueError("adjacency has a zero row sum")
-    d_isqrt = 1.0 / np.sqrt(deg)
-    return adj * d_isqrt[:, None] * d_isqrt[None, :]
-
-
 def graph_conv(h, a_norm, layer, act):
     """One propagation step: act(A_norm H W), W = layer.w_theta, with
     ``act`` layers.relu or layers.sigmoid.
 
-    ``a_norm`` is the batch's ``normalized_adjacency``, or the identity for
-    a layer with no graph coupling; it is a plain array treated as a
-    constant, and no gradient flows through it.
+    ``a_norm`` is the batch's [N, N] propagation matrix from
+    ``pipeline.build_adjacency``, or the identity for a layer with no graph
+    coupling; it is a plain array treated as a constant, and no gradient
+    flows through it.
     """
     if act not in _ACTIVATION_VJPS:
         raise ValueError(f"unknown activation {act!r}; expected layers.relu or layers.sigmoid")

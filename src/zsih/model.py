@@ -77,8 +77,8 @@ def check_shapes(shapes, arrays, what):
 
 
 class ModelParams:
-    """All trainable weights in one flat float64 buffer, plus the
-    architecture switches they imply.
+    """All trainable weights in one flat float64 buffer, plus the fusion
+    mode that picks the layer the fusion weights feed.
 
     ``theta`` holds the weights back to back in table order and ``grad``
     their gradients.  Each weight is a view into ``theta`` that the layers
@@ -90,7 +90,6 @@ class ModelParams:
         check_shapes(shapes, arrays, "params")
         self.shapes = shapes
         self.fusion_mode = config.fusion_mode
-        self.use_gcn = bool(config.use_gcn)
         self.theta = self.flatten(arrays)
         self.grad = np.zeros_like(self.theta)
         self.grad_groups = self.grouped(self.grad)
@@ -183,6 +182,10 @@ def fuse_modalities(h_sk, h_im, params):
 def forward_multimodal(batch, params, adj):
     """Run the deterministic training-time network on one batch.
 
+    ``adj`` is the batch's [N, N] propagation matrix, which both graph
+    convolutions use as given: ``pipeline.build_adjacency``'s normalized
+    kernel, or the identity for the no-GCN ablation.
+
     Returns the ``Trunk`` of its layer nodes; its ``b`` holds the code
     probabilities [N, M] and ``f_out`` and ``g_out`` the two
     single-modality encoder outputs.  None of them depends on the
@@ -191,11 +194,8 @@ def forward_multimodal(batch, params, adj):
     h_sk = layers.attention_pool(batch.sketch_feats, params.attn_sk)
     h_im = layers.attention_pool(batch.image_feats, params.attn_im)
     fused = fuse_modalities(h_sk.data, h_im.data, params)
-
-    # the no-GCN ablation propagates over the identity: no row mixes with another
-    a_norm = layers.normalized_adjacency(adj) if params.use_gcn else np.eye(len(batch))
-    hidden = layers.graph_conv(fused.data, a_norm, params.gcn1, layers.relu)
-    b = layers.graph_conv(hidden.data, a_norm, params.gcn2, layers.sigmoid)
+    hidden = layers.graph_conv(fused.data, adj, params.gcn1, layers.relu)
+    b = layers.graph_conv(hidden.data, adj, params.gcn2, layers.sigmoid)
 
     f_out = layers.encode_soft(h_im.data, params.enc_im)
     g_out = layers.encode_soft(h_sk.data, params.enc_sk)

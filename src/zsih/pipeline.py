@@ -209,7 +209,10 @@ def sample_batch(dataset, n_b, rng):
 
 
 def build_adjacency(semantics, t):
-    """Gaussian-kernel in-batch adjacency: A[j,k] = exp(-|s_j - s_k|^2 / t)."""
+    """The batch's propagation matrix D^{-1/2} A D^{-1/2} over the
+    Gaussian kernel A[j,k] = exp(-|s_j - s_k|^2 / t), D = diag(A 1).
+
+    A's diagonal is 1, so every degree is at least 1."""
     if t <= 0:
         raise ValueError(f"adjacency bandwidth t must be positive, got {t}")
     sem = np.asarray(semantics, dtype=np.float64)
@@ -217,7 +220,8 @@ def build_adjacency(semantics, t):
     sq = (diff * diff).sum(axis=2)
     adj = np.exp(-sq / t)
     np.fill_diagonal(adj, 1.0)
-    return adj
+    d_isqrt = 1.0 / np.sqrt(adj.sum(axis=1))
+    return adj * d_isqrt[:, None] * d_isqrt[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +355,15 @@ def train(config, dataset, metrics_out=None, resume=None):
         metrics_out = _open_metrics(metrics_out, start)
         close_metrics = True
 
+    # the no-GCN ablation propagates over the identity: no row mixes with another
+    identity = None if config.use_gcn else np.eye(config.N_B)
     history = []
     iteration = start
     stop_reason = "max_iters"
     try:
         for step in range(start + 1, config.max_iters + 1):
             batch = sample_batch(dataset, config.N_B, rng)
-            adj = build_adjacency(batch.semantics, config.t)
+            adj = build_adjacency(batch.semantics, config.t) if config.use_gcn else identity
             eps = rng.random((config.K, config.N_B, config.M))
             try:
                 breakdown = train_step(

@@ -144,7 +144,9 @@ def tiny_setup(seed=0, n_classes=4, per_class=3, length=2, channels=6, d_s=3,
     rng = np.random.default_rng(seed)
     params = model.init_params(config, channels, d_s, rng)
     batch = pipeline.sample_batch(dataset, config.N_B, rng)
-    adj = pipeline.build_adjacency(batch.semantics, config.t)
+    # the propagation matrix that train uses: the identity for the no-GCN ablation
+    adj = (pipeline.build_adjacency(batch.semantics, config.t) if config.use_gcn
+           else np.eye(config.N_B))
     eps = rng.random((config.N_B, config.M))
     return config, dataset, params, batch, adj, eps, rng
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the fast paths.
 
-The model forward is plain numpy that runs one item at a time, and the
-weight initialization draws one weight at a time.  The activations and the
+The model forward is plain numpy that runs one item at a time, its graph
+built entry by entry from the batch semantics, and the weight
+initialization draws one weight at a time.  The activations and the
 row softmax are the plain masked and branching expressions that the
 layers' kernels must equal bit for bit.  The synthetic data generator
 draws one map at a time, and the batch sampler one pair at a time from
@@ -139,20 +140,33 @@ def _fuse(h_sk, h_im, w, mode):
     return np.maximum(0.0, raw @ w["fusion.w_proj"])
 
 
-def naive_forward(sketch_feats, image_feats, w, mode, adj):
+def naive_adjacency(semantics, t):
+    """The batch's propagation matrix entry by entry: the Gaussian kernel
+    exp(-|s_j - s_k|^2 / t) with 1 on the diagonal, each entry divided by
+    the square root of the degrees (kernel row sums) of its row and its
+    column."""
+    n = len(semantics)
+    kernel = np.ones((n, n))
+    for j in range(n):
+        for k in range(n):
+            if j != k:
+                kernel[j, k] = np.exp(-np.sum((semantics[j] - semantics[k]) ** 2) / t)
+    deg = [sum(row) for row in kernel]
+    return np.array([[kernel[j, k] / np.sqrt(deg[j] * deg[k]) for k in range(n)]
+                     for j in range(n)])
+
+
+def naive_forward(sketch_feats, image_feats, w, mode, semantics, t):
     """The multi-modal forward, item by item: returns (b, f, g).
 
-    ``w`` maps parameter names to arrays; ``adj`` is None for the no-GCN
-    ablation, which propagates over the identity adjacency.
+    ``w`` maps parameter names to arrays.  The graph is built from the
+    batch's ``semantics`` at bandwidth ``t``; ``t`` is None for the no-GCN
+    ablation, which propagates over the identity.
     """
     h_sk = np.stack([_attend(f, w, "attn_sk") for f in sketch_feats])
     h_im = np.stack([_attend(f, w, "attn_im") for f in image_feats])
     fused = np.stack([_fuse(s, i, w, mode) for s, i in zip(h_sk, h_im)])
-    if adj is None:
-        prop = np.eye(len(fused))
-    else:
-        deg = adj.sum(axis=1)
-        prop = adj / np.sqrt(np.outer(deg, deg))
+    prop = np.eye(len(fused)) if t is None else naive_adjacency(semantics, t)
     hidden = np.maximum(0.0, prop @ fused @ w["gcn1.w_theta"])
     b = _sigmoid(prop @ hidden @ w["gcn2.w_theta"])
     f = _sigmoid(h_im @ w["enc_im.w"] + w["enc_im.b"])

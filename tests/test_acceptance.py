@@ -47,7 +47,7 @@ def _layer_cases(rng):
     gcn = param_group(w_theta=rng.normal(size=(3, 2)))
     hidden = rng.normal(size=(4, 3))
     sem = rng.normal(size=(4, 2))
-    a_norm = layers.normalized_adjacency(pipeline.build_adjacency(sem, 0.8))
+    a_norm = pipeline.build_adjacency(sem, 0.8)
     enc = param_group(w=rng.normal(size=(4, 3)), b=rng.normal(size=3))
     h_enc = rng.normal(size=(2, 4))
     b_probs = rng.uniform(0.15, 0.85, size=(2, 3))

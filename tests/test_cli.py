@@ -53,6 +53,12 @@ def train_workspace(paths, extra=()):
     )
 
 
+def write_split(paths, seen, unseen):
+    """Overwrite the split file with the given class ids."""
+    paths["split"].write_text("".join([f"seen\t{c}\n" for c in seen]
+                                      + [f"unseen\t{c}\n" for c in unseen]))
+
+
 def keep_seen_semantics(paths):
     """Rewrite the semantics file with the seen classes' lines only."""
     seen = {str(c) for c in load_split(paths["split"]).seen}
@@ -151,6 +157,19 @@ class TestTrain:
         assert code == 1
         assert (f"split.txt:{len(lines)}: class {unseen} is both seen and unseen"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("seen, unseen, absent", [
+        ([0, 1, 2], [3, 99], [99]),
+        ([0, 7, 1], [3, 4], [7]),
+        ([0, 1, 2], [3, 12, 10], [10, 12]),
+    ], ids=["unseen-id", "seen-id", "two-ids"])
+    def test_split_class_without_data_is_named(self, workspace, capsys, seen, unseen, absent):
+        write_split(workspace, seen, unseen)
+        assert train_workspace(workspace) == 1
+        err = capsys.readouterr().err
+        assert f"split {workspace['split']} lists classes with no items" in err
+        assert err.rstrip().endswith(f": {absent}")
+        assert not workspace["checkpoint"].exists()
 
     def test_semantics_of_seen_classes_suffice(self, workspace):
         assert train_workspace(workspace) == 0
@@ -568,6 +587,18 @@ class TestAblate:
         full = self._sweep(workspace)
         keep_seen_semantics(workspace)
         assert self._sweep(workspace) == full
+
+    def test_one_scored_unseen_class_is_refused(self, workspace, capsys):
+        # a one-class gallery makes every retrieval relevant: mAP 1.0 in every row
+        write_split(workspace, [0, 1, 2], [3])
+        out = workspace["dir"] / "ablation.tsv"
+        code = run_cli("ablate", "--sketches", workspace["sketches"],
+                       "--images", workspace["images"], "--semantics", workspace["semantics"],
+                       "--split", workspace["split"], "--out", out, *TINY)
+        assert code == 1
+        assert ("the ablation needs at least 2 unseen classes with data in both "
+                f"modalities; split {workspace['split']} gives 1") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_says_which_runs_diverged(self, workspace):
         # at lr=1e3 every setting's first update sends the next loss to inf;

@@ -1,6 +1,7 @@
 """The runtime stays numpy-only: every module of the package imports only
 the standard library, numpy and the package itself, and reads every name
-it imports."""
+it imports.  Nothing is dead either: every public module-level function
+and class of the package is read by the package or by the benchmark."""
 
 import ast
 import sys
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "zsih").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "zsih").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "zsih"}
 
 
@@ -30,6 +33,36 @@ def unused_imports(tree):
              for alias in node.names}
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(bound - read)
+
+
+def reads(tree, module):
+    """The ``(module, name)`` pairs that ``tree``, the source of ``module``,
+    reads: ``m.name`` attributes, names imported from ``m`` or ``.m``, and
+    its own bare names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            yield node.value.id, node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from ((node.module.split(".")[-1], alias.name) for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield module, node.id
+
+
+def unread_definitions(package, readers):
+    """The sorted ``module.name`` of every public module-level function and
+    class in ``package`` that no tree of ``package`` or ``readers`` reads;
+    both map a module name to its parsed tree."""
+    read = {pair for trees in (package, readers)
+            for module, tree in trees.items() for pair in reads(tree, module)}
+    return sorted(f"{module}.{node.name}" for module, tree in package.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and (module, node.name) not in read)
+
+
+def parsed(paths):
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in paths}
 
 
 def test_sources_found():
@@ -59,3 +92,24 @@ def test_an_unused_import_is_caught():
                      "from .formats import FormatError as FE, pack_header\n"
                      "x = np.zeros(layers.N)\nraise FE(os)\n")
     assert unused_imports(tree) == ["data", "pack_header"]
+
+
+def test_every_public_definition_is_read():
+    assert BENCHMARK
+    assert unread_definitions(parsed(SOURCES), parsed(BENCHMARK)) == []
+
+
+def test_an_unread_definition_is_caught():
+    package = {
+        "layers": ast.parse("def used(x):\n    return helper(x)\n\n"
+                            "def helper(x):\n    return x\n\n"
+                            "def unused(x):\n    return x\n\n"
+                            "def _private():\n    pass\n\n"
+                            "class Imported:\n    pass\n\n"
+                            "class Orphan:\n    pass\n\n"
+                            "def benched():\n    pass\n"),
+        "model": ast.parse("from . import layers\nfrom .layers import Imported\n"
+                           "unused = Orphan = 1\nlayers.used(Imported, unused, Orphan)\n"),
+    }
+    readers = {"bench": ast.parse("from zsih import layers\nlayers.benched()\n")}
+    assert unread_definitions(package, readers) == ["layers.Orphan", "layers.unused"]

@@ -163,7 +163,8 @@ def _load_records(path, modality):
 def _training_inputs(args):
     """The seen-class training view, each modality's records and the split.
     Every class the split lists must have items in a feature file, and
-    only the training classes need a semantic vector."""
+    only the training classes need a semantic vector.  Stderr notes name the
+    seen classes lacking a modality and the paired classes the split omits."""
     records = {"sketch": _load_records(args.sketches, "sketch"),
                "image": _load_records(args.images, "image")}
     split = data.load_split(args.split)
@@ -172,13 +173,23 @@ def _training_inputs(args):
     if absent:
         raise ValueError(f"split {args.split} lists classes with no items in "
                          f"{args.sketches} or {args.images}: {absent}")
-    present = np.intersect1d(records["sketch"]["class_id"], records["image"]["class_id"])
-    train_classes = [c for c in present.tolist() if c in split.seen]
+    present = np.intersect1d(records["sketch"]["class_id"],
+                             records["image"]["class_id"]).tolist()
+    one_modality = sorted(split.seen.difference(present))
+    if one_modality:
+        print(f"note: seen classes {one_modality} have items in only one of "
+              f"{args.sketches} and {args.images}; training leaves them out",
+              file=sys.stderr)
+    unlisted = sorted(set(present) - split.seen - split.unseen)
+    if unlisted:
+        print(f"note: split {args.split} does not list classes {unlisted}, "
+              "which have items in both feature files", file=sys.stderr)
+    train_classes = [c for c in present if c in split.seen]
     if not train_classes:
         raise ValueError("no seen classes with data in both modalities")
     semantics = data.load_semantics(args.semantics, train_classes, args.synonyms)
     dataset = pipeline.PairedDataset(records["sketch"], records["image"], semantics,
-                                     classes=train_classes)
+                                     train_classes)
     return dataset, records, split
 
 

@@ -87,7 +87,7 @@ def load_features(path):
 # semantic vectors
 
 
-def _text_lines(path):
+def text_lines(path):
     """The (line number, line) pairs of a UTF-8 text file; a line that is
     not UTF-8 is a FormatError naming it."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
@@ -103,7 +103,7 @@ def _text_lines(path):
 def read_semantic_file(path):
     """Parse a word-vector text file into key -> vector, last entry wins."""
     table = {}
-    for line_no, line in _text_lines(path):
+    for line_no, line in text_lines(path):
         parts = line.split()
         if not parts:
             continue
@@ -137,7 +137,7 @@ def write_semantic_file(table, path):
 def read_synonyms(path):
     """Tab-separated missing key -> substitute key mapping."""
     out = {}
-    for line_no, line in _text_lines(path):
+    for line_no, line in text_lines(path):
         line = line.rstrip("\n")
         if not line or line.startswith("#"):
             continue
@@ -210,7 +210,7 @@ def load_split(path):
     FormatError naming its second listing."""
     seed = 0
     seen, unseen = set(), set()
-    for line_no, line in _text_lines(path):
+    for line_no, line in text_lines(path):
         line = line.strip()
         if not line:
             continue

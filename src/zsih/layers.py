@@ -9,11 +9,11 @@ All of them act on a whole batch at once: feature maps are [N, L, C], every
 later activation is an [N, d] matrix with one row per item, and the
 log-likelihoods sum over all rows.
 
-The sampler and the loss layers also take K Monte-Carlo draws as a
-leading axis: the trunk's [N, M] arrays broadcast against [K, N, M] noise
-or bits, and each draw gets its own value and input gradient.  The loss
-layers' VJPs take one scalar ``g`` for every draw, as the Monte-Carlo mean
-weighs them alike.
+The sampler and the loss layers take the K Monte-Carlo draws as a leading
+axis: training passes them [K, N, M] noise or bits, even for K = 1, and
+the trunk's [N, M] arrays broadcast against it.  Each draw gets its own
+value and input gradient.  The loss layers' VJPs take one scalar ``g``
+for every draw, as the Monte-Carlo mean weighs them alike.
 
 Each layer reads plain arrays and returns one ``autodiff.Node``: its value,
 computed with numpy, and its ``vjp``, the layer's own vector-Jacobian
@@ -83,11 +83,6 @@ def draw_sum(x):
     """``x`` summed over its leading axis in index order, x[0] + x[1] + ...,
     the order in which K separate calls would add into one buffer."""
     return sum(x[1:], x[0])
-
-
-def _per_draw(x, ndim):
-    """``x`` added over its draws, if it has a draw axis before ``ndim``."""
-    return draw_sum(x) if x.ndim > ndim else x
 
 
 def _check_rows(h, w, what):
@@ -259,7 +254,7 @@ def encode_soft(h, enc):
 def stochastic_neurons(b, eps):
     """Threshold code probabilities against uniform noise: bit = [b >= eps].
 
-    ``eps`` is [N, M] like ``b``, or [K, N, M] for K draws at once.
+    ``eps`` is [K, N, M]: K draws of noise for the [N, M] ``b``.
     Backward applies the straight-through rule (identity), zeroed where
     the probability sits in the clamp region outside [PROB_EPS, 1-PROB_EPS];
     it returns one gradient of ``b`` per draw.  Probabilities rounded to
@@ -285,7 +280,7 @@ def log_q(b, b_tilde):
 
     sum_m [ b~ log b + (1 - b~) log(1 - b) ], with b clamped away from
     {0, 1} before the logs; the gradient is zero where the clamp acted.
-    [K, N, M] bits give one value and one gradient of b per draw.
+    The [K, N, M] bits give one value and one gradient of b per draw.
     """
     b_tilde = np.asarray(b_tilde, dtype=np.float64)
     if b_tilde.shape[-2:] != b.shape:
@@ -306,17 +301,16 @@ def log_p_gaussian(s, bits, dec):
     """Diagonal-Gaussian log-likelihood of semantics given sampled bits.
 
     -1/2 sum_j [ log(2 pi) + logvar_j + (s_j - mu_j)^2 / exp(logvar_j) ],
-    summed over the rows of the [N, M] bits and [N, d_s] semantics, once
-    for each draw of [K, N, M] bits.
+    summed over the N rows of the semantics [N, d_s], once for each draw of
+    the [K, N, M] bits.
     """
     s = np.asarray(s, dtype=np.float64)
     w_mu, b_mu, w_lv, b_lv = dec.w_mu, dec.b_mu, dec.w_logvar, dec.b_logvar
-    if bits.ndim not in (2, 3) or bits.shape[-1] != w_mu.shape[0]:
-        raise ValueError(f"decoder input must be [N, {w_mu.shape[0]}] or "
-                         f"[K, N, {w_mu.shape[0]}], got {bits.shape}")
+    if bits.ndim != 3 or bits.shape[-1] != w_mu.shape[0]:
+        raise ValueError(f"decoder input must be [K, N, {w_mu.shape[0]}], got {bits.shape}")
     mu = bits @ w_mu + b_mu
     logvar = bits @ w_lv + b_lv
-    if s.shape != mu.shape[-2:]:
+    if s.shape != mu.shape[1:]:
         raise ValueError(f"semantic shape {s.shape} does not match decoder output {mu.shape}")
     diff = s - mu
     resid = diff * diff
@@ -329,10 +323,10 @@ def log_p_gaussian(s, bits, dec):
         g_mu = g * inv_var * diff
         g_lv = 0.5 * (g * resid * inv_var - g)
         bits_t = bits.swapaxes(-1, -2)
-        grads.w_mu += _per_draw(bits_t @ g_mu, 2)
-        grads.b_mu += _per_draw(g_mu.sum(axis=-2), 1)
-        grads.w_logvar += _per_draw(bits_t @ g_lv, 2)
-        grads.b_logvar += _per_draw(g_lv.sum(axis=-2), 1)
+        grads.w_mu += draw_sum(bits_t @ g_mu)
+        grads.b_mu += draw_sum(g_mu.sum(axis=1))
+        grads.w_logvar += draw_sum(bits_t @ g_lv)
+        grads.b_logvar += draw_sum(g_lv.sum(axis=1))
         return (g_mu @ w_mu.T + g_lv @ w_lv.T,)
 
     return Node(value, vjp)

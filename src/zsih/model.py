@@ -21,15 +21,14 @@ MFB_FACTOR = 4
 @dataclass
 class TripletBatch:
     """Category-coherent training tuples: item i's sketch and image share
-    a label, and ``semantics[i]`` is that class's semantic vector."""
+    a class, and ``semantics[i]`` is that class's semantic vector."""
 
     sketch_feats: np.ndarray  # [N, L, C]
     image_feats: np.ndarray   # [N, L, C]
     semantics: np.ndarray     # [N, d_s]
-    labels: np.ndarray        # [N]
 
     def __len__(self):
-        return self.labels.shape[0]
+        return self.semantics.shape[0]
 
 
 def param_shapes(config, feat_channels, d_s):
@@ -206,7 +205,5 @@ def encode_features(feat_maps, attn, enc):
     """Soft codes [N, M] for N [L, C] feature maps through one modality
     encoder: the training forward's attention pooling and hash encoder,
     with no semantics and no multi-modal trunk involved."""
-    if len(feat_maps) == 0:
-        return np.zeros((0, enc.w.shape[1]))
     feats = np.asarray(feat_maps, dtype=np.float64)
     return layers.encode_soft(layers.attention_pool(feats, attn).data, enc).data

@@ -27,24 +27,17 @@ class LossBreakdown:
 
 @dataclass
 class AdamState:
-    """Adam's step count and its two moments, flat like ``params.theta``."""
+    """Adam's step count and its two moments, flat like ``params.theta``;
+    the learning rate, betas and eps_hat are read from the config."""
 
     step: int
     m: np.ndarray
     v: np.ndarray
-    lr: float
-    beta1: float
-    beta2: float
-    eps_hat: float
 
     @classmethod
-    def init(cls, params, config):
-        """Zero moments over ``params``, with the config's lr, betas and
-        eps_hat."""
-        return cls(
-            step=0, m=np.zeros_like(params.theta), v=np.zeros_like(params.theta),
-            lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps_hat=config.eps_hat,
-        )
+    def init(cls, params):
+        """Step 0 and zero moments over ``params``."""
+        return cls(step=0, m=np.zeros_like(params.theta), v=np.zeros_like(params.theta))
 
 
 # what batch_loss keeps for the reverse pass: the trunk's layer nodes, then
@@ -82,18 +75,15 @@ def batch_loss(batch, params, adj, eps_draws):
     """Total loss over a category-coherent batch: one trunk pass, then the
     sampler and the loss over all Monte-Carlo draws at once.
 
-    ``eps_draws`` is [N, M] for a single draw or [K, N, M] for K draws
-    averaged.  Each term is its per-draw values added in draw order, then
-    scaled by 1/K; the decode term is -log p, and the total sums the three.
+    ``eps_draws`` is the [K, N, M] uniform noise of K draws, averaged.  Each
+    term is its per-draw values added in draw order, then scaled by 1/K;
+    the decode term is -log p, and the total sums the three.
 
     Returns (ForwardPass, LossBreakdown).
     """
     n = len(batch)
     if n < 2:
         raise ValueError(f"batch size must be at least 2, got {n}")
-    eps_draws = np.asarray(eps_draws, dtype=np.float64)
-    if eps_draws.ndim == 2:
-        eps_draws = eps_draws[None]
 
     trunk = forward_multimodal(batch, params, adj)
     b = trunk.b.data
@@ -148,26 +138,28 @@ def estimate_gradients(loss, params):
     return params.grad.copy()
 
 
-def adam_step(params, grad, state):
-    """Standard Adam update with bias correction over the flat buffers;
-    mutates ``params.theta``, and so every weight, in place."""
+def adam_step(params, grad, state, config):
+    """Standard Adam update with bias correction over the flat buffers, with
+    the config's lr, betas and eps_hat; mutates ``params.theta``, and so
+    every weight, in place."""
     if not np.all(np.isfinite(grad)):
         bad = np.flatnonzero(~np.isfinite(grad))[0]
         raise FloatingPointError(
             f"non-finite gradient for parameter {params.name_at(bad)!r}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    beta1, beta2 = config.beta1, config.beta2
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (grad * grad)
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * (grad * grad)
     # in place over two buffers: four theta-sized temporaries at once were
     # enough for glibc to trim and regrow the heap on every step
     step, denom = m / bc1, v / bc2
-    step *= state.lr
+    step *= config.lr
     np.sqrt(denom, out=denom)
-    denom += state.eps_hat
+    denom += config.eps_hat
     params.theta -= np.divide(step, denom, out=step)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import _text_lines
+from .data import text_lines
 from .formats import (FormatError, pack_header, read_body, read_exact, read_header,
                       write_atomic)
 from .model import FUSION_MODES, TripletBatch, check_shapes, init_params, params_from_arrays
@@ -141,7 +141,7 @@ def format_config(config):
 
 
 def load_config(path):
-    entries = _config_entries(_text_lines(path), f"{path}:{{}}".format)
+    entries = _config_entries(text_lines(path), f"{path}:{{}}".format)
     return read_config(entries, ZsihConfig())
 
 
@@ -150,13 +150,12 @@ def load_config(path):
 
 
 class PairedDataset:
-    """The training view of one sketch and one image record array: each
-    modality's maps, their rows grouped by class, and one semantic row
-    per class from the class id -> vector dict ``semantics``."""
+    """The training view of one sketch and one image record array over the
+    training class ids ``classes``: each modality's maps, their rows
+    grouped by class, and one semantic row per class from the class id ->
+    vector dict ``semantics``."""
 
-    def __init__(self, sketches, images, semantics, classes=None):
-        if classes is None:
-            classes = np.union1d(sketches["class_id"], images["class_id"])
+    def __init__(self, sketches, images, semantics, classes):
         self.classes = sorted(int(c) for c in classes)
         if not self.classes:
             raise ValueError("dataset has no classes")
@@ -183,9 +182,9 @@ class PairedDataset:
         self.feat_shape = shapes[0]
 
     @classmethod
-    def from_stores(cls, sketch_store, image_store, semantics, classes=None):
+    def from_stores(cls, sketch_store, image_store, semantics, classes):
         return cls(sketch_store.records["sketch"], image_store.records["image"],
-                   semantics, classes=classes)
+                   semantics, classes)
 
     @property
     def semantic_dim(self):
@@ -204,7 +203,6 @@ def sample_batch(dataset, n_b, rng):
         sketch_feats=sketch_feats,
         image_feats=image_feats,
         semantics=dataset.semantics[picks],
-        labels=np.array(dataset.classes, dtype=np.int64)[picks],
     )
 
 
@@ -228,8 +226,9 @@ def build_adjacency(semantics, t):
 # training
 
 
-def train_step(batch, params, opt_state, adj, eps, grad_clip=0.0):
-    """One optimization step; returns the loss breakdown."""
+def train_step(batch, params, opt_state, adj, eps, config):
+    """One optimization step over the [K, N, M] noise ``eps``, with the
+    config's grad_clip and Adam settings; returns the loss breakdown."""
     loss, breakdown = batch_loss(batch, params, adj, eps)
     if not np.isfinite(breakdown.total):
         raise FloatingPointError(
@@ -239,11 +238,11 @@ def train_step(batch, params, opt_state, adj, eps, grad_clip=0.0):
             f"code_reg={breakdown.code_reg_term!r})"
         )
     grad = estimate_gradients(loss, params)
-    if grad_clip > 0.0:
+    if config.grad_clip > 0.0:
         # clip only the finite entries: adam_step's check must still see
         # an infinite one and stop the run
-        np.clip(grad, -grad_clip, grad_clip, out=grad, where=np.isfinite(grad))
-    adam_step(params, grad, opt_state)
+        np.clip(grad, -config.grad_clip, config.grad_clip, out=grad, where=np.isfinite(grad))
+    adam_step(params, grad, opt_state, config)
     return breakdown
 
 
@@ -282,8 +281,8 @@ class Checkpoint:
         return params
 
     def build_opt_state(self, params):
-        return replace(AdamState.init(params, self.config), step=self.opt_step,
-                       m=params.flatten(self.opt_m), v=params.flatten(self.opt_v))
+        return AdamState(self.opt_step, params.flatten(self.opt_m),
+                         params.flatten(self.opt_v))
 
 
 def _snapshot(config, params, opt_state, iteration, rng, stop_reason):
@@ -340,6 +339,11 @@ def train(config, dataset, metrics_out=None, resume=None):
         if replace(resume.config, max_iters=0) != replace(config, max_iters=0):
             raise ValueError("resume checkpoint config does not match")
         params = resume.build_params()
+        if (params.feat_channels, params.dec.w_mu.shape[1]) != (channels, d_s):
+            raise ValueError(
+                f"resume checkpoint takes {params.feat_channels} feature channels and "
+                f"{params.dec.w_mu.shape[1]} semantic dimensions, the training data has "
+                f"{channels} and {d_s}")
         opt_state = resume.build_opt_state(params)
         rng = np.random.Generator(np.random.PCG64())
         rng.bit_generator.state = resume.rng_state
@@ -347,7 +351,7 @@ def train(config, dataset, metrics_out=None, resume=None):
     else:
         rng = np.random.default_rng(config.seed)
         params = init_params(config, channels, d_s, rng)
-        opt_state = AdamState.init(params, config)
+        opt_state = AdamState.init(params)
         start = 0
 
     close_metrics = False
@@ -366,10 +370,7 @@ def train(config, dataset, metrics_out=None, resume=None):
             adj = build_adjacency(batch.semantics, config.t) if config.use_gcn else identity
             eps = rng.random((config.K, config.N_B, config.M))
             try:
-                breakdown = train_step(
-                    batch, params, opt_state, adj, eps,
-                    grad_clip=config.grad_clip,
-                )
+                breakdown = train_step(batch, params, opt_state, adj, eps, config)
             except FloatingPointError as err:
                 logger.error("aborting at iteration %d: %s", step, err)
                 stop_reason = "diverged"

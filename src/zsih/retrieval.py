@@ -150,13 +150,13 @@ class RetrievalReport:
     pr_raw: list = field(default_factory=list)  # (mean recall@n, mean precision@n)
 
 
-def evaluate(queries, gallery, ks=(1, 10, 100)):
+def evaluate(queries, gallery, ks):
     """Rank the gallery for every query and aggregate retrieval metrics.
 
     Every metric of a query comes from the 0-based ranks of its R hits
     (relevant gallery items).  Queries without a single relevant gallery
     item are excluded from the averages and surfaced through
-    ``excluded_queries``.
+    ``excluded_queries``.  ``ks`` lists the K of precision@K.
     """
     ranked = rank_rows(queries.codes, queries.n_bits, gallery)
     if len(queries) == 0:

@@ -136,18 +136,19 @@ def tiny_config(**overrides):
 
 def tiny_setup(seed=0, n_classes=4, per_class=3, length=2, channels=6, d_s=3,
                noise=0.1, **config_overrides):
-    """Small synthetic dataset plus matching params and a sampled batch."""
+    """Small synthetic dataset over all its classes plus matching params, a
+    sampled batch and its one draw of [1, N_B, M] noise."""
     config = tiny_config(**config_overrides)
     store, table = synth_dataset(n_classes, per_class, length, channels, d_s,
                                  noise, seed)
-    dataset = pipeline.PairedDataset.from_stores(store, store, table)
+    dataset = pipeline.PairedDataset.from_stores(store, store, table, store.classes)
     rng = np.random.default_rng(seed)
     params = model.init_params(config, channels, d_s, rng)
     batch = pipeline.sample_batch(dataset, config.N_B, rng)
     # the propagation matrix that train uses: the identity for the no-GCN ablation
     adj = (pipeline.build_adjacency(batch.semantics, config.t) if config.use_gcn
            else np.eye(config.N_B))
-    eps = rng.random((config.N_B, config.M))
+    eps = rng.random((1, config.N_B, config.M))
     return config, dataset, params, batch, adj, eps, rng
 
 

@@ -236,14 +236,13 @@ def naive_sample_batch(sketches, images, vectors, n_b, rng):
     """Draw n_b classes, then one sketch and one image of each, pair by
     pair.  ``sketches`` / ``images`` map class id -> list of [L, C] maps
     (only the training classes), ``vectors`` class id -> semantic vector.
-    Returns (sketch maps, image maps, semantics, labels)."""
+    Returns (sketch maps, image maps, semantics)."""
     classes = sorted(sketches)
     picks = rng.integers(0, len(classes), size=n_b)
-    sk, im, labels = [], [], []
+    sk, im, sem = [], [], []
     for idx in picks:
         cid = classes[idx]
         sk.append(sketches[cid][rng.integers(0, len(sketches[cid]))])
         im.append(images[cid][rng.integers(0, len(images[cid]))])
-        labels.append(cid)
-    return (np.stack(sk).astype(np.float64), np.stack(im).astype(np.float64),
-            np.stack([vectors[c] for c in labels]), np.array(labels, dtype=np.int64))
+        sem.append(vectors[cid])
+    return np.stack(sk).astype(np.float64), np.stack(im).astype(np.float64), np.stack(sem)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import (assert_grad_close, check_full_objective, check_vjp, fd_grad,
-                      param_group, tiny_setup, zero_grads)
+from conftest import (assert_grad_close, check_full_objective, check_vjp, draws_summed,
+                      fd_grad, param_group, tiny_setup, zero_grads)
 from zsih import cli, data, layers, model, objective, pipeline, retrieval
 
 
@@ -55,7 +55,7 @@ def _layer_cases(rng):
     dec = param_group(
         w_mu=rng.normal(size=(5, 3)), b_mu=rng.normal(size=3),
         w_logvar=rng.normal(size=(5, 3)) * 0.3, b_logvar=rng.normal(size=3) * 0.3)
-    dec_bits = rng.integers(0, 2, size=(2, 5)).astype(float)
+    dec_bits = rng.integers(0, 2, size=(1, 2, 5)).astype(float)
     s_rows = rng.normal(size=(2, 3))
     f_out, g_out, b_tilde = (rng.uniform(0.1, 0.9, size=(2, 3)) for _ in range(3))
     # six normals that no case uses, drawn so that every case below keeps
@@ -70,7 +70,7 @@ def _layer_cases(rng):
         (lambda: layers.graph_conv(hidden, np.eye(4), gcn, layers.relu), [hidden], gcn),
         (lambda: layers.encode_soft(h_enc, enc), [h_enc], enc),
         (lambda: layers.log_q(b_probs, bits), [b_probs], None),
-        (lambda: layers.log_p_gaussian(s_rows, dec_bits, dec), [dec_bits], dec),
+        (lambda: draws_summed(layers.log_p_gaussian(s_rows, dec_bits, dec)), [dec_bits], dec),
         (lambda: objective.code_regression(f_out, g_out, b_tilde, 3),
          [f_out, g_out, b_tilde, b_tilde], None),
     ]
@@ -86,7 +86,7 @@ def _check_stochastic_path(rng):
         w_logvar=rng.normal(size=(3, 2)) * 0.2, b_logvar=np.zeros(2))
     h = rng.normal(size=(2, 4))
     s = rng.normal(size=(2, 2))
-    eps = rng.random((2, 3))
+    eps = rng.random((1, 2, 3))
     b0 = layers.encode_soft(h, enc)
     sampled = layers.stochastic_neurons(b0.data, eps)
     offset = sampled.data - b0.data
@@ -94,11 +94,11 @@ def _check_stochastic_path(rng):
     (g_bits,) = loss.vjp(1.0, zero_grads(dec))
     (g_b,) = sampled.vjp(g_bits)
     grads = zero_grads(enc)
-    b0.vjp(g_b, grads)
+    b0.vjp(layers.draw_sum(g_b), grads)
 
     def surrogate():
         b = layers.encode_soft(h, enc)
-        return layers.log_p_gaussian(s, b.data + offset, dec).data
+        return layers.log_p_gaussian(s, b.data + offset, dec).data[0]
 
     for name, g in vars(grads).items():
         assert_grad_close(g, fd_grad(surrogate, getattr(enc, name)))
@@ -114,7 +114,7 @@ def test_criterion_1_gradient_suite():
             _check_stochastic_path(rng)
         for trial in range(100):
             _, _, params, batch, adj, eps, _ = tiny_setup(seed=2000 + trial)
-            check_full_objective(params, batch, adj, eps[None])
+            check_full_objective(params, batch, adj, eps)
         elapsed = time.monotonic() - start
         print(f"  gradient suite wall time: {elapsed:.1f}s")
         assert elapsed < 120.0
@@ -208,8 +208,7 @@ def e2e_runs():
     for seed in E2E_SEEDS:
         store, table = data.synth_dataset(seed=seed, **E2E_SYNTH)
         split = data.make_split(store.classes, 5, seed=seed)
-        dataset = pipeline.PairedDataset.from_stores(
-            store, store, table, classes=sorted(split.seen))
+        dataset = pipeline.PairedDataset.from_stores(store, store, table, sorted(split.seen))
         start = time.monotonic()
         init = model.init_params(
             pipeline.ZsihConfig(seed=seed), E2E_SYNTH["channels"],

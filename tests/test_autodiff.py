@@ -138,9 +138,9 @@ class TestElementwise:
             dec = param_group(w_mu=rng.normal(size=(3, 2)), b_mu=rng.normal(size=2),
                               w_logvar=rng.normal(size=(3, 2)) * 0.3,
                               b_logvar=rng.normal(size=2) * 0.3)
-            bits = rng.integers(0, 2, size=(4, 3)).astype(float)
+            bits = rng.integers(0, 2, size=(1, 4, 3)).astype(float)
             s = rng.normal(size=(4, 2))
-            check_vjp(lambda: layers.log_p_gaussian(s, bits, dec), [bits], dec)
+            check_vjp(lambda: draws_summed(layers.log_p_gaussian(s, bits, dec)), [bits], dec)
         else:
             check_vjp(*_regression_case(rng))
 

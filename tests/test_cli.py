@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from zsih import cli, pipeline, retrieval
+from zsih import cli, data, pipeline, retrieval
 from zsih.data import load_split
 from zsih.formats import MODALITY_CODES, pack_header
 
@@ -50,6 +50,14 @@ def train_workspace(paths, extra=()):
         "--semantics", paths["semantics"], "--split", paths["split"],
         "--checkpoint", paths["checkpoint"], "--metrics", paths["metrics"],
         *TINY, *extra,
+    )
+
+
+def ablate_workspace(paths, *extra):
+    return run_cli(
+        "ablate", "--sketches", paths["sketches"], "--images", paths["images"],
+        "--semantics", paths["semantics"], "--split", paths["split"],
+        "--out", paths["dir"] / "ablation.tsv", *TINY, *extra,
     )
 
 
@@ -170,6 +178,31 @@ class TestTrain:
         assert f"split {workspace['split']} lists classes with no items" in err
         assert err.rstrip().endswith(f": {absent}")
         assert not workspace["checkpoint"].exists()
+
+    def test_seen_class_with_one_modality_is_noted(self, workspace, capsys):
+        store = data.load_features(workspace["images"])
+        images = store.records["image"]
+        data.save_features(data.FeatureStore({"image": images[images["class_id"] != 5]}),
+                           workspace["images"], "image")
+        write_split(workspace, [0, 1, 2, 5], [3, 4])
+        assert train_workspace(workspace) == 0
+        out, err = capsys.readouterr()
+        assert err == ("note: seen classes [5] have items in only one of "
+                       f"{workspace['sketches']} and {workspace['images']}; "
+                       "training leaves them out\n")
+        assert "over 3 seen classes" in out
+
+    @pytest.mark.parametrize("verb", ["train", "ablate"])
+    @pytest.mark.parametrize("seen, omitted", [([0, 1, 2, 5], None), ([0, 1], [2, 5])],
+                             ids=["every-class", "two-omitted"])
+    def test_classes_the_split_leaves_out_are_noted(self, workspace, capsys, verb,
+                                                     seen, omitted):
+        write_split(workspace, seen, [3, 4])
+        run = train_workspace if verb == "train" else ablate_workspace
+        assert run(workspace) == 0
+        assert capsys.readouterr().err == ("" if omitted is None else (
+            f"note: split {workspace['split']} does not list classes {omitted}, "
+            "which have items in both feature files\n"))
 
     def test_semantics_of_seen_classes_suffice(self, workspace):
         assert train_workspace(workspace) == 0
@@ -353,6 +386,38 @@ class TestTrain:
         assert code == 1
         err = capsys.readouterr().err
         assert f"error: {workspace['metrics']}:2:" in err and "Traceback" not in err
+
+    def test_resume_against_semantics_of_another_dimension_names_both(
+            self, workspace, capsys):
+        assert train_workspace(workspace) == 0
+        logged = workspace["metrics"].read_bytes()
+        data.write_semantic_file({c: np.ones(7) for c in range(6)}, workspace["semantics"])
+        code = train_workspace(
+            workspace, extra=["--set", "max_iters=8", "--resume", workspace["checkpoint"]])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: resume checkpoint takes 8 feature channels and 4 semantic dimensions, "
+            "the training data has 8 and 7\n")
+        assert workspace["metrics"].read_bytes() == logged
+
+    def test_resume_against_features_of_another_width_names_both(
+            self, workspace, capsys):
+        assert train_workspace(workspace) == 0
+        logged = workspace["metrics"].read_bytes()
+        other = workspace["dir"] / "narrow"
+        assert run_cli(
+            "synth", "--classes", 6, "--per-class", 4, "--locations", 2,
+            "--channels", 6, "--semantic-dim", 4, "--seed", 3,
+            "--sketches", f"{other}.sk", "--images", f"{other}.im",
+            "--semantics", f"{other}.txt") == 0
+        paths = dict(workspace, sketches=f"{other}.sk", images=f"{other}.im")
+        code = train_workspace(
+            paths, extra=["--set", "max_iters=8", "--resume", workspace["checkpoint"]])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: resume checkpoint takes 8 feature channels and 4 semantic dimensions, "
+            "the training data has 6 and 4\n")
+        assert workspace["metrics"].read_bytes() == logged
 
     def test_resume_appends_metrics(self, workspace):
         assert train_workspace(workspace) == 0
@@ -563,15 +628,8 @@ class TestRetrieveAndEval:
 class TestAblate:
     def _sweep(self, workspace, *extra):
         """Run the sweep and return its header and its rows, split."""
-        out = workspace["dir"] / "ablation.tsv"
-        code = run_cli(
-            "ablate", "--sketches", workspace["sketches"],
-            "--images", workspace["images"],
-            "--semantics", workspace["semantics"],
-            "--split", workspace["split"], "--out", out, *TINY, *extra,
-        )
-        assert code == 0
-        lines = out.read_text().strip().splitlines()
+        assert ablate_workspace(workspace, *extra) == 0
+        lines = (workspace["dir"] / "ablation.tsv").read_text().strip().splitlines()
         return lines[0], [line.split("\t") for line in lines[1:]]
 
     def test_sweep_emits_one_map_per_setting(self, workspace):
@@ -591,14 +649,10 @@ class TestAblate:
     def test_one_scored_unseen_class_is_refused(self, workspace, capsys):
         # a one-class gallery makes every retrieval relevant: mAP 1.0 in every row
         write_split(workspace, [0, 1, 2], [3])
-        out = workspace["dir"] / "ablation.tsv"
-        code = run_cli("ablate", "--sketches", workspace["sketches"],
-                       "--images", workspace["images"], "--semantics", workspace["semantics"],
-                       "--split", workspace["split"], "--out", out, *TINY)
-        assert code == 1
+        assert ablate_workspace(workspace) == 1
         assert ("the ablation needs at least 2 unseen classes with data in both "
                 f"modalities; split {workspace['split']} gives 1") in capsys.readouterr().err
-        assert not out.exists()
+        assert not (workspace["dir"] / "ablation.tsv").exists()
 
     def test_sweep_says_which_runs_diverged(self, workspace):
         # at lr=1e3 every setting's first update sends the next loss to inf;

@@ -132,7 +132,7 @@ class TestFeatureFiles:
             "image": np.array([(1, 0, rng.normal(size=(2, 4)))], dtype=feature_dtype(2, 4)),
         })
         with pytest.raises(ValueError, match="inconsistent feature shape"):
-            pipeline.PairedDataset.from_stores(store, store, {0: np.zeros(3)})
+            pipeline.PairedDataset.from_stores(store, store, {0: np.zeros(3)}, [0])
 
     def test_modality_items_is_a_per_item_view(self, rng):
         store = random_store(rng, n_classes=2, per_class=3)
@@ -195,7 +195,7 @@ def _write_pr_dump(path, seed):
     rng = np.random.default_rng(seed)
     codes = retrieval.CodeMatrix(rng.integers(0, 256, size=(6, 1), dtype=np.uint8),
                                  np.arange(6) % 2, 8)
-    retrieval.write_pr_dump(retrieval.evaluate(codes, codes), path)
+    retrieval.write_pr_dump(retrieval.evaluate(codes, codes, ks=(1, 10, 100)), path)
 
 
 class TestAtomicWrites:

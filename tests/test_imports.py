@@ -1,7 +1,8 @@
 """The runtime stays numpy-only: every module of the package imports only
 the standard library, numpy and the package itself, and reads every name
 it imports.  Nothing is dead either: every public module-level function
-and class of the package is read by the package or by the benchmark."""
+and class of the package is read by the package or by the benchmark.
+No module reaches into another's private (underscored) names."""
 
 import ast
 import sys
@@ -33,6 +34,26 @@ def unused_imports(tree):
              for alias in node.names}
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(bound - read)
+
+
+def private_imports(tree):
+    """The sorted ``module.name`` of every underscored name that ``tree``
+    takes from another module of the package: ``from .m import _x``, or
+    ``m._x`` on a module bound by ``from . import m``."""
+    modules, found = {}, set()   # bound name -> module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "zsih"
+                                                 or node.module.startswith("zsih.")):
+            for alias in node.names:
+                if node.module in (None, "zsih"):
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.add(f"{node.module.split('.')[-1]}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            found.add(f"{modules[node.value.id]}.{node.attr}")
+    return sorted(found)
 
 
 def reads(tree, module):
@@ -92,6 +113,22 @@ def test_an_unused_import_is_caught():
                      "from .formats import FormatError as FE, pack_header\n"
                      "x = np.zeros(layers.N)\nraise FE(os)\n")
     assert unused_imports(tree) == ["data", "pack_header"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_a_private_name(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert private_imports(tree) == []
+
+
+def test_a_private_import_is_caught():
+    tree = ast.parse("from . import data, layers as L\nfrom .formats import _pack, pack\n"
+                     "from zsih.model import _init\nfrom numpy import _core\n"
+                     "import zsih\n"
+                     "def _own():\n    pass\n"
+                     "x = data._text_lines(L.relu, L._per_draw, np._x, _own, pack)\n")
+    assert private_imports(tree) == ["data._text_lines", "formats._pack", "layers._per_draw",
+                                     "model._init"]
 
 
 def test_every_public_definition_is_read():

@@ -378,26 +378,26 @@ class TestLogPGaussian:
             w_mu=np.zeros((3, d_s)), b_mu=s[0].copy(),
             w_logvar=np.zeros((3, d_s)), b_logvar=np.zeros(d_s),
         )
-        out = layers.log_p_gaussian(s, np.ones((1, 3)), dec)
-        assert abs(out.data + 0.5 * d_s * math.log(2 * math.pi)) < 1e-12
+        out = layers.log_p_gaussian(s, np.ones((1, 1, 3)), dec)
+        assert abs(out.data[0] + 0.5 * d_s * math.log(2 * math.pi)) < 1e-12
 
     def test_scalar_miniature(self):
         dec = param_group(
             w_mu=np.zeros((2, 1)), b_mu=np.array([1.0]),
             w_logvar=np.zeros((2, 1)), b_logvar=np.array([0.0]),
         )
-        out = layers.log_p_gaussian(np.array([[0.0]]), np.ones((1, 2)), dec)
+        out = layers.log_p_gaussian(np.array([[0.0]]), np.ones((1, 1, 2)), dec)
         expected = -0.5 * (math.log(2 * math.pi) + 1.0)
-        assert abs(out.data - expected) < 1e-12
-        assert abs(out.data + 1.41894) < 1e-5
+        assert abs(out.data[0] - expected) < 1e-12
+        assert abs(out.data[0] + 1.41894) < 1e-5
 
     def test_monotone_in_residual(self):
         dec = param_group(
             w_mu=np.zeros((2, 1)), b_mu=np.array([0.0]),
             w_logvar=np.zeros((2, 1)), b_logvar=np.array([0.0]),
         )
-        bits = np.ones((1, 2))
-        values = [layers.log_p_gaussian(np.array([[mu_gap]]), bits, dec).data
+        bits = np.ones((1, 1, 2))
+        values = [layers.log_p_gaussian(np.array([[mu_gap]]), bits, dec).data[0]
                   for mu_gap in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -407,7 +407,7 @@ class TestLogPGaussian:
             w_logvar=rng.normal(size=(2, 3)), b_logvar=np.zeros(3),
         )
         with pytest.raises(ValueError, match="semantic shape"):
-            layers.log_p_gaussian(np.zeros((1, 2)), np.ones((1, 2)), dec)
+            layers.log_p_gaussian(np.zeros((1, 2)), np.ones((1, 1, 2)), dec)
 
     def test_gradients_match_fd(self, rng):
         dec = param_group(
@@ -415,8 +415,8 @@ class TestLogPGaussian:
             w_logvar=rng.normal(size=(4, 3)) * 0.3, b_logvar=rng.normal(size=3) * 0.3,
         )
         s = rng.normal(size=(2, 3))
-        bits = rng.integers(0, 2, size=(2, 4)).astype(float)
-        check_vjp(lambda: layers.log_p_gaussian(s, bits, dec), [bits], dec)
+        bits = rng.integers(0, 2, size=(1, 2, 4)).astype(float)
+        check_vjp(lambda: draws_summed(layers.log_p_gaussian(s, bits, dec)), [bits], dec)
 
 
 class TestStraightThroughPath:
@@ -430,7 +430,7 @@ class TestStraightThroughPath:
         )
         h = rng.normal(size=(1, 5))
         s = rng.normal(size=(1, 3))
-        eps = rng.random((1, 4))
+        eps = rng.random((1, 1, 4))
 
         b0 = layers.encode_soft(h, enc)
         bits = layers.stochastic_neurons(b0.data, eps)
@@ -441,11 +441,11 @@ class TestStraightThroughPath:
         (g_bits,) = loss.vjp(1.0, zero_grads(dec))
         (g_b,) = bits.vjp(g_bits)
         grads = zero_grads(enc)
-        b0.vjp(g_b, grads)
+        b0.vjp(layers.draw_sum(g_b), grads)
 
         def surrogate():
             b = layers.encode_soft(h, enc)
-            return layers.log_p_gaussian(s, b.data + offset, dec).data
+            return layers.log_p_gaussian(s, b.data + offset, dec).data[0]
 
         assert_grad_close(grads.w, fd_grad(surrogate, enc.w))
         assert_grad_close(grads.b, fd_grad(surrogate, enc.b))
@@ -455,7 +455,7 @@ class TestDrawAxis:
     """The sampler and the three loss layers take K Monte-Carlo draws as a
     leading axis: the trunk's [N, M] arrays broadcast against [K, N, M]
     noise or bits, and each draw gets the same bits that a separate
-    [N, M] call gives it."""
+    one-draw call gives it."""
 
     N, M, D_S = 4, 5, 3
 
@@ -510,12 +510,15 @@ class TestDrawAxis:
         dec = self._decoder(rng)
         s = rng.normal(size=(self.N, self.D_S))
         out = layers.log_p_gaussian(s, bits, dec)
-        singles = [layers.log_p_gaussian(s, bits[k], dec) for k in range(draws)]
-        self._assert_values(out, singles)
+        singles = [layers.log_p_gaussian(s, bits[k:k + 1], dec) for k in range(draws)]
+        assert out.data.shape == (draws,)
+        for value, one in zip(out.data, singles):
+            assert one.data.shape == (1,)
+            assert value == one.data[0]
         grads, separate = zero_grads(dec), zero_grads(dec)
         (g_bits,) = out.vjp(-0.37, grads)
         for k, one in enumerate(singles):
-            np.testing.assert_array_equal(g_bits[k], one.vjp(-0.37, separate)[0])
+            np.testing.assert_array_equal(g_bits[k], one.vjp(-0.37, separate)[0][0])
         for name, g_w in vars(grads).items():
             np.testing.assert_array_equal(g_w, getattr(separate, name))
 
@@ -549,5 +552,6 @@ class TestDrawAxis:
         dec = self._decoder(rng)
         with pytest.raises(ValueError, match="semantic shape"):
             layers.log_p_gaussian(np.zeros((self.N + 1, self.D_S)), bits, dec)
-        with pytest.raises(ValueError, match="decoder input"):
-            layers.log_p_gaussian(np.zeros((self.N, self.D_S)), bits[None], dec)
+        for rank in (bits[0], bits[None]):
+            with pytest.raises(ValueError, match="decoder input"):
+                layers.log_p_gaussian(np.zeros((self.N, self.D_S)), rank, dec)

@@ -11,10 +11,11 @@ from zsih.objective import AdamState, adam_step, batch_loss, estimate_gradients
 
 
 def _terms(b, bits, f_out, g_out, s, dec, m_bits):
-    """One draw's three loss terms as ``batch_loss`` adds them: log q,
-    -log p and the code regression."""
-    return (layers.log_q(b, bits).data, -layers.log_p_gaussian(s, bits, dec).data,
-            objective.code_regression(f_out, g_out, bits, m_bits).data)
+    """One draw's three loss terms as ``batch_loss`` adds them, for its
+    [N, M] ``bits``: log q, -log p and the code regression."""
+    draw = bits[None]
+    return (layers.log_q(b, draw).data[0], -layers.log_p_gaussian(s, draw, dec).data[0],
+            objective.code_regression(f_out, g_out, draw, m_bits).data[0])
 
 
 class TestBatchLoss:
@@ -37,7 +38,7 @@ class TestBatchLoss:
         for enc in (params.enc_im, params.enc_sk):
             enc.w[...] = 0.0
             enc.b[...] = 0.0
-        eps = np.full((config.N_B, config.M), 0.25)  # all bits sample to 1
+        eps = np.full((1, config.N_B, config.M), 0.25)  # all bits sample to 1
         _, bd = batch_loss(batch, params, adj, eps)
         # per item and encoder: |0.5 - 1|^2 summed over M, scaled by 1/(2M)
         assert abs(bd.code_reg_term - config.N_B * 0.25) < 1e-12
@@ -45,7 +46,7 @@ class TestBatchLoss:
     def test_regularizer_vanishes_when_encoders_hit_bits(self, rng):
         m = 4
         bits = rng.integers(0, 2, size=(2, m)).astype(float)
-        assert objective.code_regression(bits, bits, bits, m).data == 0.0
+        assert objective.code_regression(bits, bits, bits[None], m).data.tolist() == [0.0]
 
     def test_single_item_miniature_composes_layer_oracles(self, rng):
         # one item, M=1: total term values equal the hand-summed scalars
@@ -89,9 +90,8 @@ class TestBatchLoss:
         batch.sketch_feats = batch.sketch_feats[:1]
         batch.image_feats = batch.image_feats[:1]
         batch.semantics = batch.semantics[:1]
-        batch.labels = batch.labels[:1]
         with pytest.raises(ValueError, match="at least 2"):
-            batch_loss(batch, params, adj[:1, :1], eps[:1])
+            batch_loss(batch, params, adj[:1, :1], eps[:, :1])
 
     @pytest.mark.parametrize("draws", [1, 2, 3])
     def test_one_node_per_layer(self, monkeypatch, draws):
@@ -107,7 +107,7 @@ class TestBatchLoss:
             init(node, *args, **kwargs)
 
         monkeypatch.setattr(Node, "__init__", counting_init)
-        loss, _ = batch_loss(batch, params, adj, np.stack([eps] * draws))
+        loss, _ = batch_loss(batch, params, adj, np.repeat(eps, draws, axis=0))
         estimate_gradients(loss, params)
         assert len(built) == 11
 
@@ -132,7 +132,7 @@ class TestBatchLoss:
     def test_multi_draw_average_of_identical_draws(self):
         config, _, params, batch, adj, eps, _ = tiny_setup()
         _, bd1 = batch_loss(batch, params, adj, eps)
-        stacked = np.stack([eps, eps])
+        stacked = np.concatenate([eps, eps])
         _, bd2 = batch_loss(batch, params, adj, stacked)
         assert bd1.total == bd2.total
 
@@ -167,7 +167,7 @@ class TestEstimateGradients:
         _, _, params, batch, adj, eps, _ = tiny_setup()
         loss, _ = batch_loss(batch, params, adj, eps)
         one = estimate_gradients(loss, params)
-        loss, _ = batch_loss(batch, params, adj, np.stack([eps] * 3))
+        loss, _ = batch_loss(batch, params, adj, np.repeat(eps, 3, axis=0))
         np.testing.assert_allclose(estimate_gradients(loss, params), one,
                                    rtol=1e-12, atol=1e-15)
 
@@ -177,37 +177,34 @@ class TestEstimateGradients:
         surrogate, for every parameter group, at one and at two draws."""
         config, _, params, batch, adj, eps, rng = tiny_setup()
         more = rng.random((draws - 1, config.N_B, config.M))
-        check_full_objective(params, batch, adj, np.concatenate([eps[None], more]))
+        check_full_objective(params, batch, adj, np.concatenate([eps, more]))
 
 
 class TestAdam:
     def _params_and_state(self, rng):
         config, _, params, _, _, _, _ = tiny_setup(lr=0.01)
-        state = AdamState.init(params, config)
-        return params, state
+        return config, params, AdamState.init(params)
 
-    def test_init_reads_the_config(self):
-        config, _, params, _, _, _, _ = tiny_setup(lr=0.02, beta1=0.8, beta2=0.99,
-                                                   eps_hat=1e-6)
-        state = AdamState.init(params, config)
-        assert (state.step, state.lr, state.beta1, state.beta2, state.eps_hat) == (
-            0, 0.02, 0.8, 0.99, 1e-6)
+    def test_init_zeroes_the_step_and_moments(self):
+        _, _, params, _, _, _, _ = tiny_setup()
+        state = AdamState.init(params)
+        assert state.step == 0
         for moment in (state.m, state.v):
             np.testing.assert_array_equal(moment, np.zeros_like(params.theta))
 
     def test_zero_gradient_leaves_params_unchanged(self, rng):
-        params, state = self._params_and_state(rng)
+        config, params, state = self._params_and_state(rng)
         before = params.theta.copy()
-        adam_step(params, np.zeros_like(params.theta), state)
+        adam_step(params, np.zeros_like(params.theta), state, config)
         np.testing.assert_array_equal(params.theta, before)
         assert state.step == 1
 
     def test_first_step_is_normalized_gradient_direction(self, rng):
-        params, state = self._params_and_state(rng)
+        config, params, state = self._params_and_state(rng)
         g = rng.normal(size=params.theta.shape)
         before = params.theta.copy()
-        adam_step(params, g, state)
-        expected = before - state.lr * g / (np.abs(g) + state.eps_hat)
+        adam_step(params, g, state, config)
+        expected = before - config.lr * g / (np.abs(g) + config.eps_hat)
         np.testing.assert_allclose(params.theta, expected, rtol=1e-9, atol=1e-12)
         # every weight is a view into theta, so it moved with it
         for name, view in params.split(expected).items():
@@ -218,31 +215,32 @@ class TestAdam:
     def test_quadratic_bowl_descends_monotonically(self):
         # sum(theta^2), whose gradient is 2 theta
         holder = SimpleNamespace(theta=np.full(6, 2.0))
-        state = AdamState.init(holder, tiny_config(lr=0.01))
+        config = tiny_config(lr=0.01)
+        state = AdamState.init(holder)
         losses = []
         for _ in range(100):
             losses.append(float(np.sum(holder.theta ** 2)))
-            adam_step(holder, 2.0 * holder.theta, state)
+            adam_step(holder, 2.0 * holder.theta, state, config)
         losses.append(float(np.sum(holder.theta ** 2)))
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
     def test_non_finite_gradient_aborts(self, rng):
-        params, state = self._params_and_state(rng)
+        config, params, state = self._params_and_state(rng)
         grad = np.zeros_like(params.theta)
         params.split(grad)["gcn1.w_theta"][0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="gcn1.w_theta"):
-            adam_step(params, grad, state)
+            adam_step(params, grad, state, config)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_names_its_weight_at_both_ends(self, rng, value):
-        params, state = self._params_and_state(rng)
+        config, params, state = self._params_and_state(rng)
         before = params.theta.copy()
         for name in params.shapes:
             for end in (0, -1):
                 grad = np.zeros_like(params.theta)
                 params.split(grad)[name].reshape(-1)[end] = value
                 with pytest.raises(FloatingPointError, match=f"'{name}'"):
-                    adam_step(params, grad, state)
+                    adam_step(params, grad, state, config)
         assert state.step == 0
         np.testing.assert_array_equal(params.theta, before)
 
@@ -251,18 +249,19 @@ class TestAdam:
     def test_flat_update_equals_per_name_reference(self, mode, grad_clip):
         """train_step's one update over the flat buffers gives the same
         bits as Adam run weight by weight on per-name arrays."""
-        config, dataset, params, _, _, _, rng = tiny_setup(fusion_mode=mode, lr=0.05)
+        config, dataset, params, _, _, _, rng = tiny_setup(fusion_mode=mode, lr=0.05,
+                                                           grad_clip=grad_clip)
         ref_params = model.params_from_arrays(config, params.split(params.theta))
-        state = AdamState.init(params, config)
+        state = AdamState.init(params)
         ref = ref_params.split(ref_params.theta)
         ref_m = {name: np.zeros(shape) for name, shape in params.shapes.items()}
         ref_v = {name: np.zeros(shape) for name, shape in params.shapes.items()}
-        b1, b2, lr, eps_hat = state.beta1, state.beta2, state.lr, state.eps_hat
+        b1, b2, lr, eps_hat = config.beta1, config.beta2, config.lr, config.eps_hat
         clipped = False
         for t in range(1, 7):
             batch = pipeline.sample_batch(dataset, config.N_B, rng)
             adj = pipeline.build_adjacency(batch.semantics, config.t)
-            eps = rng.random((config.N_B, config.M))
+            eps = rng.random((1, config.N_B, config.M))
             loss, _ = batch_loss(batch, ref_params, adj, eps)
             grads = ref_params.split(estimate_gradients(loss, ref_params))
             for name, g in grads.items():
@@ -276,7 +275,7 @@ class TestAdam:
                 v += (1.0 - b2) * (g * g)
                 ref[name] -= lr * (m / (1.0 - b1 ** t)) / (
                     np.sqrt(v / (1.0 - b2 ** t)) + eps_hat)
-            pipeline.train_step(batch, params, state, adj, eps, grad_clip=grad_clip)
+            pipeline.train_step(batch, params, state, adj, eps, config)
             for name, weight in params.split(params.theta).items():
                 np.testing.assert_array_equal(weight, ref[name])
                 np.testing.assert_array_equal(params.split(state.m)[name], ref_m[name])
@@ -292,15 +291,15 @@ class TestToyDescent:
                 seed=seed, n_classes=2, per_class=4, length=1, channels=6,
                 d_s=3, N_B=8, M=8, d_f=3, gcn_hidden=4,
             )
-            state = AdamState.init(params, config)
+            state = AdamState.init(params)
             first = last = None
             for _ in range(300):
                 batch = pipeline.sample_batch(dataset, config.N_B, rng)
                 adj = pipeline.build_adjacency(batch.semantics, config.t)
-                eps = rng.random((config.N_B, config.M))
+                eps = rng.random((1, config.N_B, config.M))
                 loss, bd = batch_loss(batch, params, adj, eps)
                 grads = estimate_gradients(loss, params)
-                adam_step(params, grads, state)
+                adam_step(params, grads, state, config)
                 if first is None:
                     first = bd.total
                 last = bd.total

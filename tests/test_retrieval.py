@@ -282,7 +282,7 @@ class TestEvaluate:
         queries = CodeMatrix(pack_bits(q_bits), np.full(3, 7, dtype=np.uint32),
                              8, "sketch")
         with pytest.raises(ValueError, match="every query lacked"):
-            evaluate(queries, gallery)
+            evaluate(queries, gallery, ks=(1,))
 
     def test_gallery_permutation_invariance_for_unique_distances(self, rng):
         m = 24
@@ -338,7 +338,7 @@ class TestEvaluate:
         gallery = CodeMatrix(np.zeros((0, 1), dtype=np.uint8),
                              np.zeros(0, dtype=np.uint32), 8, "image")
         with pytest.raises(ValueError, match="empty gallery"):
-            evaluate(queries, gallery)
+            evaluate(queries, gallery, ks=(1,))
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_precision_at_k_below_one_rejected(self, rng, k):
@@ -350,7 +350,7 @@ class TestEvaluate:
         queries, _ = random_code_matrix(rng, 2, 8, 2)
         gallery, _ = random_code_matrix(rng, 2, 16, 2)
         with pytest.raises(ValueError, match="8.*16"):
-            evaluate(queries, gallery)
+            evaluate(queries, gallery, ks=(1,))
 
     def test_report_format(self, rng, tmp_path):
         gallery, bits = random_code_matrix(rng, 12, 8, 2)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import data, model, pipeline, retrieval
-from .formats import write_atomic
+from .formats import FormatError, write_atomic
 
 logger = logging.getLogger("zsih.cli")
 
@@ -153,10 +153,17 @@ def run_split(args, parser):
 
 
 def _load_records(path, modality):
-    """The ``modality`` records of a ZSFT file, which must hold some."""
+    """The ``modality`` records of a ZSFT file, which must hold some, all
+    finite."""
     records = data.load_features(path).records[modality]
     if not len(records):
         raise ValueError(f"feature file {path} holds no {modality} items (modality mismatch)")
+    # a float64 sum of float32 values cannot overflow, so an item's sum is
+    # finite exactly when all its values are, with no full-size mask
+    finite = np.isfinite(records["feat"].sum(axis=(1, 2), dtype=np.float64))
+    if not finite.all():
+        item = records["item_id"][finite.argmin()]
+        raise FormatError(f"feature file {path} holds a non-finite value in item {item}")
     return records
 
 

@@ -1,7 +1,6 @@
 """Hamming-space retrieval: code binarization, bit-packed linear scan and
 the mAP / precision@K / precision-recall evaluation protocol."""
 
-import io
 import struct
 from dataclasses import dataclass, field
 
@@ -157,6 +156,13 @@ def evaluate(queries, gallery, ks):
     (relevant gallery items).  Queries without a single relevant gallery
     item are excluded from the averages and surfaced through
     ``excluded_queries``.  ``ks`` lists the K of precision@K.
+
+    The raw per-rank curve is built once, after the loop, from integer
+    counts: each query adds its hit ranks into the rank histogram of its
+    R.  The precision at rank n is the hits of all histograms up to n,
+    over n + 1 and over the evaluated queries; the recall adds, over R
+    ascending, the hits of R's histogram up to n over R, then divides by
+    the evaluated queries.
     """
     ranked = rank_rows(queries.codes, queries.n_bits, gallery)
     if len(queries) == 0:
@@ -166,13 +172,10 @@ def evaluate(queries, gallery, ks):
         raise ValueError(f"precision@K needs K >= 1, got K = {ks[0]}")
     n = len(gallery)
     ranks = np.arange(1, n + 1, dtype=np.float64)
-    hit_counts = np.arange(n + 1, dtype=np.float64)
-    bounds = np.zeros(n + 2, dtype=np.intp)
     aps = []
     p_sum = {k: 0.0 for k in ks}
     level_sum = np.zeros(RECALL_LEVELS.size)
-    raw_prec_sum = np.zeros(n)
-    raw_rec_sum = np.zeros(n)
+    hits_by_r = {}   # R -> hits per rank over the queries with R hits
     excluded = 0
     for (_, order), label in zip(ranked, queries.labels):
         hit0 = (gallery.labels == label)[order].nonzero()[0]
@@ -184,31 +187,34 @@ def evaluate(queries, gallery, ks):
         aps.append(ap)
         for k, hits in zip(ks, hit0.searchsorted(ks)):
             p_sum[k] += float(hits) / k
-        recall = hit_counts[:r_total + 1] / r_total   # after 0..R hits
         # precision only falls between hits, so the interpolated precision at
         # a hit is the largest precision at it or a later hit; the first rank
-        # to reach a recall level is a hit
+        # to reach a recall level is a hit, and the h-th hit reaches h / R
         interp = np.maximum.accumulate(hit_prec[::-1])[::-1]
-        level_sum += interp[recall[1:].searchsorted(RECALL_LEVELS)]
-        # ranks hit0[h-1] up to the next hit have seen h hits
-        bounds[1:r_total + 1] = hit0
-        bounds[r_total + 1] = n
-        run = bounds[1:r_total + 2] - bounds[:r_total + 1]
-        cum = hit_counts[:r_total + 1].repeat(run)
-        raw_prec_sum += np.divide(cum, ranks, out=cum)
-        raw_rec_sum += recall.repeat(run)
+        level_sum += interp[(ranks[:r_total] / r_total).searchsorted(RECALL_LEVELS)]
+        # a query's hit ranks are distinct, so one fancy add counts them
+        counts = hits_by_r.get(r_total)
+        if counts is None:
+            counts = hits_by_r[r_total] = np.zeros(n, dtype=np.intp)
+        counts[hit0] += 1
     if not aps:
         raise ValueError("every query lacked relevant gallery items")
     per_query_ap = np.array(aps)
     n_eval = len(aps)
+    hits_seen = np.zeros(n, dtype=np.intp)
+    raw_rec = np.zeros(n)
+    for r_total in sorted(hits_by_r):
+        cum = hits_by_r[r_total].cumsum()
+        hits_seen += cum
+        raw_rec += cum / r_total
     return RetrievalReport(
         map_all=float(np.mean(per_query_ap)),
         precision_at={k: p_sum[k] / n_eval for k in ks},
         pr_curve=list(zip(RECALL_LEVELS.tolist(), (level_sum / n_eval).tolist())),
         per_query_ap=per_query_ap,
         excluded_queries=excluded,
-        pr_raw=list(zip((raw_rec_sum / n_eval).tolist(),
-                        (raw_prec_sum / n_eval).tolist())),
+        pr_raw=list(zip((raw_rec / n_eval).tolist(),
+                        (hits_seen / ranks / n_eval).tolist())),
     )
 
 
@@ -225,14 +231,12 @@ def format_report(report):
 
 def write_pr_dump(report, path):
     """Tab-separated P-R points: interpolated 11-level curve plus the raw
-    per-rank averages."""
-    with (write_atomic(path) as raw,
-          io.TextIOWrapper(raw, encoding="utf-8") as f):
-        f.write("kind\trecall\tprecision\n")
-        for recall, precision in report.pr_curve:
-            f.write(f"interp\t{recall!r}\t{precision!r}\n")
-        for recall, precision in report.pr_raw:
-            f.write(f"raw\t{recall!r}\t{precision!r}\n")
+    per-rank averages, joined and written at once."""
+    lines = ["kind\trecall\tprecision\n"]
+    lines += [f"interp\t{r!r}\t{p!r}\n" for r, p in report.pr_curve]
+    lines += [f"raw\t{r!r}\t{p!r}\n" for r, p in report.pr_raw]
+    with write_atomic(path) as f:
+        f.write("".join(lines).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

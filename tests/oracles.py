@@ -8,7 +8,9 @@ layers' kernels must equal bit for bit.  The synthetic data generator
 draws one map at a time, and the batch sampler one pair at a time from
 per-class lists.  For retrieval, distances are computed on unpacked bits,
 rankings by explicit keyed sort, and the metric accumulations mirror the
-production order so agreement can be asserted exactly."""
+production order so agreement can be asserted exactly: AP, precision@K and
+the interpolated curve add per-query floats query by query, and the raw
+per-rank curve divides integer hit counts, grouped by R, once at the end."""
 
 import numpy as np
 
@@ -36,7 +38,12 @@ def naive_average_precision(ranked_labels, query_label):
 
 def naive_evaluate(query_bits, query_labels, gallery_bits, gallery_labels, ks):
     """Full-protocol reference: unpacked-bit distances, keyed-sort ranking,
-    loop-accumulated AP, precision@K and interpolated P-R."""
+    loop-accumulated AP, precision@K and interpolated P-R.  The raw curve
+    counts, per R, the queries with R hits that hit each rank; after the
+    loop the precision at a rank is the running total of every count over
+    rank + 1 and over the evaluated queries, and the recall adds, R by R
+    ascending, the running total of R's counts over R, then divides by the
+    evaluated queries."""
     query_bits = np.asarray(query_bits)
     gallery_bits = np.asarray(gallery_bits)
     ks = sorted(set(int(k) for k in ks))
@@ -44,8 +51,7 @@ def naive_evaluate(query_bits, query_labels, gallery_bits, gallery_labels, ks):
     aps = []
     p_sum = {k: 0.0 for k in ks}
     level_sum = np.zeros(RECALL_LEVELS.size)
-    raw_prec_sum = np.zeros(n)
-    raw_rec_sum = np.zeros(n)
+    hits_by_r = {}   # R -> [queries with R hits that hit rank 0, rank 1, ...]
     excluded = 0
     for qi in range(query_bits.shape[0]):
         dists = (gallery_bits != query_bits[qi][None, :]).sum(axis=1)
@@ -59,10 +65,12 @@ def naive_evaluate(query_bits, query_labels, gallery_bits, gallery_labels, ks):
         aps.append(naive_average_precision(ranked, query_labels[qi]))
         prec_at = np.empty(n)
         recall_at = np.empty(n)
+        counts = hits_by_r.setdefault(r_total, [0] * n)
         hits = 0
         for rank0 in range(n):
             if rel[rank0]:
                 hits += 1
+                counts[rank0] += 1
             prec_at[rank0] = hits / (rank0 + 1.0)
             recall_at[rank0] = hits / r_total
         for k in ks:
@@ -80,16 +88,24 @@ def naive_evaluate(query_bits, query_labels, gallery_bits, gallery_labels, ks):
             while recall_at[pos] < level:
                 pos += 1
             level_sum[li] += interp[pos]
-        raw_prec_sum += prec_at
-        raw_rec_sum += recall_at
     n_eval = len(aps)
+    raw_prec, raw_rec = [], []
+    hits_seen = 0
+    seen_by_r = dict.fromkeys(sorted(hits_by_r), 0)
+    for rank0 in range(n):
+        recall = 0.0
+        for r_total in seen_by_r:
+            seen_by_r[r_total] += hits_by_r[r_total][rank0]
+            hits_seen += hits_by_r[r_total][rank0]
+            recall += float(seen_by_r[r_total]) / float(r_total)
+        raw_prec.append(float(hits_seen) / (rank0 + 1.0) / n_eval)
+        raw_rec.append(recall / n_eval)
     return {
         "map_all": float(np.mean(np.array(aps))),
         "per_query_ap": np.array(aps),
         "precision_at": {k: p_sum[k] / n_eval for k in ks},
         "pr_curve": list(zip(RECALL_LEVELS.tolist(), (level_sum / n_eval).tolist())),
-        "pr_raw": list(zip((raw_rec_sum / n_eval).tolist(),
-                           (raw_prec_sum / n_eval).tolist())),
+        "pr_raw": list(zip(raw_rec, raw_prec)),
         "excluded": excluded,
     }
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -502,6 +503,47 @@ class TestEncode:
         assert not (workspace["dir"] / "x.zscb").exists()
 
 
+class TestNonFiniteFeatures:
+    """A NaN or inf in one item's map is named with its file and item id
+    before any work starts, whichever verb reads the file."""
+
+    @staticmethod
+    def _poison(path, modality, value):
+        """Put ``value`` into one location of one item's map; returns the
+        item's id."""
+        records = data.load_features(path).records[modality].copy()
+        records["feat"][5, 1, 3] = value
+        data.save_features(data.FeatureStore({modality: records}), path, modality)
+        return int(records["item_id"][5])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("verb", ["train", "ablate"])
+    def test_training_verbs_name_the_item(self, workspace, capsys, verb, value):
+        item = self._poison(workspace["images"], "image", value)
+        run = train_workspace if verb == "train" else ablate_workspace
+        assert run(workspace) == 1
+        err = capsys.readouterr().err
+        assert (f"error: feature file {workspace['images']} holds a non-finite "
+                f"value in item {item}") in err
+        assert not workspace["checkpoint"].exists()
+        assert not (workspace["dir"] / "ablation.tsv").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_encode_names_the_item(self, workspace, capsys, value):
+        assert train_workspace(workspace) == 0
+        item = self._poison(workspace["sketches"], "sketch", value)
+        out = workspace["dir"] / "codes.zscb"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("encode", "--checkpoint", workspace["checkpoint"],
+                           "--features", workspace["sketches"],
+                           "--modality", "sketch", "--out", out)
+        assert code == 1
+        assert (f"error: feature file {workspace['sketches']} holds a non-finite "
+                f"value in item {item}") in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRetrieveAndEval:
     def _encode_both(self, workspace):
         assert train_workspace(workspace) == 0
@@ -568,7 +610,13 @@ class TestRetrieveAndEval:
         dump = workspace["dir"] / "pr.tsv"
         assert run_cli("eval", "--queries", q, "--gallery", g,
                        "--out", report, "--pr-dump", dump) == 0
-        assert dump.read_text().startswith("kind\trecall\tprecision")
+        queries, gallery = retrieval.load_codes(q), retrieval.load_codes(g)
+        ref = oracles.naive_evaluate(queries.bits(), queries.labels, gallery.bits(),
+                                     gallery.labels, (1, 10, 100))
+        assert dump.read_text().splitlines() == (
+            ["kind\trecall\tprecision"]
+            + [f"interp\t{r!r}\t{p!r}" for r, p in ref["pr_curve"]]
+            + [f"raw\t{r!r}\t{p!r}" for r, p in ref["pr_raw"]])
 
     def test_eval_bit_width_mismatch_names_both(self, workspace, capsys):
         q, g = self._encode_both(workspace)

@@ -187,6 +187,24 @@ def assert_report_equals_oracle(q_bits, q_labels, g_bits, g_labels, ks):
     return report
 
 
+def _query_by_query_raw(q_bits, q_labels, g_bits, g_labels):
+    """The raw curve as per-query precision and recall vectors added query
+    by query, then averaged: the same values as the counts in another
+    order of float adds."""
+    ranks = np.arange(1, g_labels.size + 1)
+    prec_sum = np.zeros(g_labels.size)
+    rec_sum = np.zeros(g_labels.size)
+    n_eval = 0
+    for row, label in zip(q_bits, q_labels):
+        order = np.argsort((g_bits != row).sum(axis=1), kind="stable")
+        cum = (g_labels[order] == label).cumsum()
+        if cum[-1]:
+            prec_sum += cum / ranks
+            rec_sum += cum / cum[-1]
+            n_eval += 1
+    return list(zip((rec_sum / n_eval).tolist(), (prec_sum / n_eval).tolist()))
+
+
 class TestEvaluate:
     def test_identical_codes_unique_labels_give_perfect_map(self, rng):
         bits = rng.integers(0, 2, size=(8, 16)).astype(np.uint8)
@@ -234,6 +252,22 @@ class TestEvaluate:
             np.full(25, 3, dtype=np.uint32), (1, 10, 25))
         assert report.map_all == 1.0
         assert report.pr_raw[-1] == (1.0, 1.0)
+
+    def test_raw_curve_counts_hits_per_r(self, rng):
+        # classes of six sizes, so six distinct R, and queries of two classes
+        # absent from the gallery; at 420 ranks and 72 queries adding per-query
+        # float curves query by query gives other last bits than the counts
+        sizes = (20, 35, 50, 80, 110, 125)
+        g_labels = rng.permutation(np.repeat(np.arange(6), sizes)).astype(np.uint32)
+        g_bits = rng.integers(0, 2, size=(g_labels.size, 12)).astype(np.uint8)
+        q_bits = rng.integers(0, 2, size=(72, 12)).astype(np.uint8)
+        q_labels = (np.arange(72) % 8).astype(np.uint32)
+        report = assert_report_equals_oracle(q_bits, q_labels, g_bits, g_labels,
+                                             (1, 10, 100))
+        assert report.excluded_queries == 18
+        # at the last rank each of the 9 queries per class has seen its R hits
+        assert report.pr_raw[-1] == (1.0, 9 * sum(sizes) / g_labels.size / 54)
+        assert report.pr_raw != _query_by_query_raw(q_bits, q_labels, g_bits, g_labels)
 
     def test_one_relevant_item_ranked_last(self, rng):
         m = 16
@@ -365,6 +399,27 @@ class TestEvaluate:
         assert lines[0] == "kind\trecall\tprecision"
         assert sum(1 for l in lines if l.startswith("interp\t")) == 11
         assert sum(1 for l in lines if l.startswith("raw\t")) == 12
+
+
+def _write_pr_dump_line_by_line(report, path):
+    """The P-R dump one formatted line at a time through a text stream."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("kind\trecall\tprecision\n")
+        for recall, precision in report.pr_curve:
+            f.write(f"interp\t{recall!r}\t{precision!r}\n")
+        for recall, precision in report.pr_raw:
+            f.write(f"raw\t{recall!r}\t{precision!r}\n")
+
+
+class TestPrDump:
+    def test_bytes_equal_a_line_by_line_writer(self, rng, tmp_path):
+        queries, _ = random_code_matrix(rng, 40, 13, 5, "sketch")
+        gallery, _ = random_code_matrix(rng, 300, 13, 4)
+        report = evaluate(queries, gallery, ks=(1,))
+        assert report.excluded_queries > 0
+        write_pr_dump(report, tmp_path / "pr.tsv")
+        _write_pr_dump_line_by_line(report, tmp_path / "ref.tsv")
+        assert (tmp_path / "pr.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
 
 
 class TestCodeFiles:

@@ -1,8 +1,8 @@
 """The record every layer in ``zsih.layers`` returns.
 
 A ``Node`` pairs a layer's forward value with the layer's own hand-written
-vector-Jacobian product.  The one reverse pass,
-``objective.estimate_gradients``, calls each node's ``vjp`` in the fixed
+vector-Jacobian product.  The one reverse pass, ``estimate_gradients`` and
+the trunk's ``vjp`` it calls, runs each node's ``vjp`` in the fixed
 reverse order of the forward pass.
 """
 

@@ -1,7 +1,7 @@
 """Network building blocks: attention pooling, Kronecker fusion and its
 concat and factorized-bilinear ablations, graph convolution, sigmoid
-hash encoders, stochastic binary neurons and the Gaussian semantic
-decoder.
+hash encoders, stochastic binary neurons, the Gaussian semantic decoder
+and the encoders' regression onto the sampled codes.
 
 All layer functions are pure: output = f(params, inputs, noise), where
 ``params`` is one group of weights read by attribute (``params.w_theta``).
@@ -9,18 +9,19 @@ All of them act on a whole batch at once: feature maps are [N, L, C], every
 later activation is an [N, d] matrix with one row per item, and the
 log-likelihoods sum over all rows.
 
-The sampler and the loss layers take the K Monte-Carlo draws as a leading
-axis: training passes them [K, N, M] noise or bits, even for K = 1, and
-the trunk's [N, M] arrays broadcast against it.  Each draw gets its own
-value and input gradient.  The loss layers' VJPs take one scalar ``g``
-for every draw, as the Monte-Carlo mean weighs them alike.
+The sampler and the three loss layers (log q, the decoder, the code
+regression) take only [K, N, M] noise or bits, K >= 1 Monte-Carlo draws
+against the trunk's [N, M] arrays.  Each draw gets its own value and input
+gradient; their VJPs take one scalar ``g`` for every draw, as the
+Monte-Carlo mean weighs them alike.
 
-Each layer reads plain arrays and returns one ``autodiff.Node``: its value,
-computed with numpy, and its ``vjp``, the layer's own vector-Jacobian
-product.  ``vjp`` takes the gradient of the layer's output and returns one
-gradient per differentiable input; a layer with weights also takes its
-group's gradient views (``grads.w_theta``) and adds its weight gradients
-into them.
+Each layer reads float64 arrays as its callers hand them over (outside
+input is converted once, by ``model.encode_features``) and returns one
+``autodiff.Node``: its value, computed with numpy, and its ``vjp``, the
+layer's own vector-Jacobian product.  ``vjp`` takes the gradient of the
+layer's output and returns one gradient per differentiable input; a layer
+with weights also takes its group's gradient views (``grads.w_theta``) and
+adds its weight gradients into them.
 """
 
 import math
@@ -91,13 +92,19 @@ def _check_rows(h, w, what):
         raise ValueError(f"{what} input must be [N, {w.shape[0]}], got {h.shape}")
 
 
+def _check_draws(draws, shape, what):
+    """``draws`` must be [K, N, M]: K draws over the trunk's [N, M] ``shape``."""
+    if draws.ndim != 3 or draws.shape[1:] != shape:
+        raise ValueError(f"{what} must be [K, N, M] with [N, M] = {list(shape)}, "
+                         f"got {list(draws.shape)}")
+
+
 def attention_pool(feats, params):
     """Pool [N, L, C] feature maps into [N, d_f] attended features.
 
     Each map's softmax scores over its L locations mix the rows; the
     pooled vectors are then projected and ReLU-activated.
     """
-    feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 3 or feats.shape[1] == 0:
         raise ValueError(f"feature maps must be [N, L, C] with L >= 1, got {feats.shape}")
     n, length, channels = feats.shape
@@ -261,9 +268,7 @@ def stochastic_neurons(b, eps):
     exactly 0 or 1 by a saturated sigmoid are treated as clamped boundary
     values; anything beyond [0, 1] is a domain error.
     """
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape[-2:] != b.shape:
-        raise ValueError(f"eps shape {eps.shape} does not match code shape {b.shape}")
+    _check_draws(eps, b.shape, "noise")
     if np.any(b < 0.0) or np.any(b > 1.0):
         raise ValueError("code probabilities must lie in (0, 1)")
     hard = (b >= eps).astype(np.float64)
@@ -282,9 +287,7 @@ def log_q(b, b_tilde):
     {0, 1} before the logs; the gradient is zero where the clamp acted.
     The [K, N, M] bits give one value and one gradient of b per draw.
     """
-    b_tilde = np.asarray(b_tilde, dtype=np.float64)
-    if b_tilde.shape[-2:] != b.shape:
-        raise ValueError(f"bit shape {b_tilde.shape} does not match code shape {b.shape}")
+    _check_draws(b_tilde, b.shape, "bits")
     if not np.all((b_tilde == 0.0) | (b_tilde == 1.0)):
         raise ValueError("sampled bits must be binary")
     bc = np.clip(b, PROB_EPS, 1.0 - PROB_EPS)
@@ -304,10 +307,8 @@ def log_p_gaussian(s, bits, dec):
     summed over the N rows of the semantics [N, d_s], once for each draw of
     the [K, N, M] bits.
     """
-    s = np.asarray(s, dtype=np.float64)
     w_mu, b_mu, w_lv, b_lv = dec.w_mu, dec.b_mu, dec.w_logvar, dec.b_logvar
-    if bits.ndim != 3 or bits.shape[-1] != w_mu.shape[0]:
-        raise ValueError(f"decoder input must be [K, N, {w_mu.shape[0]}], got {bits.shape}")
+    _check_draws(bits, (len(s), w_mu.shape[0]), "decoder input")
     mu = bits @ w_mu + b_mu
     logvar = bits @ w_lv + b_lv
     if s.shape != mu.shape[1:]:
@@ -328,5 +329,26 @@ def log_p_gaussian(s, bits, dec):
         grads.w_logvar += draw_sum(bits_t @ g_lv)
         grads.b_logvar += draw_sum(g_lv.sum(axis=1))
         return (g_mu @ w_mu.T + g_lv @ w_lv.T,)
+
+    return Node(value, vjp)
+
+
+def code_regression(f_out, g_out, b_tilde, m_bits):
+    """The encoders' L2 regression onto the sampled codes:
+    (|f - b~|^2 + |g - b~|^2) / (2M), summed over the batch, once for each
+    draw of the [K, N, M] codes ``b_tilde``.  Its VJP returns the per-draw
+    gradients of f, g and then b~ twice, once for each difference it enters.
+    """
+    for out in (f_out, g_out):
+        _check_draws(b_tilde, out.shape, "codes")
+    d_f = f_out - b_tilde
+    d_g = g_out - b_tilde
+    scale = 1.0 / (2.0 * m_bits)
+    value = ((d_f * d_f).sum(axis=(-2, -1)) + (d_g * d_g).sum(axis=(-2, -1))) * scale
+
+    def vjp(g):
+        g_f = 2.0 * g * scale * d_f
+        g_g = 2.0 * g * scale * d_g
+        return (g_f, g_g, -g_f, -g_g)
 
     return Node(value, vjp)

@@ -163,10 +163,9 @@ def params_from_arrays(config, arrays):
     return ModelParams(config, shapes, arrays)
 
 
-# the layer nodes of one forward_multimodal pass, in forward order: the two
-# attended features, the fused rows, the hidden layer, the code probabilities
-# b and the image and sketch encoder outputs f(.) and g(.)
-Trunk = namedtuple("Trunk", "h_sk h_im fused hidden b f_out g_out")
+# one forward_multimodal pass: the code probabilities b [N, M], the image and
+# sketch encoder outputs f(.) and g(.), and the trunk's reverse pass
+Trunk = namedtuple("Trunk", "b f_out g_out vjp")
 
 
 def fuse_modalities(h_sk, h_im, params):
@@ -185,10 +184,10 @@ def forward_multimodal(batch, params, adj):
     convolutions use as given: ``pipeline.build_adjacency``'s normalized
     kernel, or the identity for the no-GCN ablation.
 
-    Returns the ``Trunk`` of its layer nodes; its ``b`` holds the code
-    probabilities [N, M] and ``f_out`` and ``g_out`` the two
-    single-modality encoder outputs.  None of them depends on the
-    sampling noise, so one pass serves every Monte-Carlo draw.
+    Returns a ``Trunk``; its ``vjp(g_b, g_f, g_g, grads)`` takes the
+    gradients of the three outputs and adds every trunk weight's gradient
+    into its view in ``grads`` (``params.grad_groups``).  No output
+    depends on the sampling noise, so one pass serves every draw.
     """
     h_sk = layers.attention_pool(batch.sketch_feats, params.attn_sk)
     h_im = layers.attention_pool(batch.image_feats, params.attn_im)
@@ -198,7 +197,18 @@ def forward_multimodal(batch, params, adj):
 
     f_out = layers.encode_soft(h_im.data, params.enc_im)
     g_out = layers.encode_soft(h_sk.data, params.enc_sk)
-    return Trunk(h_sk, h_im, fused, hidden, b, f_out, g_out)
+
+    def vjp(g_b, g_f, g_g, grads):
+        (g_hidden,) = b.vjp(g_b, grads.gcn2)
+        (g_fused,) = hidden.vjp(g_hidden, grads.gcn1)
+        g_sk_fused, g_im_fused = fused.vjp(g_fused, grads.fusion)
+        (g_sk_enc,) = g_out.vjp(g_g, grads.enc_sk)
+        (g_im_enc,) = f_out.vjp(g_f, grads.enc_im)
+        # each attended feature feeds the fusion and its modality's encoder
+        h_sk.vjp(g_sk_enc + g_sk_fused, grads.attn_sk)
+        h_im.vjp(g_im_enc + g_im_fused, grads.attn_im)
+
+    return Trunk(b.data, f_out.data, g_out.data, vjp)
 
 
 def encode_features(feat_maps, attn, enc):

@@ -1,6 +1,6 @@
 """Training objective: code entropy + semantic reconstruction + encoder
-regression, its Monte-Carlo gradient by one explicit reverse pass over the
-layers' own VJPs, and the Adam update."""
+regression over K Monte-Carlo draws; its gradient by one reverse pass over
+the loss layers' VJPs that ends in the trunk's own ``vjp``; the Adam update."""
 
 from collections import namedtuple
 from dataclasses import dataclass
@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers
-from .autodiff import Node
 from .model import forward_multimodal
 
 
@@ -40,35 +39,9 @@ class AdamState:
         return cls(step=0, m=np.zeros_like(params.theta), v=np.zeros_like(params.theta))
 
 
-# what batch_loss keeps for the reverse pass: the trunk's layer nodes, then
-# the sampler and the three loss nodes (log q, log p, code regression), each
-# over all K draws at once
+# what batch_loss keeps for the reverse pass: the model's Trunk, then the
+# sampler, log q, log p and code regression nodes, each over all K draws
 ForwardPass = namedtuple("ForwardPass", "trunk sampler log_q log_p reg")
-
-
-def code_regression(f_out, g_out, b_tilde, m_bits):
-    """The encoders' L2 regression onto the sampled codes as one node:
-    (|f - b~|^2 + |g - b~|^2) / (2M), summed over the batch, once for each
-    draw of [K, N, M] codes ``b_tilde``.
-
-    Its VJP returns the per-draw gradients of f, g and then b~ twice, once
-    for each difference it enters; ``estimate_gradients`` sums the two.
-    """
-    for out in (f_out, g_out):
-        if out.shape != b_tilde.shape[-2:]:
-            raise ValueError(f"encoder output shape {out.shape} does not "
-                             f"match code shape {b_tilde.shape}")
-    d_f = f_out - b_tilde
-    d_g = g_out - b_tilde
-    scale = 1.0 / (2.0 * m_bits)
-    value = ((d_f * d_f).sum(axis=(-2, -1)) + (d_g * d_g).sum(axis=(-2, -1))) * scale
-
-    def vjp(g):
-        g_f = 2.0 * g * scale * d_f
-        g_g = 2.0 * g * scale * d_g
-        return (g_f, g_g, -g_f, -g_g)
-
-    return Node(value, vjp)
 
 
 def batch_loss(batch, params, adj, eps_draws):
@@ -86,12 +59,12 @@ def batch_loss(batch, params, adj, eps_draws):
         raise ValueError(f"batch size must be at least 2, got {n}")
 
     trunk = forward_multimodal(batch, params, adj)
-    b = trunk.b.data
+    b = trunk.b
     sampler = layers.stochastic_neurons(b, eps_draws)
     bits = sampler.data
     log_q = layers.log_q(b, bits)
     log_p = layers.log_p_gaussian(batch.semantics, bits, params.dec)
-    reg = code_regression(trunk.f_out.data, trunk.g_out.data, bits, params.code_bits)
+    reg = layers.code_regression(trunk.f_out, trunk.g_out, bits, params.code_bits)
     scale = 1.0 / len(bits)
     # x * 1.0 == x, so one draw is exact
     entropy, decode, code_reg = (float(layers.draw_sum(values) * scale)
@@ -102,10 +75,10 @@ def batch_loss(batch, params, adj, eps_draws):
 
 
 def estimate_gradients(loss, params):
-    """The reverse pass of ``batch_loss``: each layer's VJP once, in the
-    reverse order of the forward pass, adding every weight's gradient into
-    its view of ``params.grad``.  Returns a copy of the flat gradient, laid
-    out like ``params.theta``.
+    """The reverse pass of ``batch_loss``: each loss layer's VJP once, in
+    the reverse order of the forward pass, then the trunk's, adding every
+    weight's gradient into its view of ``params.grad``.  Returns a copy of
+    the flat gradient, laid out like ``params.theta``.
 
     A value that feeds several layers or draws gets their gradients summed
     in one fixed order, so the result is deterministic given (params,
@@ -113,7 +86,6 @@ def estimate_gradients(loss, params):
     """
     params.grad[...] = 0.0
     grads = params.grad_groups
-    trunk = loss.trunk
     # every draw's three terms enter the total with weight 1/K, log p negated
     scale = 1.0 / len(loss.sampler.data)
     (g_b_q,) = loss.log_q.vjp(scale)
@@ -126,15 +98,8 @@ def estimate_gradients(loss, params):
     # log q1, sampler1, log q2, sampler2, ...: joined along the rows, each
     # draw's block holds its log q part, then its sampler part.  f and g
     # feed each draw's regression.
-    pairs = np.concatenate((g_b_q, g_b_s), axis=1).reshape((-1,) + trunk.b.data.shape)
-    (g_hidden,) = trunk.b.vjp(layers.draw_sum(pairs), grads.gcn2)
-    (g_fused,) = trunk.hidden.vjp(g_hidden, grads.gcn1)
-    g_sk_fused, g_im_fused = trunk.fused.vjp(g_fused, grads.fusion)
-    (g_sk_enc,) = trunk.g_out.vjp(layers.draw_sum(g_g), grads.enc_sk)
-    (g_im_enc,) = trunk.f_out.vjp(layers.draw_sum(g_f), grads.enc_im)
-    # each attended feature feeds the fusion and its modality's encoder
-    trunk.h_sk.vjp(g_sk_enc + g_sk_fused, grads.attn_sk)
-    trunk.h_im.vjp(g_im_enc + g_im_fused, grads.attn_im)
+    pairs = np.concatenate((g_b_q, g_b_s), axis=1).reshape((-1,) + loss.trunk.b.shape)
+    loss.trunk.vjp(layers.draw_sum(pairs), layers.draw_sum(g_f), layers.draw_sum(g_g), grads)
     return params.grad.copy()
 
 

@@ -213,8 +213,7 @@ def build_adjacency(semantics, t):
     A's diagonal is 1, so every degree is at least 1."""
     if t <= 0:
         raise ValueError(f"adjacency bandwidth t must be positive, got {t}")
-    sem = np.asarray(semantics, dtype=np.float64)
-    diff = sem[:, None, :] - sem[None, :, :]
+    diff = semantics[:, None, :] - semantics[None, :, :]
     sq = (diff * diff).sum(axis=2)
     adj = np.exp(-sq / t)
     np.fill_diagonal(adj, 1.0)
@@ -473,6 +472,12 @@ def load_checkpoint(path):
             opt_v[name] = _read_array(f)
         iteration, has_uint32, uinteger, state, inc = _CHECKPOINT_TAIL.unpack(
             read_body(f, 1, _CHECKPOINT_TAIL.size))
+    # numpy accepts both, but no PCG64 stream holds them: a resume would
+    # continue on a different random stream
+    if has_uint32 > 1:
+        raise FormatError(f"bad RNG state: has_uint32 is {has_uint32}, expected 0 or 1")
+    if not inc[0] & 1:
+        raise FormatError("bad RNG state: the PCG64 increment is even")
     rng_state = {
         "bit_generator": "PCG64",
         "state": {"state": int.from_bytes(state, "little"),

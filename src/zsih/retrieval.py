@@ -154,8 +154,8 @@ def evaluate(queries, gallery, ks):
 
     Every metric of a query comes from the 0-based ranks of its R hits
     (relevant gallery items).  Queries without a single relevant gallery
-    item are excluded from the averages and surfaced through
-    ``excluded_queries``.  ``ks`` lists the K of precision@K.
+    item are not ranked: they are excluded from the averages and surfaced
+    through ``excluded_queries``.  ``ks`` lists the K of precision@K.
 
     The raw per-rank curve is built once, after the loop, from integer
     counts: each query adds its hit ranks into the rank histogram of its
@@ -164,25 +164,24 @@ def evaluate(queries, gallery, ks):
     ascending, the hits of R's histogram up to n over R, then divides by
     the evaluated queries.
     """
-    ranked = rank_rows(queries.codes, queries.n_bits, gallery)
+    relevant = np.isin(queries.labels, gallery.labels)
+    ranked = rank_rows(queries.codes[relevant], queries.n_bits, gallery)
     if len(queries) == 0:
         raise ValueError("no queries")
     ks = sorted(set(int(k) for k in ks))
     if ks and ks[0] < 1:
         raise ValueError(f"precision@K needs K >= 1, got K = {ks[0]}")
+    if not relevant.any():
+        raise ValueError("every query lacked relevant gallery items")
     n = len(gallery)
     ranks = np.arange(1, n + 1, dtype=np.float64)
     aps = []
     p_sum = {k: 0.0 for k in ks}
     level_sum = np.zeros(RECALL_LEVELS.size)
     hits_by_r = {}   # R -> hits per rank over the queries with R hits
-    excluded = 0
-    for (_, order), label in zip(ranked, queries.labels):
+    for (_, order), label in zip(ranked, queries.labels[relevant]):
         hit0 = (gallery.labels == label)[order].nonzero()[0]
         r_total = hit0.size
-        if not r_total:
-            excluded += 1
-            continue
         hit_prec, ap = _hit_metrics(hit0, ranks)
         aps.append(ap)
         for k, hits in zip(ks, hit0.searchsorted(ks)):
@@ -197,8 +196,6 @@ def evaluate(queries, gallery, ks):
         if counts is None:
             counts = hits_by_r[r_total] = np.zeros(n, dtype=np.intp)
         counts[hit0] += 1
-    if not aps:
-        raise ValueError("every query lacked relevant gallery items")
     per_query_ap = np.array(aps)
     n_eval = len(aps)
     hits_seen = np.zeros(n, dtype=np.intp)
@@ -212,7 +209,7 @@ def evaluate(queries, gallery, ks):
         precision_at={k: p_sum[k] / n_eval for k in ks},
         pr_curve=list(zip(RECALL_LEVELS.tolist(), (level_sum / n_eval).tolist())),
         per_query_ap=per_query_ap,
-        excluded_queries=excluded,
+        excluded_queries=len(queries) - n_eval,
         pr_raw=list(zip((raw_rec / n_eval).tolist(),
                         (hits_seen / ranks / n_eval).tolist())),
     )

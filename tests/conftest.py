@@ -59,7 +59,8 @@ def vjp_grads(node, inputs=(), weights=None):
     Returns ([(array, gradient)] for each distinct array of ``inputs``,
     which lists the VJP's inputs in its order (an array listed twice gets
     the sum of both), and {weight name: gradient} for the group
-    ``weights``)."""
+    ``weights``).  An [N, M] array that feeds every draw of [K, N, M]
+    draws gets its K per-draw gradients summed."""
     g_out = 1.0 if np.ndim(node.data) == 0 else 2.0 * node.data
     if weights is None:
         g_inputs, grads = node.vjp(g_out), SimpleNamespace()
@@ -68,6 +69,8 @@ def vjp_grads(node, inputs=(), weights=None):
         g_inputs = node.vjp(g_out, grads)
     pairs = {}
     for arr, g in zip(inputs, g_inputs, strict=True):
+        if g.ndim == arr.ndim + 1:
+            g = layers.draw_sum(g)
         prev = pairs.get(id(arr))
         pairs[id(arr)] = (arr, g if prev is None else prev[1] + g)
     return list(pairs.values()), vars(grads)
@@ -101,7 +104,7 @@ def check_full_objective(params, batch, adj, eps_draws):
     and the three loss layers over all draws at once, averaged over the
     draws.  ``eps_draws`` is [K, N, M].
     """
-    b = model.forward_multimodal(batch, params, adj).b.data
+    b = model.forward_multimodal(batch, params, adj).b
     bits = layers.stochastic_neurons(b, eps_draws).data
     offsets = bits - b
     loss, _ = objective.batch_loss(batch, params, adj, eps_draws)
@@ -109,12 +112,11 @@ def check_full_objective(params, batch, adj, eps_draws):
 
     def surrogate():
         trunk = model.forward_multimodal(batch, params, adj)
-        b = trunk.b.data
-        b_tilde = b + offsets
-        terms = (layers.log_q(b, bits).data
+        b_tilde = trunk.b + offsets
+        terms = (layers.log_q(trunk.b, bits).data
                  - layers.log_p_gaussian(batch.semantics, b_tilde, params.dec).data
-                 + objective.code_regression(trunk.f_out.data, trunk.g_out.data, b_tilde,
-                                             params.code_bits).data)
+                 + layers.code_regression(trunk.f_out, trunk.g_out, b_tilde,
+                                          params.code_bits).data)
         return float(np.mean(terms))
 
     for name, weight in params.split(params.theta).items():

@@ -14,7 +14,7 @@ import pytest
 import oracles
 from conftest import (assert_grad_close, check_full_objective, check_vjp, draws_summed,
                       fd_grad, param_group, tiny_setup, zero_grads)
-from zsih import cli, data, layers, model, objective, pipeline, retrieval
+from zsih import cli, data, layers, model, pipeline, retrieval
 
 
 @contextlib.contextmanager
@@ -51,13 +51,14 @@ def _layer_cases(rng):
     enc = param_group(w=rng.normal(size=(4, 3)), b=rng.normal(size=3))
     h_enc = rng.normal(size=(2, 4))
     b_probs = rng.uniform(0.15, 0.85, size=(2, 3))
-    bits = rng.integers(0, 2, size=(2, 3)).astype(float)
+    bits = rng.integers(0, 2, size=(1, 2, 3)).astype(float)
     dec = param_group(
         w_mu=rng.normal(size=(5, 3)), b_mu=rng.normal(size=3),
         w_logvar=rng.normal(size=(5, 3)) * 0.3, b_logvar=rng.normal(size=3) * 0.3)
     dec_bits = rng.integers(0, 2, size=(1, 2, 5)).astype(float)
     s_rows = rng.normal(size=(2, 3))
     f_out, g_out, b_tilde = (rng.uniform(0.1, 0.9, size=(2, 3)) for _ in range(3))
+    b_tilde = b_tilde[None]
     # six normals that no case uses, drawn so that every case below keeps
     # its random values
     rng.normal(size=6)
@@ -69,9 +70,9 @@ def _layer_cases(rng):
         (lambda: layers.graph_conv(hidden, a_norm, gcn, layers.sigmoid), [hidden], gcn),
         (lambda: layers.graph_conv(hidden, np.eye(4), gcn, layers.relu), [hidden], gcn),
         (lambda: layers.encode_soft(h_enc, enc), [h_enc], enc),
-        (lambda: layers.log_q(b_probs, bits), [b_probs], None),
+        (lambda: draws_summed(layers.log_q(b_probs, bits)), [b_probs], None),
         (lambda: draws_summed(layers.log_p_gaussian(s_rows, dec_bits, dec)), [dec_bits], dec),
-        (lambda: objective.code_regression(f_out, g_out, b_tilde, 3),
+        (lambda: draws_summed(layers.code_regression(f_out, g_out, b_tilde, 3)),
          [f_out, g_out, b_tilde, b_tilde], None),
     ]
 

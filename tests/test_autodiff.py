@@ -10,13 +10,17 @@ import pytest
 
 from conftest import (assert_grad_close, check_vjp, draws_summed, fd_grad, layer_loss,
                       param_group, vjp_grads)
-from zsih import layers, objective
+from zsih import layers
+
+# the one form the sampler and the loss layers take
+KNM = r"\[K, N, M\]"
 
 
 def _regression_case(rng):
-    f_out, g_out, b_tilde = (rng.uniform(0.1, 0.9, size=(3, 4)) for _ in range(3))
+    f_out, g_out = rng.uniform(0.1, 0.9, size=(2, 3, 4))
+    b_tilde = rng.uniform(0.1, 0.9, size=(2, 3, 4))
     # b~ enters both differences: the VJP gives it one gradient for each
-    return (lambda: objective.code_regression(f_out, g_out, b_tilde, 4),
+    return (lambda: draws_summed(layers.code_regression(f_out, g_out, b_tilde, 4)),
             [f_out, g_out, b_tilde, b_tilde])
 
 
@@ -121,10 +125,10 @@ class TestElementwise:
         # log_q clamps before its logs: probabilities of exactly 0 and 1
         # give a finite value and no gradient
         b = np.array([[0.0, 1.0]])
-        out = layers.log_q(b, np.array([[1.0, 0.0]]))
-        assert np.isfinite(out.data)
+        out = layers.log_q(b, np.array([[[1.0, 0.0]]]))
+        assert np.isfinite(out.data[0])
         (g_b,) = out.vjp(1.0)
-        np.testing.assert_array_equal(g_b, [[0.0, 0.0]])
+        np.testing.assert_array_equal(g_b, [[[0.0, 0.0]]])
 
     @pytest.mark.parametrize("op", ["relu", "sigmoid", "exp", "square"])
     def test_unary_gradients(self, op, rng):
@@ -145,9 +149,10 @@ class TestElementwise:
             check_vjp(*_regression_case(rng))
 
     def test_log_gradient(self, rng):
+        # two draws: b gets the sum of both draws' gradients
         b = rng.uniform(0.2, 0.8, size=(2, 5))
-        bits = rng.integers(0, 2, size=(2, 5)).astype(float)
-        check_vjp(lambda: layers.log_q(b, bits), [b])
+        bits = rng.integers(0, 2, size=(2, 2, 5)).astype(float)
+        check_vjp(lambda: draws_summed(layers.log_q(b, bits)), [b])
 
     @pytest.mark.parametrize("op", ["add", "sub", "mul"])
     def test_binary_gradients(self, op, rng):
@@ -179,16 +184,16 @@ class TestBroadcasting:
         # scales the gradient of every entry
         f_out = rng.normal(size=(3, 2))
         zeros = np.zeros((3, 2))
-        g_f, _, _, _ = objective.code_regression(f_out, zeros, zeros, 2).vjp(1.0)
-        np.testing.assert_allclose(g_f, f_out / 2, rtol=1e-15)
+        g_f, _, _, _ = layers.code_regression(f_out, zeros, zeros[None], 2).vjp(1.0)
+        np.testing.assert_allclose(g_f, f_out[None] / 2, rtol=1e-15)
 
     def test_row_with_matrix(self, rng):
         mat = rng.normal(size=(4, 3))
         row = rng.normal(size=3)
-        with pytest.raises(ValueError, match="does not match code shape"):
-            objective.code_regression(row, mat, mat, 3)
-        with pytest.raises(ValueError, match="does not match code shape"):
-            objective.code_regression(mat, mat, row, 3)
+        with pytest.raises(ValueError, match=KNM):
+            layers.code_regression(row, mat, mat[None], 3)
+        with pytest.raises(ValueError, match=KNM):
+            layers.code_regression(mat, mat, row[None, None], 3)
 
     def test_row_gradient_sums_over_batch(self):
         # a bias gradient sums over the batch: 5 rows of 2 * 0.5 * 0.25
@@ -198,22 +203,22 @@ class TestBroadcasting:
 
     def test_keepdims_row_with_matrix_rejected(self):
         mat = np.ones((5, 2))
-        with pytest.raises(ValueError, match="does not match code shape"):
-            objective.code_regression(np.ones((1, 2)), mat, mat, 2)
-        with pytest.raises(ValueError, match="does not match code shape"):
-            layers.log_q(mat, np.ones((1, 2)))
+        with pytest.raises(ValueError, match=KNM):
+            layers.code_regression(np.ones((1, 2)), mat, mat[None], 2)
+        with pytest.raises(ValueError, match=KNM):
+            layers.log_q(mat, np.ones((1, 1, 2)))
 
     def test_rejected_broadcast(self):
-        with pytest.raises(ValueError, match="does not match code shape"):
-            objective.code_regression(np.ones((2, 3)), np.ones((2, 3)),
-                                      np.ones((3, 2)), 2)
-        with pytest.raises(ValueError, match="eps shape"):
-            layers.stochastic_neurons(np.full((2, 3), 0.5), np.ones((3, 2)))
+        with pytest.raises(ValueError, match=KNM):
+            layers.code_regression(np.ones((2, 3)), np.ones((2, 3)),
+                                   np.ones((1, 3, 2)), 2)
+        with pytest.raises(ValueError, match=KNM):
+            layers.stochastic_neurons(np.full((2, 3), 0.5), np.ones((1, 3, 2)))
 
     def test_column_broadcast_rejected(self):
         mat = np.ones((3, 2))
-        with pytest.raises(ValueError, match="does not match code shape"):
-            objective.code_regression(np.ones((3, 1)), mat, mat, 2)
+        with pytest.raises(ValueError, match=KNM):
+            layers.code_regression(np.ones((3, 1)), mat, mat[None], 2)
 
 
 class TestReduce:
@@ -221,13 +226,13 @@ class TestReduce:
 
     def test_sum_value(self):
         ones, zeros = np.ones((2, 3)), np.zeros((2, 3))
-        assert objective.code_regression(ones, zeros, zeros, 3).data == 1.0
+        assert layers.code_regression(ones, zeros, zeros[None], 3).data.tolist() == [1.0]
 
     def test_sum_gradient_is_ones(self):
         # each draw's value sums its terms: with |f - b~| = 1 and 1/(2M) = 1/2
         # every entry of every draw gets a gradient of 1
         ones, zeros = np.ones((3, 1)), np.zeros((2, 3, 1))
-        reg = objective.code_regression(ones, zeros[0], zeros, 1)
+        reg = layers.code_regression(ones, zeros[0], zeros, 1)
         assert reg.data.tolist() == [1.5, 1.5]
         g_f, g_g, g_bits_f, g_bits_g = reg.vjp(1.0)
         np.testing.assert_array_equal(g_f, np.ones((2, 3, 1)))
@@ -339,8 +344,8 @@ class TestStructureOps:
 
     def test_clip_gradient_mask(self):
         b = np.array([[0.2, -0.5, 1.5]])
-        (g_b,) = layers.log_q(b, np.ones((1, 3))).vjp(1.0)
-        np.testing.assert_array_equal(g_b, [[1.0 / 0.2, 0.0, 0.0]])
+        (g_b,) = layers.log_q(b, np.ones((1, 1, 3))).vjp(1.0)
+        np.testing.assert_array_equal(g_b, [[[1.0 / 0.2, 0.0, 0.0]]])
 
     def test_concat_gradients(self, rng):
         a = rng.normal(size=(2, 3))

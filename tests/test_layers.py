@@ -7,7 +7,7 @@ import pytest
 import oracles
 from conftest import (assert_grad_close, check_vjp, draws_summed, fd_grad, param_group,
                       vjp_grads, zero_grads)
-from zsih import layers, model, objective, pipeline
+from zsih import layers, model, pipeline
 
 
 def make_attention(rng, channels, d_f):
@@ -290,84 +290,83 @@ class TestHashEncoder:
 
 class TestStochasticNeurons:
     def test_extreme_probabilities(self):
-        b = np.array([1.0 - 1e-9, 1e-9])
-        out = layers.stochastic_neurons(b, np.array([0.9999, 0.0001]))
-        assert out.data.tolist() == [1.0, 0.0]
+        b = np.array([[1.0 - 1e-9, 1e-9]])
+        out = layers.stochastic_neurons(b, np.array([[[0.9999, 0.0001]]]))
+        assert out.data.tolist() == [[[1.0, 0.0]]]
 
     def test_threshold_rule(self):
-        b = np.array([0.5, 0.5])
-        out = layers.stochastic_neurons(b, np.array([0.3, 0.7]))
-        assert out.data.tolist() == [1.0, 0.0]
+        b = np.array([[0.5, 0.5]])
+        out = layers.stochastic_neurons(b, np.array([[[0.3, 0.7]]]))
+        assert out.data.tolist() == [[[1.0, 0.0]]]
 
     def test_boundary_resolves_to_one(self):
-        out = layers.stochastic_neurons(np.array([0.25]), np.array([0.25]))
-        assert out.data.tolist() == [1.0]
+        out = layers.stochastic_neurons(np.array([[0.25]]), np.array([[[0.25]]]))
+        assert out.data.tolist() == [[[1.0]]]
 
     def test_empirical_mean_matches_probability(self, rng):
-        b_vals = rng.uniform(0.05, 0.95, size=8)
+        b_vals = rng.uniform(0.05, 0.95, size=(1, 8))
         draws = 100_000
-        eps = rng.random((draws, 8))
-        bits = (b_vals[None, :] >= eps).astype(float)
+        bits = layers.stochastic_neurons(b_vals, rng.random((draws, 1, 8))).data
         se = np.sqrt(b_vals * (1 - b_vals) / draws)
         assert np.all(np.abs(bits.mean(axis=0) - b_vals) <= 3 * se)
 
     def test_domain_error_outside_unit_interval(self):
         with pytest.raises(ValueError, match="probabilities"):
-            layers.stochastic_neurons(np.array([1.2]), np.array([0.5]))
+            layers.stochastic_neurons(np.array([[1.2]]), np.array([[[0.5]]]))
         with pytest.raises(ValueError, match="probabilities"):
-            layers.stochastic_neurons(np.array([-0.1]), np.array([0.5]))
+            layers.stochastic_neurons(np.array([[-0.1]]), np.array([[[0.5]]]))
 
     def test_straight_through_gradient_is_identity(self, rng):
-        b = rng.uniform(0.2, 0.8, size=6)
-        out = layers.stochastic_neurons(b, rng.random(6))
-        w = rng.normal(size=6)
+        b = rng.uniform(0.2, 0.8, size=(1, 6))
+        out = layers.stochastic_neurons(b, rng.random((1, 1, 6)))
+        w = rng.normal(size=(1, 1, 6))
         (g_b,) = out.vjp(2.0 * (out.data + w))
         np.testing.assert_array_equal(g_b, 2.0 * (out.data + w))
 
     def test_gradient_zeroed_in_clamp_region(self):
-        b = np.array([0.5, 1e-9, 1.0 - 1e-9])
-        out = layers.stochastic_neurons(b, np.full(3, 0.5))
+        b = np.array([[0.5, 1e-9, 1.0 - 1e-9]])
+        out = layers.stochastic_neurons(b, np.full((1, 1, 3), 0.5))
         [(_, g_b)], _ = vjp_grads(out, [b])
-        np.testing.assert_array_equal(g_b, [2.0, 0.0, 0.0])
+        np.testing.assert_array_equal(g_b, [[2.0, 0.0, 0.0]])
 
     def test_eps_shape_mismatch(self):
-        with pytest.raises(ValueError, match="eps shape"):
-            layers.stochastic_neurons(np.array([0.5, 0.5]), np.array([0.5]))
+        with pytest.raises(ValueError, match=r"noise must be \[K, N, M\]"):
+            layers.stochastic_neurons(np.array([[0.5, 0.5]]), np.array([[[0.5]]]))
 
 
 class TestLogQ:
     def test_half_probabilities(self):
         b = np.full((1, 6), 0.5)
         for bits in (np.zeros((1, 6)), np.ones((1, 6)), np.array([[1, 0, 1, 0, 1, 0.0]])):
-            out = layers.log_q(b, bits)
-            assert abs(out.data - 6 * math.log(0.5)) < 1e-12
+            out = layers.log_q(b, bits[None])
+            assert abs(out.data[0] - 6 * math.log(0.5)) < 1e-12
 
     def test_scalar_case(self):
-        out = layers.log_q(np.array([[0.9]]), np.array([[1.0]]))
-        assert abs(out.data - math.log(0.9)) < 1e-12
-        assert abs(out.data + 0.10536) < 1e-4
+        out = layers.log_q(np.array([[0.9]]), np.array([[[1.0]]]))
+        assert abs(out.data[0] - math.log(0.9)) < 1e-12
+        assert abs(out.data[0] + 0.10536) < 1e-4
 
     def test_maximized_at_sampled_bits(self, rng):
-        bits = rng.integers(0, 2, size=(1, 8)).astype(float)
-        best = np.clip(bits, layers.PROB_EPS, 1 - layers.PROB_EPS)
-        top = layers.log_q(best, bits).data
+        bits = rng.integers(0, 2, size=(1, 1, 8)).astype(float)
+        best = np.clip(bits[0], layers.PROB_EPS, 1 - layers.PROB_EPS)
+        top = layers.log_q(best, bits).data[0]
         for _ in range(50):
             other = rng.uniform(0.01, 0.99, size=(1, 8))
-            assert layers.log_q(other, bits).data <= top
+            assert layers.log_q(other, bits).data[0] <= top
 
     def test_extreme_probabilities_are_clamped(self):
         b = np.array([[1e-12, 1.0 - 1e-12]])
-        out = layers.log_q(b, np.array([[0.0, 1.0]]))
-        assert np.isfinite(out.data)
+        out = layers.log_q(b, np.array([[[0.0, 1.0]]]))
+        assert np.isfinite(out.data[0])
 
     def test_non_binary_bits_rejected(self):
         with pytest.raises(ValueError, match="binary"):
-            layers.log_q(np.array([0.5]), np.array([0.4]))
+            layers.log_q(np.array([[0.5]]), np.array([[[0.4]]]))
 
     def test_gradients_match_fd(self, rng):
         b = rng.uniform(0.1, 0.9, size=(1, 7))
-        bits = rng.integers(0, 2, size=(1, 7)).astype(float)
-        check_vjp(lambda: layers.log_q(b, bits), [b])
+        bits = rng.integers(0, 2, size=(1, 1, 7)).astype(float)
+        check_vjp(lambda: draws_summed(layers.log_q(b, bits)), [b])
 
 
 class TestLogPGaussian:
@@ -453,9 +452,9 @@ class TestStraightThroughPath:
 
 class TestDrawAxis:
     """The sampler and the three loss layers take K Monte-Carlo draws as a
-    leading axis: the trunk's [N, M] arrays broadcast against [K, N, M]
-    noise or bits, and each draw gets the same bits that a separate
-    one-draw call gives it."""
+    leading axis and no other form: the trunk's [N, M] arrays broadcast
+    against [K, N, M] noise or bits, and each draw gets the same bits that
+    a separate [1, N, M] call gives it."""
 
     N, M, D_S = 4, 5, 3
 
@@ -475,8 +474,8 @@ class TestDrawAxis:
     def _assert_values(out, singles):
         assert out.data.shape == (len(singles),)
         for value, one in zip(out.data, singles):
-            assert np.ndim(one.data) == 0
-            assert value == one.data
+            assert one.data.shape == (1,)
+            assert value == one.data[0]
 
     @pytest.mark.parametrize("draws", [1, 2, 3])
     def test_sampler_matches_separate_calls(self, rng, draws):
@@ -487,19 +486,19 @@ class TestDrawAxis:
         (g_b,) = out.vjp(g)
         assert out.data.shape == g_b.shape == eps.shape
         for k in range(draws):
-            one = layers.stochastic_neurons(b, eps[k])
-            np.testing.assert_array_equal(out.data[k], one.data)
-            np.testing.assert_array_equal(g_b[k], one.vjp(g[k])[0])
+            one = layers.stochastic_neurons(b, eps[k:k + 1])
+            np.testing.assert_array_equal(out.data[k], one.data[0])
+            np.testing.assert_array_equal(g_b[k], one.vjp(g[k:k + 1])[0][0])
 
     @pytest.mark.parametrize("draws", [1, 2, 3])
     def test_log_q_matches_separate_calls(self, rng, draws):
         b, bits = self._codes(rng, draws)
         out = layers.log_q(b, bits)
-        singles = [layers.log_q(b, bits[k]) for k in range(draws)]
+        singles = [layers.log_q(b, bits[k:k + 1]) for k in range(draws)]
         self._assert_values(out, singles)
         (g_b,) = out.vjp(0.37)
         for k, one in enumerate(singles):
-            np.testing.assert_array_equal(g_b[k], one.vjp(0.37)[0])
+            np.testing.assert_array_equal(g_b[k], one.vjp(0.37)[0][0])
 
     @pytest.mark.parametrize("draws", [1, 2, 3])
     def test_decoder_matches_separate_calls(self, rng, draws):
@@ -511,10 +510,7 @@ class TestDrawAxis:
         s = rng.normal(size=(self.N, self.D_S))
         out = layers.log_p_gaussian(s, bits, dec)
         singles = [layers.log_p_gaussian(s, bits[k:k + 1], dec) for k in range(draws)]
-        assert out.data.shape == (draws,)
-        for value, one in zip(out.data, singles):
-            assert one.data.shape == (1,)
-            assert value == one.data[0]
+        self._assert_values(out, singles)
         grads, separate = zero_grads(dec), zero_grads(dec)
         (g_bits,) = out.vjp(-0.37, grads)
         for k, one in enumerate(singles):
@@ -526,14 +522,14 @@ class TestDrawAxis:
     def test_code_regression_matches_separate_calls(self, rng, draws):
         _, bits = self._codes(rng, draws)
         f_out, g_out = rng.uniform(0.1, 0.9, size=(2, self.N, self.M))
-        out = objective.code_regression(f_out, g_out, bits, self.M)
-        singles = [objective.code_regression(f_out, g_out, bits[k], self.M)
+        out = layers.code_regression(f_out, g_out, bits, self.M)
+        singles = [layers.code_regression(f_out, g_out, bits[k:k + 1], self.M)
                    for k in range(draws)]
         self._assert_values(out, singles)
         batched = out.vjp(0.37)
         for k, one in enumerate(singles):
             for g_draws, g_one in zip(batched, one.vjp(0.37), strict=True):
-                np.testing.assert_array_equal(g_draws[k], g_one)
+                np.testing.assert_array_equal(g_draws[k], g_one[0])
 
     def test_decoder_gradients_match_fd(self, rng):
         _, bits = self._codes(rng, 3)
@@ -543,15 +539,24 @@ class TestDrawAxis:
 
     def test_trailing_shapes_must_match(self, rng):
         b, bits = self._codes(rng, 2)
-        with pytest.raises(ValueError, match="eps shape"):
-            layers.stochastic_neurons(b, np.ones((2, self.N + 1, self.M)))
-        with pytest.raises(ValueError, match="does not match code shape"):
-            layers.log_q(b, bits[:, 1:])
-        with pytest.raises(ValueError, match="does not match code shape"):
-            objective.code_regression(b, b, bits[:, :, 1:], self.M)
+        eps = rng.random(bits.shape)
         dec = self._decoder(rng)
+        s = np.zeros((self.N, self.D_S))
+        cases = [
+            (lambda x: layers.stochastic_neurons(b, x), eps),
+            (lambda x: layers.log_q(b, x), bits),
+            (lambda x: layers.log_p_gaussian(s, x, dec), bits),
+            (lambda x: layers.code_regression(b, b, x, self.M), bits),
+        ]
+        for call, x in cases:
+            # a draw axis of any length, and nothing else: not one draw
+            # without it, not two stacked, not mismatched rows or bits
+            for bad in (x[0], x[None], x[:, 1:], x[:, :, 1:]):
+                with pytest.raises(ValueError, match=r"\[K, N, M\]"):
+                    call(bad)
+        with pytest.raises(ValueError, match=r"\[K, N, M\]"):
+            layers.code_regression(b, b[:, 1:], bits, self.M)
         with pytest.raises(ValueError, match="semantic shape"):
+            layers.log_p_gaussian(np.zeros((self.N, self.D_S + 1)), bits, dec)
+        with pytest.raises(ValueError, match=r"\[K, N, M\]"):
             layers.log_p_gaussian(np.zeros((self.N + 1, self.D_S)), bits, dec)
-        for rank in (bits[0], bits[None]):
-            with pytest.raises(ValueError, match="decoder input"):
-                layers.log_p_gaussian(np.zeros((self.N, self.D_S)), rank, dec)

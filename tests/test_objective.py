@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import check_full_objective, param_group, tiny_setup, tiny_config
-from zsih import layers, model, objective, pipeline
+from zsih import layers, model, pipeline
 from zsih.autodiff import Node
 from zsih.objective import AdamState, adam_step, batch_loss, estimate_gradients
 
@@ -15,7 +15,7 @@ def _terms(b, bits, f_out, g_out, s, dec, m_bits):
     [N, M] ``bits``: log q, -log p and the code regression."""
     draw = bits[None]
     return (layers.log_q(b, draw).data[0], -layers.log_p_gaussian(s, draw, dec).data[0],
-            objective.code_regression(f_out, g_out, draw, m_bits).data[0])
+            layers.code_regression(f_out, g_out, draw, m_bits).data[0])
 
 
 class TestBatchLoss:
@@ -46,7 +46,7 @@ class TestBatchLoss:
     def test_regularizer_vanishes_when_encoders_hit_bits(self, rng):
         m = 4
         bits = rng.integers(0, 2, size=(2, m)).astype(float)
-        assert objective.code_regression(bits, bits, bits[None], m).data.tolist() == [0.0]
+        assert layers.code_regression(bits, bits, bits[None], m).data.tolist() == [0.0]
 
     def test_single_item_miniature_composes_layer_oracles(self, rng):
         # one item, M=1: total term values equal the hand-summed scalars

@@ -251,8 +251,8 @@ class TestForwardMultimodal:
                                     batch.semantics, config.t if use_gcn else None)
         trunk = model.forward_multimodal(batch, params, adj)
         for got, want in zip((trunk.b, trunk.f_out, trunk.g_out), ref, strict=True):
-            assert got.data.shape == want.shape
-            np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_fusion_raw_dimensions(self, rng):
         # concat and MFB re-project their raw rows through w_proj
@@ -269,10 +269,8 @@ class TestForwardMultimodal:
     def test_code_probabilities_in_unit_interval(self):
         _, _, params, batch, adj, _, _ = tiny_setup()
         trunk = model.forward_multimodal(batch, params, adj)
-        b, f_out, g_out = trunk.b, trunk.f_out, trunk.g_out
-        assert np.all((b.data > 0) & (b.data < 1))
-        assert np.all((f_out.data > 0) & (f_out.data < 1))
-        assert np.all((g_out.data > 0) & (g_out.data < 1))
+        for out in (trunk.b, trunk.f_out, trunk.g_out):
+            assert np.all((out > 0) & (out < 1))
 
     def test_ablation_trajectories_identical(self, monkeypatch):
         # the no-GCN run is the full model trained over the identity graph
@@ -605,6 +603,22 @@ class TestCheckpoint:
         assert raw.count(old) == 1
         path = tmp_path / "model.zsih"
         path.write_bytes(raw.replace(old, new))
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("offset, flip, message", [
+        # the file ends in has_uint32 (1 byte), uinteger (4), the PCG64
+        # state (16) and its increment (16, little-endian): has_uint32 0 -> 2,
+        # and the increment's low bit, which every PCG64 stream has set
+        (-37, 2, "has_uint32 is 2, expected 0 or 1"),
+        (-16, 1, "PCG64 increment is even"),
+    ])
+    def test_rng_state_no_run_writes_rejected(self, tmp_path, offset, flip, message):
+        raw = bytearray(checkpoint_bytes(self._make()))
+        assert raw[offset] & flip == (flip & 1)
+        raw[offset] ^= flip
+        path = tmp_path / "model.zsih"
+        path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=message):
             load_checkpoint(path)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from zsih import retrieval
 from zsih.retrieval import (
     CodeMatrix,
     binarize,
@@ -366,6 +367,24 @@ class TestEvaluate:
         assert report.excluded_queries == 1
         assert len(report.per_query_ap) == 2
         assert report.map_all == float(np.mean(report.per_query_ap))
+
+    def test_excluded_queries_are_never_ranked(self, rng, monkeypatch):
+        gallery, _ = random_code_matrix(rng, 20, 16, 3)
+        q_bits = rng.integers(0, 2, size=(7, 16)).astype(np.uint8)
+        # labels 5 and 99 are absent from the gallery's 0, 1 and 2
+        q_labels = np.array([5, 0, 99, 1, 2, 5, 0], dtype=np.uint32)
+        queries = CodeMatrix(pack_bits(q_bits), q_labels, 16, "sketch")
+        scans = []
+        scan = retrieval._scan
+
+        def counting_scan(row, gallery_words):
+            scans.append(row)
+            return scan(row, gallery_words)
+
+        monkeypatch.setattr(retrieval, "_scan", counting_scan)
+        report = evaluate(queries, gallery, ks=(1, 5))
+        assert report.excluded_queries == 3
+        assert len(scans) == len(report.per_query_ap) == 4
 
     def test_empty_gallery_rejected(self, rng):
         queries, _ = random_code_matrix(rng, 2, 8, 2)

@@ -16,12 +16,14 @@ gradient; their VJPs take one scalar ``g`` for every draw, as the
 Monte-Carlo mean weighs them alike.
 
 Each layer reads float64 arrays as its callers hand them over (outside
-input is converted once, by ``model.encode_features``) and returns one
-``autodiff.Node``: its value, computed with numpy, and its ``vjp``, the
-layer's own vector-Jacobian product.  ``vjp`` takes the gradient of the
-layer's output and returns one gradient per differentiable input; a layer
-with weights also takes its group's gradient views (``grads.w_theta``) and
-adds its weight gradients into them.
+input is converted by ``model.encode_features``, one block of maps at a
+time, and ``encode_soft`` can write its value into that block's rows of
+the caller's result) and returns one ``autodiff.Node``: its value,
+computed with numpy, and its ``vjp``, the layer's own vector-Jacobian
+product.  ``vjp`` takes the gradient of the layer's output and returns
+one gradient per differentiable input; a layer with weights also takes
+its group's gradient views (``grads.w_theta``) and adds its weight
+gradients into them.
 """
 
 import math
@@ -241,11 +243,13 @@ def graph_conv(h, a_norm, layer, act):
     return Node(out, vjp)
 
 
-def encode_soft(h, enc):
-    """Sigmoid code probabilities [N, M] from attended features [N, d_f]."""
+def encode_soft(h, enc, out=None):
+    """Sigmoid code probabilities [N, M] from attended features [N, d_f],
+    written to ``out`` if given (an [N, M] float64 array) and else to a new
+    array."""
     w = enc.w
     _check_rows(h, w, "hash encoder")
-    z = h @ w
+    z = np.matmul(h, w, out=out)
     z += enc.b
     out = _sigmoid_into(z, z)
 

@@ -17,6 +17,10 @@ FUSION_MODES = ("kronecker", "concat", "mfb")
 # expansion factor of the factorized-bilinear ablation before sum pooling
 MFB_FACTOR = 4
 
+# maps per encode block, a multiple of 64: at 49 x 64 maps, blocks of a row
+# count that is not a multiple of 4 moved soft codes in the last bits
+ENCODE_BLOCK = 1024
+
 
 @dataclass
 class TripletBatch:
@@ -214,6 +218,28 @@ def forward_multimodal(batch, params, adj):
 def encode_features(feat_maps, attn, enc):
     """Soft codes [N, M] for N [L, C] feature maps through one modality
     encoder: the training forward's attention pooling and hash encoder,
-    with no semantics and no multi-modal trunk involved."""
-    feats = np.asarray(feat_maps, dtype=np.float64)
-    return layers.encode_soft(layers.attention_pool(feats, attn).data, enc).data
+    with no semantics and no multi-modal trunk involved.
+
+    The maps go through in blocks of ``ENCODE_BLOCK``: each block is
+    converted to float64, pooled and hash-encoded straight into its rows of
+    the one [N, M] result, so the memory beside that result is one block's
+    worth however large N is.  The last block takes up to
+    ``ENCODE_BLOCK + 1`` maps, so no block has a single row unless N = 1:
+    a one-row matrix product can round differently in the last bit, and with
+    that rule every soft code is bit-identical to encoding all N maps in one
+    pass with BLAS on one thread.  A single-item encode is such a one-row
+    product, so it can differ from the same item's row in a batch in the
+    last bits.
+    """
+    n = len(feat_maps)
+    out = np.empty((n, enc.w.shape[1]))
+    start = 0
+    while True:
+        stop = n if n - start <= ENCODE_BLOCK + 1 else start + ENCODE_BLOCK
+        # the float64 block lives only as long as its pooling node
+        pooled = layers.attention_pool(
+            np.asarray(feat_maps[start:stop], dtype=np.float64), attn).data
+        layers.encode_soft(pooled, enc, out=out[start:stop])
+        if stop == n:
+            return out
+        start = stop

@@ -194,7 +194,9 @@ def evaluate(queries, gallery, ks):
         # a query's hit ranks are distinct, so one fancy add counts them
         counts = hits_by_r.get(r_total)
         if counts is None:
-            counts = hits_by_r[r_total] = np.zeros(n, dtype=np.intp)
+            # int32 halves each N-length histogram; cumsum below adds in
+            # the platform int, so the sums are those of intp counts
+            counts = hits_by_r[r_total] = np.zeros(n, dtype=np.int32)
         counts[hit0] += 1
     per_query_ap = np.array(aps)
     n_eval = len(aps)

@@ -1,13 +1,23 @@
 """Shared test helpers: finite-difference oracles and tiny model builders."""
 
-from types import SimpleNamespace
+import os
 
-import numpy as np
-import pytest
+# BLAS runs on one thread, pinned before numpy loads as perfbench/run.py
+# pins it.  With more threads OpenBLAS splits a product's rows among them at
+# points that depend on the row count, so one pass over N maps moves in the
+# last bits with N, and the bit-for-bit checks against that pass would
+# depend on the machine's cores.
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"})
 
-from zsih import layers, model, objective, pipeline
-from zsih.autodiff import Node
-from zsih.data import synth_dataset
+from types import SimpleNamespace  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from zsih import layers, model, objective, pipeline  # noqa: E402
+from zsih.autodiff import Node  # noqa: E402
+from zsih.data import synth_dataset  # noqa: E402
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4

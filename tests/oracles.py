@@ -4,7 +4,9 @@ The model forward is plain numpy that runs one item at a time, its graph
 built entry by entry from the batch semantics, and the weight
 initialization draws one weight at a time.  The activations and the
 row softmax are the plain masked and branching expressions that the
-layers' kernels must equal bit for bit.  The synthetic data generator
+layers' kernels must equal bit for bit, and the one-pass encode is the
+form that the blocked ``model.encode_features`` must equal bit for bit.
+The synthetic data generator
 draws one map at a time, and the batch sampler one pair at a time from
 per-class lists.  For retrieval, distances are computed on unpacked bits,
 rankings by explicit keyed sort, and the metric accumulations mirror the
@@ -13,6 +15,8 @@ the interpolated curve add per-query floats query by query, and the raw
 per-rank curve divides integer hit counts, grouped by R, once at the end."""
 
 import numpy as np
+
+from zsih import layers
 
 RECALL_LEVELS = np.linspace(0.0, 1.0, 11)
 
@@ -133,6 +137,13 @@ def masked_relu(z):
 def softmax_rows(x):
     e = np.exp(x - x.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def one_shot_encode(maps, attn, enc):
+    """Soft codes of all N maps in one pass: one float64 copy, one
+    attention pooling and one hash encoder call over every row."""
+    return layers.encode_soft(
+        layers.attention_pool(np.asarray(maps, np.float64), attn).data, enc).data
 
 
 def _attend(feat, w, tag):

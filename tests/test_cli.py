@@ -457,6 +457,27 @@ class TestEncode:
         assert codes.n_bits == 8  # config M
         assert codes.modality == "image"
 
+    def test_block_and_one_row_remainder_equal_one_pass_codes(self, workspace):
+        assert train_workspace(workspace) == 0
+        images = workspace["dir"] / "gallery.zsft"
+        # 1,025 images: one encode block and one row more
+        assert run_cli("synth", "--classes", 5, "--per-class", 205, "--locations", 2,
+                       "--channels", 8, "--semantic-dim", 4, "--seed", 4,
+                       "--sketches", workspace["dir"] / "unused.zsft",
+                       "--images", images,
+                       "--semantics", workspace["dir"] / "unused.txt") == 0
+        out = workspace["dir"] / "gallery.zscb"
+        assert run_cli("encode", "--checkpoint", workspace["checkpoint"],
+                       "--features", images, "--modality", "image", "--out", out) == 0
+        params = pipeline.load_checkpoint(workspace["checkpoint"]).build_params()
+        records = data.load_features(images).records["image"]
+        assert len(records) == 1025
+        soft = oracles.one_shot_encode(records["feat"], params.attn_im, params.enc_im)
+        expected = workspace["dir"] / "expected.zscb"
+        retrieval.save_codes(retrieval.binarize(soft, records["class_id"], "image"),
+                             expected)
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_modality_mismatch_is_runtime_error(self, workspace, capsys):
         assert train_workspace(workspace) == 0
         code = run_cli("encode", "--checkpoint", workspace["checkpoint"],

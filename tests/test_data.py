@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import tiny_setup
+from conftest import tiny_setup, write_fresh
 from zsih import formats, pipeline, retrieval
 from zsih.data import (
     FeatureStore,
@@ -91,7 +91,7 @@ class TestFeatureFiles:
         save_features(store, path, "image")
         raw = path.read_bytes()
         for cut in range(len(raw)):
-            path.write_bytes(raw[:cut])
+            write_fresh(path, raw[:cut])
             with pytest.raises(FormatError):
                 load_features(path)
 
@@ -198,6 +198,22 @@ def _write_pr_dump(path, seed):
     retrieval.write_pr_dump(retrieval.evaluate(codes, codes, ks=(1, 10, 100)), path)
 
 
+def _exchange_works(directory):
+    """Whether ``write_atomic`` can swap two names in ``directory``."""
+    a, b = directory / "a", directory / "b"
+    a.write_bytes(b"a")
+    b.write_bytes(b"b")
+    swapped = formats._exchange(a, b)
+    a.unlink()
+    b.unlink()
+    return swapped
+
+
+def _refuse_exchange(*args):
+    """``renameat2`` as on a filesystem that cannot exchange (EINVAL)."""
+    return -1
+
+
 class TestAtomicWrites:
     @pytest.mark.parametrize("write", [_write_features, _write_checkpoint, _write_codes])
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, write, tmp_path,
@@ -227,6 +243,79 @@ class TestAtomicWrites:
             assert path.read_bytes() != old
             assert held.read() == old
             assert os.fstat(held.fileno()).st_ino != path.stat().st_ino
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_overwrite_swaps_the_names_and_never_renames_over(self, tmp_path,
+                                                              monkeypatch):
+        if not _exchange_works(tmp_path):
+            pytest.skip("the filesystem cannot exchange two names")
+        path, expected = tmp_path / "out", tmp_path / "expected"
+        _write_codes(path, 1)
+        _write_codes(expected, 2)
+
+        def no_replace(*args):
+            raise AssertionError("os.replace called")
+
+        monkeypatch.setattr(os, "replace", no_replace)
+        _write_codes(path, 2)
+        assert path.read_bytes() == expected.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["expected", "out"]
+
+    @pytest.mark.parametrize("renameat2", [None, _refuse_exchange],
+                             ids=["no-renameat2", "exchange-fails"])
+    def test_overwrite_without_exchange_falls_back_to_replace(self, renameat2, tmp_path,
+                                                              monkeypatch):
+        path, expected = tmp_path / "out", tmp_path / "expected"
+        _write_codes(path, 1)
+        _write_codes(expected, 2)
+        monkeypatch.setattr(formats, "_renameat2", renameat2)
+        replaced = []
+        monkeypatch.setattr(os, "replace",
+                            lambda *args: replaced.append(args) or os.rename(*args))
+        _write_codes(path, 2)
+        assert path.read_bytes() == expected.read_bytes()
+        assert len(replaced) == 1
+        assert sorted(os.listdir(tmp_path)) == ["expected", "out"]
+
+    def test_target_removed_during_the_write_gets_the_new_file(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"old")
+        with formats.write_atomic(path) as f:
+            f.write(b"new")
+            path.unlink()
+        assert path.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_error_in_the_block_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"old")
+        with pytest.raises(ZeroDivisionError):
+            with formats.write_atomic(path) as f:
+                f.write(b"new")
+                1 / 0
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_directory_at_the_path_is_left_as_it_is(self, tmp_path):
+        path = tmp_path / "out"
+        path.mkdir()
+        (path / "kept").write_bytes(b"kept")
+        with pytest.raises(IsADirectoryError):
+            with formats.write_atomic(path) as f:
+                f.write(b"new")
+        assert os.listdir(path) == ["kept"]
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_directory_made_during_the_write_is_never_swapped_away(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"old")
+        with pytest.raises(IsADirectoryError):
+            with formats.write_atomic(path) as f:
+                f.write(b"new")
+                path.unlink()
+                path.mkdir()
+                (path / "kept").write_bytes(b"kept")
+        assert os.listdir(path) == ["kept"]
         assert os.listdir(tmp_path) == ["out"]
 
     def test_failed_first_write_leaves_nothing(self, tmp_path):

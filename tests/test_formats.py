@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import tiny_config, write_fresh
 from zsih import cli, data, model, pipeline, retrieval
 from zsih.formats import FormatError
 
@@ -75,7 +75,7 @@ def outcomes(fmt, tmp_path):
     path = tmp_path / f"corrupt.{fmt}"
     result = []
     for name, raw in corruptions(good.read_bytes()):
-        path.write_bytes(raw)
+        write_fresh(path, raw)
         try:
             load(path)
             outcome = "loaded"
@@ -104,7 +104,7 @@ def test_every_config_corruption_loads_or_names_its_line(tmp_path):
     named = re.compile(rf"^{re.escape(str(path))}:\d+: ")
     loaded, unnamed = 0, {}
     for name, corrupt in corruptions(raw):
-        path.write_bytes(corrupt)
+        write_fresh(path, corrupt)
         try:
             pipeline.load_config(path)
             loaded += 1
@@ -140,11 +140,11 @@ def test_cli_encode_rejects_corrupt_inputs(tmp_path, capsys):
     capsys.readouterr()
     bad = tmp_path / "bad"
     for raw in _rejected_flips("zsih", tmp_path, 3):
-        bad.write_bytes(raw)
+        write_fresh(bad, raw)
         _expect_clean_exit_1(capsys, "encode", "--checkpoint", bad, "--features",
                              good_feats, "--modality", "image", "--out", out)
     for raw in _rejected_flips("zsft", tmp_path, 3):
-        bad.write_bytes(raw)
+        write_fresh(bad, raw)
         _expect_clean_exit_1(capsys, "encode", "--checkpoint", good_ckpt, "--features",
                              bad, "--modality", "image", "--out", out)
 
@@ -154,7 +154,7 @@ def test_cli_eval_rejects_corrupt_codes(tmp_path, capsys):
     write_codes(good)
     bad = tmp_path / "bad.zscb"
     for raw in _rejected_flips("zscb", tmp_path, 3):
-        bad.write_bytes(raw)
+        write_fresh(bad, raw)
         _expect_clean_exit_1(capsys, "eval", "--queries", bad, "--gallery", good,
                              "--out", tmp_path / "report.txt")
     assert not (tmp_path / "report.txt").exists()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import tiny_config, tiny_setup
+from conftest import tiny_config, tiny_setup, write_fresh
 from zsih import model, objective, pipeline
 from zsih.data import FeatureStore, FormatError, feature_dtype, synth_dataset
 from zsih.pipeline import (
@@ -341,10 +341,12 @@ class TestParamTable:
             model.params_from_arrays(config, arrays)
 
 
-# block boundaries of model.ENCODE_BLOCK = 1,024: below, at and past one
-# block, a one-row remainder merged into the last block (1,025 and 3,073),
-# and a two-row and a 63-row last block
-BLOCK_SIZES = [0, 1, 2, 1023, 1024, 1025, 1026, 2111, 3073]
+# block boundaries of B = model.ENCODE_BLOCK: below, at and past one block
+# and four, a one-row remainder merged into the last block (B + 1, 2B + 1,
+# 3B + 1, 4B + 1 and 12B + 1), and a two-row and a 63-row last block
+_B = model.ENCODE_BLOCK
+BLOCK_SIZES = [0, 1, 2, _B - 1, _B, _B + 1, _B + 2, 2 * _B + 1, 3 * _B + 1,
+               4 * _B - 1, 4 * _B, 4 * _B + 1, 4 * _B + 2, 8 * _B + 63, 12 * _B + 1]
 
 
 @pytest.fixture(scope="module", params=[(4, 32), (49, 64)], ids=["4x32", "49x64"])
@@ -611,10 +613,10 @@ class TestCheckpoint:
         raw = checkpoint_bytes(ckpt)
         path = tmp_path / "model.zsih"
         for cut in range(len(raw)):
-            path.write_bytes(raw[:cut])
+            write_fresh(path, raw[:cut])
             with pytest.raises(FormatError):
                 load_checkpoint(path)
-        path.write_bytes(raw)
+        write_fresh(path, raw)
         assert checkpoint_bytes(load_checkpoint(path)) == raw
 
     def test_oversized_dims_rejected_before_allocating(self, tmp_path):

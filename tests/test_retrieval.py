@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import write_fresh
 from zsih import retrieval
 from zsih.retrieval import (
     CodeMatrix,
@@ -511,7 +512,7 @@ class TestCodeFiles:
         save_codes(cm, path)
         raw = path.read_bytes()
         for cut in range(len(raw)):
-            path.write_bytes(raw[:cut])
+            write_fresh(path, raw[:cut])
             with pytest.raises(FormatError):
                 load_codes(path)
 
